@@ -72,13 +72,13 @@ from .stats import (
 from .corpus import (
     AggregateCounts,
     CorpusSource,
-    Dialect,
     RootNotFound,
     aggregate,
     aggregate_corpus,
     corpus_files,
     ingest,
     merge,
+    read_files,
 )
 from .report import (
     ReportFormat,
@@ -103,7 +103,6 @@ __all__ = [
     "CorpusSource",
     "DEFAULT_CONFIG",
     "DegenerateMargin",
-    "Dialect",
     "EMPTY_POS",
     "EmptyConstituent",
     "EmptyInflectionSet",
@@ -150,6 +149,7 @@ __all__ = [
     "parse_trees",
     "profile_verb_frames",
     "ratio_report",
+    "read_files",
     "render_rows",
     "serialize_tree",
     "survey_fronted_adverbials",

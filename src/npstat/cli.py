@@ -10,7 +10,9 @@ Subcommands::
     verb          complement-frame profile for one verb lemma
 
 Common behavior: --corpus defaults to $NPSTAT_CORPUS; --format selects
-aligned text, TSV, or line-delimited JSON records.  Exit codes: 0 success,
+aligned text, TSV, or line-delimited JSON records.  Every corpus subcommand
+reads the corpus in one serial pass through :func:`npstat.corpus.read_files`;
+a file that fails to parse is skipped with one warning.  Exit codes: 0 success,
 1 every corpus file failed to parse, 2 missing/unusable input, 3 degenerate
 statistics input, 4 configuration error.
 """
@@ -23,16 +25,14 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .corpus import (
     AggregateCounts,
     CorpusSource,
-    CorpusStream,
     RootNotFound,
     aggregate_corpus,
-    corpus_files,
-    ingest,
+    read_files,
 )
 from .givenness import (
     DEFAULT_CONFIG,
@@ -57,9 +57,7 @@ from .stats import (
     chi_square_2x2,
     ratio_report,
 )
-from .treebank import TreebankSyntaxError, parse_trees
-
-log = logging.getLogger(__name__)
+from .treebank import Tree
 
 CORPUS_ENV_VAR = "NPSTAT_CORPUS"
 
@@ -139,48 +137,49 @@ def _load_lexicon(path: str) -> dict[str, tuple[str, ...]]:
     return lexicon
 
 
-def _all_files_failed(counts: AggregateCounts | CorpusStream) -> bool:
-    return counts.files_skipped > 0 and counts.files_processed == 0
+def _all_files_failed(counts: AggregateCounts) -> bool:
+    """True, after telling the user, when no file parsed and some were skipped."""
+    if counts.files_skipped > 0 and counts.files_processed == 0:
+        print("error: every corpus file failed to parse", file=sys.stderr)
+        return True
+    return False
 
 
-def _aggregate(args: argparse.Namespace) -> AggregateCounts:
-    source = _corpus_source(args)
-    agg = aggregate_corpus(source, _classifier(args), max_workers=args.workers)
-    return agg
+def _sentences(
+    args: argparse.Namespace, files: AggregateCounts
+) -> Iterator[tuple[str, int, Tree]]:
+    """Every (file_id, sentence index, tree) of the corpus, tallying ``files``."""
+    for file_id, trees in read_files(_corpus_source(args)):
+        if trees is None:
+            files.files_skipped += 1
+            continue
+        files.files_processed += 1
+        for idx, tree in enumerate(trees):
+            yield file_id, idx, tree
 
 
 # --- subcommand handlers -------------------------------------------------
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    source = _corpus_source(args)
-    files = corpus_files(source)
-    root = Path(source.root_path)
+    files = AggregateCounts()
     rows: list[list] = []
-    parsed_files = 0
-    for path in files:
-        file_id = path.relative_to(root).as_posix()
-        try:
-            trees = parse_trees(path.read_text(encoding="utf-8"))
-        except (TreebankSyntaxError, UnicodeDecodeError) as err:
-            log.warning("skipping %s: %s", file_id, err)
+    for file_id, trees in read_files(_corpus_source(args)):
+        if trees is None:
+            files.files_skipped += 1
             rows.append([file_id, 0, "skipped"])
-            continue
-        parsed_files += 1
-        rows.append([file_id, len(trees), "ok"])
+        else:
+            files.files_processed += 1
+            rows.append([file_id, len(trees), "ok"])
     print(render_rows(("file", "sentences", "status"), rows, args.format, "parse-file"))
-    if files and parsed_files == 0:
-        print("error: every corpus file failed to parse", file=sys.stderr)
-        return EXIT_ALL_FILES_FAILED
-    return EXIT_OK
+    return EXIT_ALL_FILES_FAILED if _all_files_failed(files) else EXIT_OK
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
     if args.from_counts is not None:
         block = Table1Block.from_counts(args.from_counts)
     else:
-        agg = _aggregate(args)
+        agg = aggregate_corpus(_corpus_source(args), _classifier(args))
         if _all_files_failed(agg):
-            print("error: every corpus file failed to parse", file=sys.stderr)
             return EXIT_ALL_FILES_FAILED
         label = Path(_corpus_source(args).root_path).name or "corpus"
         block = Table1Block.from_aggregate(agg, label=label)
@@ -218,9 +217,8 @@ def cmd_chisq(args: argparse.Namespace) -> int:
         table = ContingencyTable2x2(a, b, c, d)
         rendering = _render_chisq(table, args.format, ("row1", "row2"), ("col1", "col2"))
     else:
-        agg = _aggregate(args)
+        agg = aggregate_corpus(_corpus_source(args), _classifier(args))
         if _all_files_failed(agg):
-            print("error: every corpus file failed to parse", file=sys.stderr)
             return EXIT_ALL_FILES_FAILED
         table = build_pronoun_indefinite_table(agg, args.contexts)
         rendering = _render_chisq(
@@ -232,12 +230,9 @@ def cmd_chisq(args: argparse.Namespace) -> int:
 
 def cmd_late_closure(args: argparse.Namespace) -> int:
     config = _classifier(args)
-    stream = ingest(_corpus_source(args))
-    next_index: dict[str, int] = {}
+    files = AggregateCounts()
     rows: list[list] = []
-    for file_id, tree in stream:
-        idx = next_index.get(file_id, 0)
-        next_index[file_id] = idx + 1
+    for file_id, idx, tree in _sentences(args, files):
         for match in find_late_closure_configs(tree, file_id, idx):
             category = classify_np(match.critical_np, config)
             rows.append(
@@ -252,10 +247,7 @@ def cmd_late_closure(args: argparse.Namespace) -> int:
             "late-closure-match",
         )
     )
-    if _all_files_failed(stream):
-        print("error: every corpus file failed to parse", file=sys.stderr)
-        return EXIT_ALL_FILES_FAILED
-    return EXIT_OK
+    return EXIT_ALL_FILES_FAILED if _all_files_failed(files) else EXIT_OK
 
 
 def cmd_adverbials(args: argparse.Namespace) -> int:
@@ -267,13 +259,10 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
         rows = [["ALL", total, not_delimited, ratio_report(not_delimited, total)]]
         print(render_rows(columns, rows, args.format, "adverbial-row"))
         return EXIT_OK
-    stream = ingest(_corpus_source(args))
+    files = AggregateCounts()
     totals: Counter[str] = Counter()
     uncommaed: Counter[str] = Counter()
-    next_index: dict[str, int] = {}
-    for file_id, tree in stream:
-        idx = next_index.get(file_id, 0)
-        next_index[file_id] = idx + 1
+    for file_id, idx, tree in _sentences(args, files):
         for record in survey_fronted_adverbials(tree, file_id, idx):
             key = record.category if record.category in ("SBAR", "PP") else "other"
             totals[key] += 1
@@ -290,10 +279,7 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
                 rows.append([key, totals[key], uncommaed[key],
                              ratio_report(uncommaed[key], totals[key])])
     print(render_rows(columns, rows, args.format, "adverbial-row"))
-    if _all_files_failed(stream):
-        print("error: every corpus file failed to parse", file=sys.stderr)
-        return EXIT_ALL_FILES_FAILED
-    return EXIT_OK
+    return EXIT_ALL_FILES_FAILED if _all_files_failed(files) else EXIT_OK
 
 
 def cmd_verb(args: argparse.Namespace) -> int:
@@ -303,21 +289,19 @@ def cmd_verb(args: argparse.Namespace) -> int:
         raise EmptyInflectionSet(
             f"no inflections configured for {args.verb!r}; add it to the lexicon"
         )
-    stream = ingest(_corpus_source(args))
-    profile = profile_verb_frames((tree for _, tree in stream), args.verb, inflections)
+    files = AggregateCounts()
+    profile = profile_verb_frames(
+        (tree for _, _, tree in _sentences(args, files)), args.verb, inflections
+    )
     rows: list[list] = [[frame.value, profile.counts[frame]] for frame in FrameType]
     rows.append(["total", profile.total])
     print(render_rows(("frame", "count"), rows, args.format, "verb-frame"))
-    if _all_files_failed(stream):
-        print("error: every corpus file failed to parse", file=sys.stderr)
-        return EXIT_ALL_FILES_FAILED
-    return EXIT_OK
+    return EXIT_ALL_FILES_FAILED if _all_files_failed(files) else EXIT_OK
 
 
 # --- parser construction -------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, classifier: bool = False,
-                workers: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, classifier: bool = False) -> None:
     sub.add_argument(
         "--format",
         choices=[f.value for f in ReportFormat],
@@ -336,11 +320,6 @@ def _add_common(sub: argparse.ArgumentParser, classifier: bool = False,
         sub.add_argument(
             "--classifier-config", metavar="FILE",
             help="override the default givenness classifier configuration",
-        )
-    if workers:
-        sub.add_argument(
-            "--workers", type=int, default=4, metavar="N",
-            help="per-file worker threads (default: 4; results are order-independent)",
         )
 
 
@@ -361,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_parse)
 
     p = sub.add_parser("table1", help="givenness frequency table")
-    _add_common(p, classifier=True, workers=True)
+    _add_common(p, classifier=True)
     p.add_argument(
         "--from-counts", type=int, nargs=36, metavar="N",
         help="render from 36 explicit counts instead of a corpus: per "
@@ -372,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_table1)
 
     p = sub.add_parser("chisq", help="pronoun/indefinite x subject/non-subject chi-square")
-    _add_common(p, classifier=True, workers=True)
+    _add_common(p, classifier=True)
     p.add_argument(
         "--cells", type=int, nargs=4, metavar=("A", "B", "C", "D"),
         help="test an explicit 2x2 table (row-major) instead of a corpus",

@@ -1,19 +1,18 @@
 """Directory ingestion and corpus-level aggregation.
 
-Files are visited in lexicographic path order.  A file that fails to parse is
-counted, reported through logging, and skipped; the run continues.  Counts
+:func:`read_files` is the one ingestion path: it visits files in lexicographic
+path order and parses each one.  A file that fails to parse is reported
+through logging with one warning and skipped; the run continues.  Counts
 accumulate into :class:`AggregateCounts`, a dense
 (givenness category x grammatical position x clause context) table whose
-``merge`` is associative and commutative, so per-file work can run in
-parallel and combine deterministically.
+``merge`` is associative and commutative, so any partition of the corpus
+combines to the same result.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -30,19 +29,10 @@ class RootNotFound(FileNotFoundError):
     pass
 
 
-class Dialect(Enum):
-    """Top-level layout hint; parsing itself handles either transparently."""
-
-    WRAPPED = "wrapped"
-    UNWRAPPED = "unwrapped"
-    AUTO = "auto"
-
-
 @dataclass(frozen=True)
 class CorpusSource:
     root_path: Path
     include_glob: str = "*"
-    dialect: Dialect = Dialect.AUTO
 
 
 def _all_cell_keys() -> list[CellKey]:
@@ -106,46 +96,36 @@ def corpus_files(source: CorpusSource) -> list[Path]:
     return sorted(files, key=lambda p: p.relative_to(root).as_posix())
 
 
-class CorpusStream:
-    """Iterator of (file_id, tree) pairs with live ingestion counters.
+def _read_trees(path: Path, file_id: str) -> list[Tree] | None:
+    try:
+        return parse_trees(path.read_text(encoding="utf-8"))
+    except (TreebankSyntaxError, UnicodeDecodeError) as err:
+        reason = str(err)
+    except RecursionError:
+        reason = "nesting too deep"
+    log.warning("skipping %s: %s", file_id, reason)
+    return None
 
-    ``file_id`` is the path relative to the corpus root.  Parse failures skip
-    the whole file (incrementing ``files_skipped``) and emit a diagnostic.
+
+def read_files(source: CorpusSource) -> Iterator[tuple[str, list[Tree] | None]]:
+    """Parse every corpus file in order: ``(file_id, trees)`` pairs.
+
+    ``file_id`` is the path relative to the corpus root.  ``trees`` is None
+    for a file that failed to decode or parse; it gets one ``skipping`` warning.
+    Raises :class:`RootNotFound` when called, not when first iterated.
     """
-
-    def __init__(self, source: CorpusSource):
-        self.source = source
-        self.files_processed = 0
-        self.files_skipped = 0
-        self.sentences = 0
-        self._iterator = self._generate(corpus_files(source))
-
-    def _generate(self, files: list[Path]) -> Iterator[tuple[str, Tree]]:
-        root = Path(self.source.root_path)
-        for path in files:
-            file_id = path.relative_to(root).as_posix()
-            try:
-                trees = parse_trees(path.read_text(encoding="utf-8"))
-            except (TreebankSyntaxError, UnicodeDecodeError) as err:
-                position = getattr(err, "position", "?")
-                log.warning("skipping %s: %s (offset %s)", file_id, err, position)
-                self.files_skipped += 1
-                continue
-            self.files_processed += 1
-            for tree in trees:
-                self.sentences += 1
-                yield file_id, tree
-
-    def __iter__(self) -> "CorpusStream":
-        return self
-
-    def __next__(self) -> tuple[str, Tree]:
-        return next(self._iterator)
+    root = Path(source.root_path)
+    file_ids = [path.relative_to(root).as_posix() for path in corpus_files(source)]
+    return ((file_id, _read_trees(root / file_id, file_id)) for file_id in file_ids)
 
 
-def ingest(source: CorpusSource) -> CorpusStream:
+def ingest(source: CorpusSource) -> Iterator[tuple[str, Tree]]:
     """Open a corpus directory as a stream of (file_id, tree) pairs."""
-    return CorpusStream(source)
+    return (
+        (file_id, tree)
+        for file_id, trees in read_files(source) if trees is not None
+        for tree in trees
+    )
 
 
 def aggregate(
@@ -168,45 +148,18 @@ def aggregate(
             log.exception("failed on %s sentence %d", file_id, sentence_index)
             continue
         agg.sentences_processed += 1
-    for attr in ("files_processed", "files_skipped"):
-        value = getattr(stream, attr, None)
-        if value is not None:
-            setattr(agg, attr, value)
-    return agg
-
-
-def _aggregate_one_file(path: Path, root: Path, config: ClassifierConfig) -> AggregateCounts:
-    file_id = path.relative_to(root).as_posix()
-    agg = AggregateCounts()
-    try:
-        trees = parse_trees(path.read_text(encoding="utf-8"))
-    except (TreebankSyntaxError, UnicodeDecodeError) as err:
-        log.warning("skipping %s: %s", file_id, err)
-        agg.files_skipped = 1
-        return agg
-    agg = aggregate(((file_id, t) for t in trees), config)
-    agg.files_processed = 1
     return agg
 
 
 def aggregate_corpus(
-    source: CorpusSource,
-    config: ClassifierConfig = DEFAULT_CONFIG,
-    max_workers: int | None = None,
+    source: CorpusSource, config: ClassifierConfig = DEFAULT_CONFIG
 ) -> AggregateCounts:
-    """Aggregate a whole corpus, optionally with per-file worker threads.
-
-    Partial results are merged in file order, so the outcome is identical
-    regardless of scheduling.
-    """
-    files = corpus_files(source)
-    root = Path(source.root_path)
-    if max_workers is not None and max_workers > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            partials = list(pool.map(lambda p: _aggregate_one_file(p, root, config), files))
-    else:
-        partials = [_aggregate_one_file(p, root, config) for p in files]
-    result = AggregateCounts()
-    for partial in partials:
-        result = merge(result, partial)
-    return result
+    """Aggregate a whole corpus, counting processed and skipped files."""
+    total = AggregateCounts()
+    for file_id, trees in read_files(source):
+        if trees is None:
+            total.files_skipped += 1
+            continue
+        total = merge(total, aggregate(((file_id, tree) for tree in trees), config))
+        total.files_processed += 1
+    return total

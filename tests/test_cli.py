@@ -32,6 +32,11 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def skip_warnings(caplog):
+    """The ``skipping`` warnings logged so far; a real run prints them on stderr."""
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipping")]
+
+
 def corpus_args(fixture_corpus):
     return ["--corpus", str(fixture_corpus)]
 
@@ -64,11 +69,57 @@ class TestParseCommand:
         assert by_file["b.mrg"] == {"record": "parse-file", "file": "b.mrg",
                                     "sentences": 0, "status": "skipped"}
 
-    def test_total_failure_exits_one(self, capsys, broken_dir, tmp_path):
+
+CORPUS_COMMANDS = {
+    "parse": ["parse"],
+    "table1": ["table1"],
+    "chisq": ["chisq"],
+    "late-closure": ["late-closure"],
+    "adverbials": ["adverbials"],
+    "verb": ["verb", "--verb", "disclose"],
+}
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_total_failure_exits_one(self, capsys, broken_dir, tmp_path, command):
         shutil.copy(broken_dir / "malformed.mrg", tmp_path / "only.mrg")
-        code, _, err = run(capsys, ["parse", "--corpus", str(tmp_path)])
+        code, _, err = run(capsys, [*CORPUS_COMMANDS[command], "--corpus", str(tmp_path)])
         assert code == EXIT_ALL_FILES_FAILED
         assert "failed to parse" in err
+
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_partial_failure_skips_the_bad_file_once(self, capsys, caplog, fixture_corpus,
+                                                     broken_dir, tmp_path, command):
+        shutil.copy(fixture_corpus / "a.mrg", tmp_path / "a.mrg")
+        shutil.copy(broken_dir / "malformed.mrg", tmp_path / "b.mrg")
+        code, _, _ = run(capsys, [*CORPUS_COMMANDS[command], "--corpus", str(tmp_path)])
+        assert code == EXIT_OK
+        (skip,) = skip_warnings(caplog)
+        assert skip.startswith("skipping b.mrg: ")
+
+    @pytest.mark.parametrize("depth", [1_200, 10_000])
+    @pytest.mark.parametrize("command", ["parse", "table1"])
+    def test_too_deep_file_is_skipped(self, capsys, caplog, fixture_corpus, tmp_path,
+                                      depth, command):
+        good, mixed = tmp_path / "good" / "corpus", tmp_path / "mixed" / "corpus"
+        for corpus in (good, mixed):
+            corpus.mkdir(parents=True)
+            shutil.copy(fixture_corpus / "a.mrg", corpus / "a.mrg")
+        deep = "(S " * depth + "(NN x)" + ")" * depth
+        (mixed / "deep.mrg").write_text(deep + "\n", encoding="utf-8")
+        argv = [command, "--format", "records", "--corpus"]
+        code, out, _ = run(capsys, [*argv, str(mixed)])
+        assert code == EXIT_OK
+        assert skip_warnings(caplog) == ["skipping deep.mrg: nesting too deep"]
+        _, good_out, _ = run(capsys, [*argv, str(good)])
+        if command == "parse":
+            assert parse_records(out) == parse_records(good_out) + [
+                {"record": "parse-file", "file": "deep.mrg", "sentences": 0,
+                 "status": "skipped"}
+            ]
+        else:
+            assert out == good_out
 
 
 class TestTable1Command:

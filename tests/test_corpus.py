@@ -1,5 +1,6 @@
 """Ingestion, aggregation and merge tests."""
 
+import logging
 import shutil
 
 import pytest
@@ -7,13 +8,13 @@ import pytest
 from npstat.corpus import (
     AggregateCounts,
     CorpusSource,
-    Dialect,
     RootNotFound,
     aggregate,
     aggregate_corpus,
     corpus_files,
     ingest,
     merge,
+    read_files,
 )
 from npstat.givenness import GivennessCategory
 from npstat.queries import ClauseContext, GrammaticalPosition
@@ -63,22 +64,23 @@ def random_aggregate(seed: int) -> AggregateCounts:
 
 class TestIngest:
     def test_fixture_corpus_order_and_counts(self, fixture_corpus):
-        stream = ingest(CorpusSource(fixture_corpus))
-        pairs = list(stream)
+        pairs = list(ingest(CorpusSource(fixture_corpus)))
         assert len(pairs) == 10
         assert [fid for fid, _ in pairs] == ["a.mrg"] * 4 + ["b.mrg"] * 3 + ["c.mrg"] * 3
-        assert stream.files_processed == 3
-        assert stream.files_skipped == 0
-        assert stream.sentences == 10
+        files = list(read_files(CorpusSource(fixture_corpus)))
+        assert [fid for fid, trees in files if trees is not None] == ["a.mrg", "b.mrg", "c.mrg"]
+        assert [fid for fid, trees in files if trees is None] == []
+        assert sum(len(trees) for _, trees in files) == 10
 
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(RootNotFound):
             ingest(CorpusSource(tmp_path / "nowhere"))
+        with pytest.raises(RootNotFound):
+            read_files(CorpusSource(tmp_path / "nowhere"))
 
     def test_empty_directory_yields_empty_stream(self, tmp_path):
-        stream = ingest(CorpusSource(tmp_path))
-        assert list(stream) == []
-        assert stream.files_processed == 0
+        assert list(ingest(CorpusSource(tmp_path))) == []
+        assert list(read_files(CorpusSource(tmp_path))) == []
 
     def test_glob_filters_files(self, fixture_corpus):
         pairs = list(ingest(CorpusSource(fixture_corpus, include_glob="a.*")))
@@ -89,11 +91,30 @@ class TestIngest:
         shutil.copy(fixture_corpus / "a.mrg", tmp_path / "a.mrg")
         shutil.copy(fixture_corpus / "c.mrg", tmp_path / "c.mrg")
         shutil.copy(broken_dir / "malformed.mrg", tmp_path / "b.mrg")
-        stream = ingest(CorpusSource(tmp_path))
-        pairs = list(stream)
+        pairs = list(ingest(CorpusSource(tmp_path)))
         assert len(pairs) == 7  # the two good files' sentences
-        assert stream.files_skipped == 1
-        assert stream.files_processed == 2
+        files = list(read_files(CorpusSource(tmp_path)))
+        assert [fid for fid, trees in files if trees is None] == ["b.mrg"]
+        assert [fid for fid, trees in files if trees is not None] == ["a.mrg", "c.mrg"]
+
+    def test_skip_warning_states_reason_once(self, fixture_corpus, broken_dir, tmp_path,
+                                             caplog):
+        shutil.copy(fixture_corpus / "a.mrg", tmp_path / "a.mrg")
+        shutil.copy(broken_dir / "malformed.mrg", tmp_path / "b.mrg")
+        (tmp_path / "c.mrg").write_bytes(b"\xff( (S (NP (NN x))) )")
+        with caplog.at_level(logging.WARNING, logger="npstat.corpus"):
+            files = list(read_files(CorpusSource(tmp_path)))
+        assert [fid for fid, trees in files if trees is None] == ["b.mrg", "c.mrg"]
+        messages = [record.getMessage() for record in caplog.records]
+        assert len(messages) == 2
+        malformed, undecodable = messages
+        assert malformed.startswith("skipping b.mrg: ")
+        assert malformed.count("offset") == 1
+        assert undecodable.startswith("skipping c.mrg: ")
+        assert undecodable.count("invalid start byte") == 1
+        for message in messages:
+            assert "(offset" not in message
+            assert "?" not in message
 
     def test_recursive_lexicographic_order(self, fixture_corpus, tmp_path):
         (tmp_path / "sub").mkdir()
@@ -107,12 +128,11 @@ class TestIngest:
     def test_source_defaults(self, fixture_corpus):
         source = CorpusSource(fixture_corpus)
         assert source.include_glob == "*"
-        assert source.dialect is Dialect.AUTO
 
 
 class TestAggregate:
     def test_fixture_cells_match_hand_count(self, fixture_corpus):
-        agg = aggregate(ingest(CorpusSource(fixture_corpus)))
+        agg = aggregate_corpus(CorpusSource(fixture_corpus))
         for key, count in agg.cells.items():
             assert count == FIXTURE_CELLS.get(key, 0), key
         assert agg.total() == FIXTURE_TOTAL
@@ -186,25 +206,14 @@ class TestAggregateCorpus:
     def test_matches_streaming_aggregation(self, fixture_corpus):
         streamed = aggregate(ingest(CorpusSource(fixture_corpus)))
         sequential = aggregate_corpus(CorpusSource(fixture_corpus))
-        threaded = aggregate_corpus(CorpusSource(fixture_corpus), max_workers=4)
-        assert sequential.cells == streamed.cells == threaded.cells
-        assert sequential.files_processed == threaded.files_processed == 3
-        assert sequential.sentences_processed == threaded.sentences_processed == 10
-
-    def test_parallel_schedule_is_deterministic(self, smoke_corpus):
-        runs = [
-            aggregate_corpus(CorpusSource(smoke_corpus), max_workers=workers)
-            for workers in (1, 2, 8)
-        ]
-        first = runs[0]
-        for other in runs[1:]:
-            assert other.cells == first.cells
-            assert other.sentences_processed == first.sentences_processed
+        assert sequential.cells == streamed.cells
+        assert sequential.files_processed == 3
+        assert sequential.sentences_processed == 10
 
     def test_bad_file_counted_and_skipped(self, fixture_corpus, broken_dir, tmp_path):
         shutil.copy(fixture_corpus / "a.mrg", tmp_path / "a.mrg")
         shutil.copy(broken_dir / "malformed.mrg", tmp_path / "bad.mrg")
-        agg = aggregate_corpus(CorpusSource(tmp_path), max_workers=2)
+        agg = aggregate_corpus(CorpusSource(tmp_path))
         assert agg.files_processed == 1
         assert agg.files_skipped == 1
         assert agg.sentences_processed == 4
