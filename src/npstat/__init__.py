@@ -3,7 +3,7 @@ over bracketed constituency treebanks.
 
 The package splits into six layers:
 
-* :mod:`npstat.treebank`  — bracketed-tree tokenizer, parser, serializer;
+* :mod:`npstat.treebank`  — bracketed-tree parser, serializer;
 * :mod:`npstat.queries`   — structural queries: subject/non-subject NPs,
   clause contexts, verb-final local ambiguities, fronted adverbials,
   verb complement frames;
@@ -29,7 +29,6 @@ from .treebank import (
     is_punctuation,
     parse_trees,
     serialize_tree,
-    tokenize_brackets,
 )
 from .queries import (
     ADVERBIAL_CATEGORIES,
@@ -153,5 +152,4 @@ __all__ = [
     "render_rows",
     "serialize_tree",
     "survey_fronted_adverbials",
-    "tokenize_brackets",
 ]

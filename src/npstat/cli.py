@@ -12,9 +12,10 @@ Subcommands::
 Common behavior: --corpus defaults to $NPSTAT_CORPUS; --format selects
 aligned text, TSV, or line-delimited JSON records.  Every corpus subcommand
 reads the corpus in one serial pass through :func:`npstat.corpus.read_files`;
-a file that fails to parse is skipped with one warning.  Exit codes: 0 success,
-1 every corpus file failed to parse, 2 missing/unusable input, 3 degenerate
-statistics input, 4 configuration error.
+a file that fails to parse is skipped with one warning naming the first defect
+in reading order.  Exit codes: 0 success, 1 every corpus file failed to parse,
+2 missing/unusable input, 3 degenerate statistics input, 4 configuration
+error, 70 internal error (a defect in npstat itself).
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ EXIT_ALL_FILES_FAILED = 1
 EXIT_MISSING_INPUT = 2
 EXIT_DEGENERATE_STATS = 3
 EXIT_CONFIG_ERROR = 4
+EXIT_INTERNAL_ERROR = 70  # EX_SOFTWARE
 
 DEFAULT_VERB_LEXICON: dict[str, tuple[str, ...]] = {
     "return": ("return", "returns", "returned", "returning"),
@@ -431,6 +433,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as err:  # bad explicit counts, malformed cells, ...
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MISSING_INPUT
+    except Exception as err:  # a defect in npstat, not in its input
+        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def run() -> None:

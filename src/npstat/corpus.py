@@ -1,9 +1,10 @@
 """Directory ingestion and corpus-level aggregation.
 
 :func:`read_files` is the one ingestion path: it visits files in lexicographic
-path order and parses each one.  A file that fails to parse is reported
-through logging with one warning and skipped; the run continues.  Counts
-accumulate into :class:`AggregateCounts`, a dense
+path order and parses each one.  A file that fails to decode or parse is
+reported through logging with one warning, which names the first defect in
+reading order, and skipped; the run continues.  Counts accumulate into
+:class:`AggregateCounts`, a dense
 (givenness category x grammatical position x clause context) table whose
 ``merge`` is associative and commutative, so any partition of the corpus
 combines to the same result.
@@ -100,11 +101,8 @@ def _read_trees(path: Path, file_id: str) -> list[Tree] | None:
     try:
         return parse_trees(path.read_text(encoding="utf-8"))
     except (TreebankSyntaxError, UnicodeDecodeError) as err:
-        reason = str(err)
-    except RecursionError:
-        reason = "nesting too deep"
-    log.warning("skipping %s: %s", file_id, reason)
-    return None
+        log.warning("skipping %s: %s", file_id, err)
+        return None
 
 
 def read_files(source: CorpusSource) -> Iterator[tuple[str, list[Tree] | None]]:
@@ -141,12 +139,8 @@ def aggregate(
     for file_id, tree in stream:
         sentence_index = next_index.get(file_id, 0)
         next_index[file_id] = sentence_index + 1
-        try:
-            for occ in extract_np_occurrences(tree, file_id, sentence_index):
-                agg.increment(classify_np(occ.node, config), occ.position, occ.context)
-        except Exception:
-            log.exception("failed on %s sentence %d", file_id, sentence_index)
-            continue
+        for occ in extract_np_occurrences(tree, file_id, sentence_index):
+            agg.increment(classify_np(occ.node, config), occ.position, occ.context)
         agg.sentences_processed += 1
     return agg
 

@@ -134,19 +134,20 @@ def _ancestry_of(tree: Tree, target: Tree) -> list[Internal] | None:
     structurally equal subtrees occur more than once.
     """
     path: list[Internal] = []
-
-    def descend(node: Tree) -> bool:
-        if node is target:
-            return True
-        if isinstance(node, Internal):
-            path.append(node)
-            for child in node.children:
-                if descend(child):
-                    return True
-            path.pop()
-        return False
-
-    return path if descend(tree) else None
+    stack = [iter((tree,))]
+    while stack:
+        for node in stack[-1]:
+            if node is target:
+                return path
+            if isinstance(node, Internal):
+                path.append(node)
+                stack.append(iter(node.children))
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return None
 
 
 def _complementizer_slot(sbar: Internal, clause: Tree) -> Leaf | None:
@@ -198,16 +199,20 @@ def extract_np_occurrences(
     """
     _, index = _leaf_indices(tree)
     out: list[NPOccurrence] = []
-
-    def visit(node: Tree, ancestry: list[Internal]) -> None:
-        if not isinstance(node, Internal):
-            return
-        for i, child in enumerate(node.children):
-            if isinstance(child, Internal) and child.category == "NP":
-                position = _position_in_parent(node, i)
+    if not isinstance(tree, Internal):
+        return out
+    # One shared path from the root: ``ancestry[j]`` is the node whose
+    # children ``stack[j]`` is walking, so ``ancestry[-1]`` is their parent.
+    ancestry: list[Internal] = [tree]
+    stack = [enumerate(tree.children)]
+    while stack:
+        for i, child in stack[-1]:
+            if not isinstance(child, Internal):
+                continue
+            if child.category == "NP":
+                position = _position_in_parent(ancestry[-1], i)
                 if position is not None:
-                    np_ancestry = ancestry + [node]
-                    governing, gov_ancestry = _governing_clause(np_ancestry)
+                    governing, gov_ancestry = _governing_clause(ancestry)
                     context = _context_of_clause(gov_ancestry, governing)
                     out.append(
                         NPOccurrence(
@@ -217,9 +222,12 @@ def extract_np_occurrences(
                             span=_span_of(child, index, file_id, sentence_index),
                         )
                     )
-            visit(child, ancestry + [node])
-
-    visit(tree, [])
+            ancestry.append(child)
+            stack.append(enumerate(child.children))
+            break
+        else:
+            stack.pop()
+            ancestry.pop()
     return out
 
 

@@ -7,14 +7,16 @@ sequence of function tags and an optional coindex; leaf tags are kept verbatim
 (so ``-NONE-`` and ``-LRB-`` survive untouched).
 
 Both common top-level layouts are accepted: bare ``(S ...)`` trees and trees
-wrapped in an extra unlabeled ``( ... )`` pair.
+wrapped in an extra unlabeled ``( ... )`` pair.  Nesting depth is unbounded:
+parsing, leaf collection and serialization keep explicit stacks instead of
+recursing.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 EMPTY_POS = "-NONE-"
@@ -91,8 +93,18 @@ class Tree:
     """Base class for tree nodes; see :class:`Internal` and :class:`Leaf`."""
 
     def leaves(self) -> list["Leaf"]:
+        """Leaves in surface order; an iterator stack keeps any depth safe."""
         out: list[Leaf] = []
-        _collect_leaves(self, out)
+        stack = [iter((self,))]
+        while stack:
+            for node in stack[-1]:
+                if isinstance(node, Leaf):
+                    out.append(node)
+                else:
+                    stack.append(iter(node.children))  # type: ignore[attr-defined]
+                    break
+            else:
+                stack.pop()
         return out
 
     def iter_nodes(self) -> Iterator["Tree"]:
@@ -136,129 +148,103 @@ class Internal(Tree):
         return self.label.category
 
 
-def _collect_leaves(node: Tree, out: list[Leaf]) -> None:
-    if isinstance(node, Leaf):
-        out.append(node)
-    else:
-        for child in node.children:  # type: ignore[union-attr]
-            _collect_leaves(child, out)
-
-
-class TokenKind(Enum):
-    OPEN = "open"
-    CLOSE = "close"
-    ATOM = "atom"
-
-
-@dataclass(frozen=True)
-class LexToken:
-    kind: TokenKind
-    text: str
-    position: int
-
-
 _TOKEN_RE = re.compile(r"[()]|[^()\s]+")
 
 
-def tokenize_brackets(text: str) -> list[LexToken]:
-    """Split bracketed text into open/close/atom tokens.
-
-    Total: any input tokenizes; whitespace is the only discarded material.
-    """
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        s = m.group()
-        if s == "(":
-            kind = TokenKind.OPEN
-        elif s == ")":
-            kind = TokenKind.CLOSE
-        else:
-            kind = TokenKind.ATOM
-        tokens.append(LexToken(kind, s, m.start()))
-    return tokens
-
-
-# Intermediate s-expression layer: atoms are LexTokens, groups are lists whose
-# first element records the open-paren offset.
-@dataclass
-class _Group:
-    position: int
-    items: list = field(default_factory=list)
-
-
-def _read_groups(tokens: list[LexToken]) -> list:
-    top: list = []
-    stack: list[_Group] = []
-    for tok in tokens:
-        if tok.kind is TokenKind.OPEN:
-            group = _Group(tok.position)
-            (stack[-1].items if stack else top).append(group)
-            stack.append(group)
-        elif tok.kind is TokenKind.CLOSE:
-            if not stack:
-                raise UnbalancedBrackets("unmatched ')'", tok.position)
-            stack.pop()
-        else:
-            (stack[-1].items if stack else top).append(tok)
-    if stack:
-        raise UnbalancedBrackets("unclosed '('", stack[-1].position)
-    return top
-
-
-def _to_tree(item) -> Tree:
-    if isinstance(item, LexToken):
-        raise TreebankSyntaxError(f"stray token {item.text!r} outside a constituent", item.position)
-    items = item.items
-    if not items:
-        raise EmptyConstituent("empty constituent '()'", item.position)
-    head = items[0]
-    if isinstance(head, _Group):
-        if len(items) == 1:
-            # permissive: collapse a redundant unlabeled wrapper
-            return _to_tree(head)
-        raise EmptyConstituent("constituent has no label", item.position)
-    if len(items) == 1:
-        raise EmptyConstituent(f"constituent {head.text!r} has no children", item.position)
-    if len(items) == 2 and isinstance(items[1], LexToken):
-        return Leaf(pos=head.text, token=items[1].text)
-    children = []
-    for sub in items[1:]:
-        if isinstance(sub, LexToken):
-            raise TreebankSyntaxError(
-                f"word {sub.text!r} outside a preterminal", sub.position)
-        children.append(_to_tree(sub))
-    return Internal(label=NodeLabel.from_string(head.text), children=tuple(children))
+def _offset(text: str, k: int) -> int:
+    """Character offset of the ``k``-th token; only errors need it."""
+    return next(islice(_TOKEN_RE.finditer(text), k, None)).start()
 
 
 def parse_trees(text: str) -> list[Tree]:
     """Parse a concatenation of bracketed trees into a list of :class:`Tree`.
 
     A top-level unlabeled ``( ... )`` wrapper is transparent: each group it
-    contains becomes its own tree.  Raises :class:`UnbalancedBrackets` or
-    :class:`EmptyConstituent` (subclasses of :class:`TreebankSyntaxError`) on
-    malformed input.
+    contains becomes its own tree; deeper down, an unlabeled group holding one
+    constituent collapses into it.  Nesting depth is unbounded: one loop reads
+    the tokens left to right with an explicit stack, and raises
+    :class:`UnbalancedBrackets` or :class:`EmptyConstituent` (subclasses of
+    :class:`TreebankSyntaxError`) at the first defect it meets.
     """
-    groups = _read_groups(tokenize_brackets(text))
+    tokens = _TOKEN_RE.findall(text)
     trees: list[Tree] = []
-    for group in groups:
-        if isinstance(group, LexToken):
-            raise TreebankSyntaxError(
-                f"stray text {group.text!r} between trees", group.position)
-        if group.items and isinstance(group.items[0], _Group):
-            for sub in group.items:
-                trees.append(_to_tree(sub))
+    labels: dict[str, NodeLabel] = {}
+    # One frame per open group: [token index of its '(', label, items].  The
+    # label is None until the first item, and stays None when that item is a
+    # group.  A labeled frame's lone word item sits at token index + 2.
+    stack: list[list] = []
+    for k, tok in enumerate(tokens):
+        if tok == ")":
+            if not stack:
+                raise UnbalancedBrackets("unmatched ')'", _offset(text, k))
+            start, label, items = stack.pop()
+            if label is None:
+                if not items:
+                    raise EmptyConstituent("empty constituent '()'", _offset(text, start))
+                if not stack:
+                    trees.extend(items)
+                    continue
+                node = items[0]
+            elif not items:
+                raise EmptyConstituent(
+                    f"constituent {label!r} has no children", _offset(text, start))
+            elif type(items[0]) is str:
+                node = Leaf(pos=label, token=items[0])
+            else:
+                node_label = labels.get(label)
+                if node_label is None:
+                    node_label = labels[label] = NodeLabel.from_string(label)
+                node = Internal(label=node_label, children=tuple(items))
+            (stack[-1][2] if stack else trees).append(node)
+            continue
+        if not stack:
+            if tok != "(":
+                raise TreebankSyntaxError(f"stray text {tok!r} between trees", _offset(text, k))
+            stack.append([k, None, []])
+            continue
+        # ``tok`` starts the next item of the innermost open group.
+        frame = stack[-1]
+        start, label, items = frame
+        if items:
+            if label is None:
+                if len(stack) > 1:
+                    raise EmptyConstituent("constituent has no label", _offset(text, start))
+                if tok != "(":
+                    raise TreebankSyntaxError(
+                        f"stray token {tok!r} outside a constituent", _offset(text, k))
+            elif type(items[0]) is str or tok != "(":
+                word_at = start + 2 if type(items[0]) is str else k
+                raise TreebankSyntaxError(
+                    f"word {tokens[word_at]!r} outside a preterminal", _offset(text, word_at))
+        if tok == "(":
+            stack.append([k, None, []])
+        elif label is None:
+            frame[1] = tok
         else:
-            trees.append(_to_tree(group))
+            items.append(tok)
+    if stack:
+        raise UnbalancedBrackets("unclosed '('", _offset(text, stack[-1][0]))
     return trees
 
 
 def serialize_tree(tree: Tree) -> str:
     """Render the canonical single-space bracketed form of one tree."""
-    if isinstance(tree, Leaf):
-        return f"({tree.pos} {tree.token})"
-    assert isinstance(tree, Internal)
-    inner = " ".join(serialize_tree(c) for c in tree.children)
-    return f"({tree.label} {inner})"
+    parts: list[str] = []
+    # Pending work, popped from the end: nodes to render and literal text.
+    stack: list[Tree | str] = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Leaf):
+            parts.append(f"({item.pos} {item.token})")
+        else:
+            assert isinstance(item, Internal)
+            parts.append(f"({item.label}")
+            stack.append(")")
+            for child in reversed(item.children):
+                stack += (child, " ")
+    return "".join(parts)
 
 
 def is_punctuation(leaf: Leaf, tags: frozenset[str] = PUNCTUATION_TAGS) -> bool:

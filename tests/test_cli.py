@@ -9,11 +9,13 @@ from npstat.cli import (
     EXIT_ALL_FILES_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_DEGENERATE_STATS,
+    EXIT_INTERNAL_ERROR,
     EXIT_MISSING_INPUT,
     EXIT_OK,
     main,
 )
-from npstat.givenness import DEFAULT_CONFIG, ClassifierConfig
+from npstat import corpus
+from npstat.givenness import DEFAULT_CONFIG, ClassifierConfig, classify_np
 from npstat.report import parse_records
 
 from refvalues import (
@@ -99,27 +101,38 @@ class TestFailurePaths:
         assert skip.startswith("skipping b.mrg: ")
 
     @pytest.mark.parametrize("depth", [1_200, 10_000])
-    @pytest.mark.parametrize("command", ["parse", "table1"])
-    def test_too_deep_file_is_skipped(self, capsys, caplog, fixture_corpus, tmp_path,
-                                      depth, command):
-        good, mixed = tmp_path / "good" / "corpus", tmp_path / "mixed" / "corpus"
-        for corpus in (good, mixed):
-            corpus.mkdir(parents=True)
-            shutil.copy(fixture_corpus / "a.mrg", corpus / "a.mrg")
-        deep = "(S " * depth + "(NN x)" + ")" * depth
-        (mixed / "deep.mrg").write_text(deep + "\n", encoding="utf-8")
-        argv = [command, "--format", "records", "--corpus"]
-        code, out, _ = run(capsys, [*argv, str(mixed)])
-        assert code == EXIT_OK
-        assert skip_warnings(caplog) == ["skipping deep.mrg: nesting too deep"]
-        _, good_out, _ = run(capsys, [*argv, str(good)])
-        if command == "parse":
-            assert parse_records(out) == parse_records(good_out) + [
-                {"record": "parse-file", "file": "deep.mrg", "sentences": 0,
-                 "status": "skipped"}
-            ]
+    @pytest.mark.parametrize("shape", ["right", "left"])
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_deep_file_is_read(self, capsys, caplog, fixture_corpus, tmp_path,
+                               command, shape, depth):
+        shutil.copy(fixture_corpus / "a.mrg", tmp_path / "a.mrg")
+        if shape == "right":
+            deep = "(S " * depth + "(NN x)" + ")" * depth
         else:
-            assert out == good_out
+            deep = "(S " * depth + "(NP (PRP it))" + " (VP (VBD ran)))" * depth
+        (tmp_path / "deep.mrg").write_text(deep + "\n", encoding="utf-8")
+        code, out, _ = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
+                                    "--corpus", str(tmp_path)])
+        assert code == EXIT_OK
+        assert skip_warnings(caplog) == []
+        if command == "parse":
+            assert parse_records(out)[-1] == {"record": "parse-file", "file": "deep.mrg",
+                                              "sentences": 1, "status": "ok"}
+
+    def test_internal_error_exits_70(self, capsys, monkeypatch, fixture_corpus):
+        calls = []
+
+        def failing_classify(node, config):
+            calls.append(node)
+            if len(calls) == 2:
+                raise RuntimeError("planted defect")
+            return classify_np(node, config)
+
+        monkeypatch.setattr(corpus, "classify_np", failing_classify)
+        code, out, err = run(capsys, ["table1", *corpus_args(fixture_corpus)])
+        assert code == EXIT_INTERNAL_ERROR
+        assert out == ""
+        assert err == "error: internal error: RuntimeError: planted defect\n"
 
 
 class TestTable1Command:

@@ -151,6 +151,26 @@ class TestOracleEquivalence:
                 disagreements += 1
         assert disagreements == 0
 
+    def test_smoke_corpus_and_large_random_trees(self, smoke_corpus):
+        trees = [
+            tree
+            for path in sorted(smoke_corpus.rglob("*.mrg"))
+            for tree in parse_trees(path.read_text(encoding="utf-8"))
+        ]
+        assert len(trees) == 200
+        trees += random_trees(seed=419, count=300, max_nodes=200)
+        matches = 0
+        for tree in trees:
+            actual = {
+                id(o.node): (o.position.value, o.context.value)
+                for o in extract_np_occurrences(tree)
+            }
+            assert actual == oracle_occurrences(tree)
+            for match in find_late_closure_configs(tree):
+                assert late_closure_match_is_sound(tree, match)
+                matches += 1
+        assert matches > 0
+
     def test_partition_no_np_in_both_classes(self):
         for tree in random_trees(seed=418, count=200):
             seen: dict[int, GrammaticalPosition] = {}

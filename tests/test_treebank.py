@@ -1,8 +1,7 @@
-"""Tokenizer, parser, serializer and label tests."""
-
-import re
+"""Parser, serializer and label tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npstat.treebank import (
     CURRENCY_TAGS,
@@ -12,7 +11,6 @@ from npstat.treebank import (
     Leaf,
     NodeLabel,
     SourceSpan,
-    TokenKind,
     Tree,
     TreebankSyntaxError,
     UnbalancedBrackets,
@@ -20,42 +18,12 @@ from npstat.treebank import (
     is_punctuation,
     parse_trees,
     serialize_tree,
-    tokenize_brackets,
 )
 
 from treegen import random_trees
 
 WRAPPED = "( (S (NP-SBJ (DT The) (NN maid)) (VP (VBD disclosed) (NP (DT the) (NN location))) (. .)) )"
 UNWRAPPED = "(S (NP-SBJ (DT The) (NN maid)) (VP (VBD disclosed) (NP (DT the) (NN location))) (. .))"
-
-
-class TestTokenizer:
-    def test_hand_counted_example(self):
-        # 4 opens + 4 atoms (S, NP-SBJ, PRP, it) + 4 closes.
-        tokens = tokenize_brackets("((S (NP-SBJ (PRP it))))")
-        assert len(tokens) == 12
-        assert tokens[0].kind is TokenKind.OPEN
-        assert tokens[1].kind is TokenKind.OPEN
-        atoms = [t.text for t in tokens if t.kind is TokenKind.ATOM]
-        assert atoms == ["S", "NP-SBJ", "PRP", "it"]
-        assert all(t.kind is TokenKind.CLOSE for t in tokens[-4:])
-
-    @pytest.mark.parametrize("source", [
-        "((S (NP-SBJ (PRP it))))",
-        "(S\n\t(NP-SBJ (PRP it))\n\t(VP (VBZ seems)))\n",
-        ")( stray )(",
-        WRAPPED,
-    ])
-    def test_loses_only_whitespace(self, source):
-        tokens = tokenize_brackets(source)
-        for tok in tokens:
-            assert source[tok.position: tok.position + len(tok.text)] == tok.text
-        assert "".join(t.text for t in tokens) == re.sub(r"\s+", "", source)
-
-    def test_total_on_non_tree_text(self):
-        # The tokenizer never raises; structure errors belong to the parser.
-        kinds = [t.kind for t in tokenize_brackets(") foo (")]
-        assert kinds == [TokenKind.CLOSE, TokenKind.ATOM, TokenKind.OPEN]
 
 
 class TestLabels:
@@ -155,6 +123,31 @@ class TestParsing:
         assert exc.value.position == 0
         assert "offset 0" in str(exc.value)
 
+    def test_first_defect_in_reading_order_is_reported(self):
+        # The word error at offset 4 comes before the unmatched ')' at 21.
+        with pytest.raises(TreebankSyntaxError) as exc:
+            parse_trees("(NP DT the) (NN dog))")
+        assert type(exc.value) is TreebankSyntaxError
+        assert str(exc.value) == "word 'DT' outside a preterminal at offset 4"
+
+
+class TestParserProperties:
+    @settings(deadline=None)
+    @given(st.one_of(st.text(), st.text(alphabet="() \nNPx")))
+    def test_any_text_parses_or_raises_syntax_error(self, text):
+        try:
+            trees = parse_trees(text)
+        except TreebankSyntaxError as err:
+            assert not text[err.position].isspace()
+        else:
+            assert isinstance(trees, list)
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_round_trip_of_large_random_trees(self, seed):
+        (tree,) = random_trees(seed=seed, count=1, max_nodes=200)
+        assert parse_trees(serialize_tree(tree)) == [tree]
+
 
 class TestRoundTrip:
     def test_thousand_random_trees(self):
@@ -169,6 +162,18 @@ class TestRoundTrip:
         for path in sorted(fixture_corpus.glob("*.mrg")):
             for tree in parse_trees(path.read_text()):
                 assert parse_trees(serialize_tree(tree)) == [tree]
+
+    @pytest.mark.parametrize("shape", ["right", "left"])
+    def test_ten_thousand_levels(self, shape):
+        # Compared as strings: the dataclasses' own __eq__ still recurses.
+        depth = 10_000
+        if shape == "right":
+            source = "(S " * depth + "(NN x)" + ")" * depth
+        else:
+            source = "(S " * depth + "(NP (PRP it))" + " (VP (VBD ran)))" * depth
+        (tree,) = parse_trees(source)
+        assert serialize_tree(tree) == source
+        assert len(tree.leaves()) == (1 if shape == "right" else depth + 1)
 
     def test_serialized_form_is_canonical(self):
         noisy = "(S   (NP-SBJ (PRP it))\n\t(VP (VBZ seems)))"
