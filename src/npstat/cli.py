@@ -13,9 +13,10 @@ Common behavior: --corpus defaults to $NPSTAT_CORPUS; --format selects
 aligned text, TSV, or line-delimited JSON records.  Every corpus subcommand
 reads the corpus in one serial pass through :func:`npstat.corpus.read_files`;
 a file that fails to parse is skipped with one warning naming the first defect
-in reading order.  Exit codes: 0 success, 1 every corpus file failed to parse,
-2 missing/unusable input, 3 degenerate statistics input, 4 configuration
-error, 70 internal error (a defect in npstat itself).
+in reading order.  Exit codes: 0 success, 1 every corpus file failed to parse
+(then only ``parse`` writes to stdout), 2 missing/unusable input, 3 degenerate
+statistics input, 4 configuration error, 70 internal error (a defect in npstat
+itself).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .corpus import (
     CorpusSource,
     RootNotFound,
     aggregate_corpus,
+    parsed_files,
     read_files,
 )
 from .givenness import (
@@ -151,11 +153,7 @@ def _sentences(
     args: argparse.Namespace, files: AggregateCounts
 ) -> Iterator[tuple[str, int, Tree]]:
     """Every (file_id, sentence index, tree) of the corpus, tallying ``files``."""
-    for file_id, trees in read_files(_corpus_source(args)):
-        if trees is None:
-            files.files_skipped += 1
-            continue
-        files.files_processed += 1
+    for file_id, trees in parsed_files(_corpus_source(args), files):
         for idx, tree in enumerate(trees):
             yield file_id, idx, tree
 
@@ -241,6 +239,8 @@ def cmd_late_closure(args: argparse.Namespace) -> int:
                 [file_id, idx, match.final_verb.token,
                  match.critical_np.text(), category.value]
             )
+    if _all_files_failed(files):
+        return EXIT_ALL_FILES_FAILED
     print(
         render_rows(
             ("file", "sentence", "verb", "np", "givenness"),
@@ -249,7 +249,7 @@ def cmd_late_closure(args: argparse.Namespace) -> int:
             "late-closure-match",
         )
     )
-    return EXIT_ALL_FILES_FAILED if _all_files_failed(files) else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_adverbials(args: argparse.Namespace) -> int:
@@ -270,6 +270,8 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
             totals[key] += 1
             if not record.comma_delimited:
                 uncommaed[key] += 1
+    if _all_files_failed(files):
+        return EXIT_ALL_FILES_FAILED
     rows = []
     grand_total = sum(totals.values())
     if grand_total:
@@ -281,7 +283,7 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
                 rows.append([key, totals[key], uncommaed[key],
                              ratio_report(uncommaed[key], totals[key])])
     print(render_rows(columns, rows, args.format, "adverbial-row"))
-    return EXIT_ALL_FILES_FAILED if _all_files_failed(files) else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_verb(args: argparse.Namespace) -> int:
@@ -295,10 +297,12 @@ def cmd_verb(args: argparse.Namespace) -> int:
     profile = profile_verb_frames(
         (tree for _, _, tree in _sentences(args, files)), args.verb, inflections
     )
+    if _all_files_failed(files):
+        return EXIT_ALL_FILES_FAILED
     rows: list[list] = [[frame.value, profile.counts[frame]] for frame in FrameType]
     rows.append(["total", profile.total])
     print(render_rows(("frame", "count"), rows, args.format, "verb-frame"))
-    return EXIT_ALL_FILES_FAILED if _all_files_failed(files) else EXIT_OK
+    return EXIT_OK
 
 
 # --- parser construction -------------------------------------------------

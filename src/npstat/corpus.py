@@ -117,6 +117,22 @@ def read_files(source: CorpusSource) -> Iterator[tuple[str, list[Tree] | None]]:
     return ((file_id, _read_trees(root / file_id, file_id)) for file_id in file_ids)
 
 
+def parsed_files(
+    source: CorpusSource, files: AggregateCounts
+) -> Iterator[tuple[str, list[Tree]]]:
+    """The files of :func:`read_files` that parsed, tallied in ``files``.
+
+    Each parsed file adds one to ``files.files_processed``, each skipped one
+    to ``files.files_skipped``.
+    """
+    for file_id, trees in read_files(source):
+        if trees is None:
+            files.files_skipped += 1
+        else:
+            files.files_processed += 1
+            yield file_id, trees
+
+
 def ingest(source: CorpusSource) -> Iterator[tuple[str, Tree]]:
     """Open a corpus directory as a stream of (file_id, tree) pairs."""
     return (
@@ -148,12 +164,12 @@ def aggregate(
 def aggregate_corpus(
     source: CorpusSource, config: ClassifierConfig = DEFAULT_CONFIG
 ) -> AggregateCounts:
-    """Aggregate a whole corpus, counting processed and skipped files."""
-    total = AggregateCounts()
-    for file_id, trees in read_files(source):
-        if trees is None:
-            total.files_skipped += 1
-            continue
-        total = merge(total, aggregate(((file_id, tree) for tree in trees), config))
-        total.files_processed += 1
+    """Aggregate a whole corpus in one fold, counting processed and skipped files."""
+    files = AggregateCounts()
+    total = aggregate(
+        ((file_id, tree) for file_id, trees in parsed_files(source, files) for tree in trees),
+        config,
+    )
+    total.files_processed = files.files_processed
+    total.files_skipped = files.files_skipped
     return total

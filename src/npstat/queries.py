@@ -19,6 +19,11 @@ Four families of query live here:
 
 Empty elements (``-NONE-`` leaves) are transparent everywhere adjacency or
 surface order is involved.
+
+One leaf-span index per sentence (:func:`_leaf_spans`, built in a single walk)
+gives every internal node's half-open range of surface leaves.  Occurrence
+spans, late-closure adjacency and the adverbial comma test all read that index
+instead of collecting a subtree's leaves again for each node.
 """
 
 from __future__ import annotations
@@ -101,15 +106,36 @@ class EmptyInflectionSet(ValueError):
     """The inflection set for a verb lemma is empty; lexicon is misconfigured."""
 
 
-def _leaf_indices(tree: Tree) -> tuple[list[Leaf], dict[int, int]]:
-    leaves = tree.leaves()
-    return leaves, {id(l): i for i, l in enumerate(leaves)}
+def _leaf_spans(tree: Tree) -> tuple[list[Leaf], dict[int, tuple[int, int]]]:
+    """Surface leaves, and the half-open leaf range of every internal node.
+
+    ``spans[id(node)] == (start, end)`` means ``leaves[start:end]`` are the
+    node's leaves.  The walk keeps an iterator stack, so any depth is safe.
+    """
+    leaves: list[Leaf] = []
+    spans: dict[int, tuple[int, int]] = {}
+    opened: list[tuple[int, int]] = []  # (id, start) of each node on the path
+    stack = [iter((tree,))]
+    while stack:
+        for node in stack[-1]:
+            if isinstance(node, Leaf):
+                leaves.append(node)
+            else:
+                opened.append((id(node), len(leaves)))
+                stack.append(iter(node.children))  # type: ignore[attr-defined]
+                break
+        else:
+            stack.pop()
+            if opened:
+                key, start = opened.pop()
+                spans[key] = (start, len(leaves))
+    return leaves, spans
 
 
-def _span_of(node: Tree, index: dict[int, int], file_id: str, sentence_index: int) -> SourceSpan:
-    node_leaves = node.leaves()
-    start = index[id(node_leaves[0])]
-    end = index[id(node_leaves[-1])] + 1
+def _span_of(
+    node: Internal, spans: dict[int, tuple[int, int]], file_id: str, sentence_index: int
+) -> SourceSpan:
+    start, end = spans[id(node)]
     return SourceSpan(file_id, sentence_index, start, end)
 
 
@@ -197,7 +223,7 @@ def extract_np_occurrences(
     NPs whose parent is neither an S nor a VP (e.g. NPs inside PPs or other
     NPs) are not occurrences of either kind and are omitted.
     """
-    _, index = _leaf_indices(tree)
+    _, spans = _leaf_spans(tree)
     out: list[NPOccurrence] = []
     if not isinstance(tree, Internal):
         return out
@@ -219,7 +245,7 @@ def extract_np_occurrences(
                             node=child,
                             position=position,
                             context=context,
-                            span=_span_of(child, index, file_id, sentence_index),
+                            span=_span_of(child, spans, file_id, sentence_index),
                         )
                     )
             ancestry.append(child)
@@ -283,32 +309,36 @@ def find_late_closure_configs(
     match.  When several nested NPs start at the adjacent leaf, the maximal
     one is reported.
     """
-    leaves, index = _leaf_indices(tree)
+    leaves, spans = _leaf_spans(tree)
 
-    # First overt leaf position of every NP node, in pre-order.
+    # One pre-order pass: the first overt leaf position of every NP, and the VPs.
     np_starts: dict[int, list[Internal]] = {}
+    vps: list[Internal] = []
     for node in tree.iter_nodes():
-        if isinstance(node, Internal) and node.category == "NP":
-            for leaf in node.leaves():
-                if leaf.pos != EMPTY_POS:
-                    np_starts.setdefault(index[id(leaf)], []).append(node)
-                    break
+        if not isinstance(node, Internal):
+            continue
+        if node.category == "NP":
+            start, end = spans[id(node)]
+            first = next((j for j in range(start, end) if leaves[j].pos != EMPTY_POS), None)
+            if first is not None:
+                np_starts.setdefault(first, []).append(node)
+        elif node.category == "VP":
+            vps.append(node)
 
     matches: list[LateClosureMatch] = []
-    for node in tree.iter_nodes():
-        if not (isinstance(node, Internal) and node.category == "VP"):
-            continue
-        final = next(
+    for node in vps:
+        start, end = spans[id(node)]
+        i = next(
             (
-                l
-                for l in reversed(node.leaves())
-                if l.pos != EMPTY_POS and not is_punctuation(l, punctuation_tags)
+                j
+                for j in range(end - 1, start - 1, -1)
+                if leaves[j].pos != EMPTY_POS
+                and not is_punctuation(leaves[j], punctuation_tags)
             ),
             None,
         )
-        if final is None or final.pos not in VERB_TAGS:
+        if i is None or leaves[i].pos not in VERB_TAGS:
             continue
-        i = index[id(final)]
         following = next(
             (j for j in range(i + 1, len(leaves)) if leaves[j].pos != EMPTY_POS), None
         )
@@ -317,14 +347,13 @@ def find_late_closure_configs(
         candidates = np_starts.get(following)
         if not candidates:
             continue
-        critical = max(candidates, key=lambda np: len(np.leaves()))
-        np_end = index[id(critical.leaves()[-1])] + 1
+        critical = max(candidates, key=lambda np: spans[id(np)][1] - spans[id(np)][0])
         matches.append(
             LateClosureMatch(
                 vp_node=node,
-                final_verb=final,
+                final_verb=leaves[i],
                 critical_np=critical,
-                span=SourceSpan(file_id, sentence_index, i, np_end),
+                span=SourceSpan(file_id, sentence_index, i, spans[id(critical)][1]),
             )
         )
     return matches
@@ -362,21 +391,21 @@ def survey_fronted_adverbials(
     if boundary is None:
         return []
 
-    leaves, index = _leaf_indices(tree)
+    leaves, spans = _leaf_spans(tree)
     records = []
     for child in tree.children[:boundary]:
         if not (isinstance(child, Internal) and child.category in adverbial_categories):
             continue
-        last = index[id(child.leaves()[-1])]
+        end = spans[id(child)][1]
         following = next(
-            (j for j in range(last + 1, len(leaves)) if leaves[j].pos != EMPTY_POS), None
+            (j for j in range(end, len(leaves)) if leaves[j].pos != EMPTY_POS), None
         )
         comma = following is not None and leaves[following].pos == ","
         records.append(
             AdverbialRecord(
                 category=child.category,
                 comma_delimited=comma,
-                span=_span_of(child, index, file_id, sentence_index),
+                span=_span_of(child, spans, file_id, sentence_index),
             )
         )
     return records

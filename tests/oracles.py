@@ -93,6 +93,22 @@ def oracle_occurrences(tree: Tree) -> dict[int, tuple[str, str]]:
     return results
 
 
+def oracle_leaf_ranges(tree: Tree) -> dict[int, tuple[int, int]]:
+    """Map id(internal node) -> half-open range of its leaves in the sentence.
+
+    The range runs from the position of the node's first leaf to that of its
+    last leaf, plus one; leaves are found by identity in the sentence's leaf
+    list.
+    """
+    position = {id(leaf): i for i, leaf in enumerate(tree.leaves())}
+    ranges: dict[int, tuple[int, int]] = {}
+    for node in tree.iter_nodes():
+        if isinstance(node, Internal):
+            node_leaves = node.leaves()
+            ranges[id(node)] = (position[id(node_leaves[0])], position[id(node_leaves[-1])] + 1)
+    return ranges
+
+
 def late_closure_match_is_sound(tree: Tree, match: LateClosureMatch) -> bool:
     """Re-verify a match from the raw leaf sequence alone."""
     if match.final_verb.pos not in VERB_TAGS:

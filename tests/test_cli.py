@@ -86,9 +86,38 @@ class TestFailurePaths:
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
     def test_total_failure_exits_one(self, capsys, broken_dir, tmp_path, command):
         shutil.copy(broken_dir / "malformed.mrg", tmp_path / "only.mrg")
-        code, _, err = run(capsys, [*CORPUS_COMMANDS[command], "--corpus", str(tmp_path)])
+        code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--corpus", str(tmp_path)])
         assert code == EXIT_ALL_FILES_FAILED
         assert "failed to parse" in err
+        if command != "parse":
+            assert out == ""
+
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_lone_empty_file(self, capsys, caplog, tmp_path, command):
+        (tmp_path / "empty.mrg").write_bytes(b"")
+        code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
+                                      "--corpus", str(tmp_path)])
+        assert skip_warnings(caplog) == []
+        if command == "chisq":
+            assert code == EXIT_DEGENERATE_STATS
+            assert err.startswith("error: degenerate statistics input: ")
+            return
+        assert code == EXIT_OK
+        assert err == ""
+        if command == "parse":
+            assert parse_records(out) == [{"record": "parse-file", "file": "empty.mrg",
+                                           "sentences": 0, "status": "ok"}]
+
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_lone_non_utf8_file(self, capsys, caplog, tmp_path, command):
+        (tmp_path / "latin.mrg").write_bytes(b"\xe9(S (NN x))\n")
+        code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--corpus", str(tmp_path)])
+        assert code == EXIT_ALL_FILES_FAILED
+        (skip,) = skip_warnings(caplog)
+        assert skip.startswith("skipping latin.mrg: 'utf-8' codec can't decode")
+        assert err.splitlines()[-1] == "error: every corpus file failed to parse"
+        if command != "parse":
+            assert out == ""
 
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
     def test_partial_failure_skips_the_bad_file_once(self, capsys, caplog, fixture_corpus,

@@ -4,6 +4,7 @@ configurations, fronted adverbials, verb frames."""
 import pytest
 
 from npstat.queries import (
+    _leaf_spans,
     ClauseContext,
     EmptyInflectionSet,
     FrameType,
@@ -15,9 +16,14 @@ from npstat.queries import (
     profile_verb_frames,
     survey_fronted_adverbials,
 )
-from npstat.treebank import parse_trees
+from npstat.treebank import Tree, parse_trees
 
-from oracles import late_closure_match_is_sound, oracle_occurrences, with_comma_after
+from oracles import (
+    late_closure_match_is_sound,
+    oracle_leaf_ranges,
+    oracle_occurrences,
+    with_comma_after,
+)
 from treegen import random_trees
 
 SUBJ = GrammaticalPosition.SUBJECT
@@ -177,6 +183,73 @@ class TestOracleEquivalence:
             for occ in extract_np_occurrences(tree):
                 assert seen.setdefault(id(occ.node), occ.position) == occ.position
                 assert occ.node.category == "NP"
+
+
+def right_branching_chain(clauses: int) -> Tree:
+    """One sentence of ``clauses`` nested reduced complements.
+
+    The root and the innermost clause each open with an uncommaed adverbial
+    clause whose final verb is string-adjacent to the next subject, so the
+    sentence holds exactly two late-closure configurations at any depth.
+    """
+    ambiguous = "(SBAR (IN when) (S (NP-SBJ (PRP it)) (VP (VBD ended))))"
+    text = (
+        f"(S {ambiguous} (NP-SBJ (PRP we)) (VP (VBD said) (SBAR (-NONE- 0) "
+        + "(S (NP-SBJ (PRP they)) (VP (VBD said) (SBAR (-NONE- 0) " * (clauses - 2)
+        + f"(S {ambiguous} (NP-SBJ (DT the) (NNS guests)) (VP (VBD left)))"
+        + ")))" * (clauses - 2)
+        + ")) (. .))"
+    )
+    (tree,) = parse_trees(text)
+    return tree
+
+
+class TestLeafSpans:
+    def test_agrees_with_oracle(self, smoke_corpus):
+        trees = [
+            tree
+            for path in sorted(smoke_corpus.rglob("*.mrg"))
+            for tree in parse_trees(path.read_text(encoding="utf-8"))
+        ]
+        trees += random_trees(seed=420, count=300, max_nodes=200)
+        for tree in trees:
+            leaves, spans = _leaf_spans(tree)
+            expected = tree.leaves()
+            assert len(leaves) == len(expected)
+            assert all(a is b for a, b in zip(leaves, expected))
+            assert spans == oracle_leaf_ranges(tree)
+
+    def test_queries_do_not_rewalk_subtrees_at_depth(self, monkeypatch):
+        collect = Tree.leaves
+        calls = 0
+
+        def counting_leaves(self):
+            nonlocal calls
+            calls += 1
+            return collect(self)
+
+        chains = {depth: right_branching_chain(depth) for depth in (20, 2_000)}
+        monkeypatch.setattr(Tree, "leaves", counting_leaves)
+        counts = {}
+        results = {}
+        for depth, tree in chains.items():
+            calls = 0
+            results[depth] = (
+                find_late_closure_configs(tree),
+                extract_np_occurrences(tree),
+                survey_fronted_adverbials(tree),
+            )
+            counts[depth] = calls
+        monkeypatch.undo()
+        assert counts[2_000] == counts[20] <= 3
+        for depth, tree in chains.items():
+            matches, occurrences, adverbials = results[depth]
+            assert [(m.final_verb.token, m.critical_np.text()) for m in matches] == [
+                ("ended", "we"), ("ended", "the guests"),
+            ]
+            assert all(late_closure_match_is_sound(tree, m) for m in matches)
+            assert len(occurrences) == depth + 2
+            assert [(a.category, a.comma_delimited) for a in adverbials] == [("SBAR", False)]
 
 
 class TestLateClosure:
