@@ -42,7 +42,6 @@ from .queries import (
     NPOccurrence,
     SubjectTagCrosscheck,
     VerbFrameProfile,
-    clause_context_of,
     crosscheck_subject_tags,
     extract_np_occurrences,
     find_late_closure_configs,
@@ -135,7 +134,6 @@ __all__ = [
     "chi_square_2x2",
     "classify_all",
     "classify_np",
-    "clause_context_of",
     "corpus_files",
     "crosscheck_subject_tags",
     "extract_np_occurrences",

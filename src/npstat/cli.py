@@ -12,11 +12,12 @@ Subcommands::
 Common behavior: --corpus defaults to $NPSTAT_CORPUS; --format selects
 aligned text, TSV, or line-delimited JSON records.  Every corpus subcommand
 reads the corpus in one serial pass through :func:`npstat.corpus.read_files`;
-a file that fails to parse is skipped with one warning naming the first defect
-in reading order.  Exit codes: 0 success, 1 every corpus file failed to parse
-(then only ``parse`` writes to stdout), 2 missing/unusable input, 3 degenerate
-statistics input, 4 configuration error, 70 internal error (a defect in npstat
-itself).
+a file that cannot be read or fails to parse is skipped with one warning
+giving the reason (for a parse failure, the first defect in reading order).
+Exit codes: 0 success, 1 every corpus file failed to parse (then only
+``parse`` writes to stdout), 2 missing/unusable input, 3 degenerate statistics
+input, 4 configuration error (also a config or lexicon file that cannot be
+read or decoded), 70 internal error (a defect in npstat itself).
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _load_lexicon(path: str) -> dict[str, tuple[str, ...]]:
     lexicon: dict[str, tuple[str, ...]] = {}
     try:
         content = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise LexiconError(f"cannot read lexicon {path}: {err}") from err
     for lineno, raw_line in enumerate(content.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -258,7 +259,11 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
         if len(args.from_counts) != 2:
             raise MissingInput("expected --from-counts NOT_DELIMITED TOTAL")
         not_delimited, total = args.from_counts
-        rows = [["ALL", total, not_delimited, ratio_report(not_delimited, total)]]
+        if not_delimited < 0 or total < 0:
+            raise ValueError("counts must be non-negative")
+        if not_delimited > total:
+            raise ValueError(f"NOT_DELIMITED ({not_delimited}) exceeds TOTAL ({total})")
+        rows =[["ALL", total, not_delimited, ratio_report(not_delimited, total)]]
         print(render_rows(columns, rows, args.format, "adverbial-row"))
         return EXIT_OK
     files = AggregateCounts()

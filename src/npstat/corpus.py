@@ -1,9 +1,10 @@
 """Directory ingestion and corpus-level aggregation.
 
 :func:`read_files` is the one ingestion path: it visits files in lexicographic
-path order and parses each one.  A file that fails to decode or parse is
-reported through logging with one warning, which names the first defect in
-reading order, and skipped; the run continues.  Counts accumulate into
+path order and parses each one.  A file that cannot be read, decoded or
+parsed is reported through logging with one warning, which names the reason
+(for a parse error, the first defect in reading order), and skipped; the run
+continues.  Counts accumulate into
 :class:`AggregateCounts`, a dense
 (givenness category x grammatical position x clause context) table whose
 ``merge`` is associative and commutative, so any partition of the corpus
@@ -100,7 +101,7 @@ def corpus_files(source: CorpusSource) -> list[Path]:
 def _read_trees(path: Path, file_id: str) -> list[Tree] | None:
     try:
         return parse_trees(path.read_text(encoding="utf-8"))
-    except (TreebankSyntaxError, UnicodeDecodeError) as err:
+    except (OSError, TreebankSyntaxError, UnicodeDecodeError) as err:
         log.warning("skipping %s: %s", file_id, err)
         return None
 
@@ -109,7 +110,8 @@ def read_files(source: CorpusSource) -> Iterator[tuple[str, list[Tree] | None]]:
     """Parse every corpus file in order: ``(file_id, trees)`` pairs.
 
     ``file_id`` is the path relative to the corpus root.  ``trees`` is None
-    for a file that failed to decode or parse; it gets one ``skipping`` warning.
+    for a file that failed to read, decode or parse; it gets one ``skipping``
+    warning.
     Raises :class:`RootNotFound` when called, not when first iterated.
     """
     root = Path(source.root_path)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 from .treebank import EMPTY_POS, Internal, Leaf, Tree, is_punctuation
 from .queries import NPOccurrence
@@ -74,20 +75,23 @@ class ClassifierConfig:
 
         Unknown keys are rejected; omitted keys keep their defaults.
         """
+        try:
+            content = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            raise ClassifierConfigError(f"cannot read classifier config {path}: {err}") from err
         values = {}
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ClassifierConfigError(
-                        f"{path}:{lineno}: expected 'key = items', got {line!r}")
-                key, _, items = line.partition("=")
-                key = key.strip()
-                if key not in cls.__dataclass_fields__:
-                    raise ClassifierConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = frozenset(items.split())
+        for lineno, raw in enumerate(content.split("\n"), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ClassifierConfigError(
+                    f"{path}:{lineno}: expected 'key = items', got {line!r}")
+            key, _, items = line.partition("=")
+            key = key.strip()
+            if key not in cls.__dataclass_fields__:
+                raise ClassifierConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = frozenset(items.split())
         return cls(**values)
 
     def dump(self) -> str:

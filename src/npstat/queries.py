@@ -7,7 +7,10 @@ Four families of query live here:
   child of an S with no later VP sibling); NPs under any other parent are
   skipped.  Each occurrence also gets a clause context: matrix, embedded
   that-clause complement, embedded reduced (zero-complementizer) complement,
-  or other embedding (relatives, adverbial clauses, ...).
+  or other embedding (relatives, adverbial clauses, ...).  The context is
+  inherited down the one extraction walk: an S takes its context from its
+  parent and grandparent when the walk enters it, and every other node passes
+  its own on to its children.
 * Clause-final verb + adjacent NP configurations: a VP whose last overt,
   non-punctuation leaf is verb-tagged, string-adjacent to the first leaf of a
   following NP with no punctuation in between.  These are the locally
@@ -34,7 +37,6 @@ from typing import Iterable, Sequence
 
 from .treebank import (
     EMPTY_POS,
-    PUNCTUATION_TAGS,
     Internal,
     Leaf,
     SourceSpan,
@@ -153,32 +155,8 @@ def _position_in_parent(parent: Internal, child_index: int) -> GrammaticalPositi
     return None
 
 
-def _ancestry_of(tree: Tree, target: Tree) -> list[Internal] | None:
-    """Chain of ancestors from the root down to (excluding) ``target``.
-
-    Nodes are matched by identity, so the result is well-defined even when
-    structurally equal subtrees occur more than once.
-    """
-    path: list[Internal] = []
-    stack = [iter((tree,))]
-    while stack:
-        for node in stack[-1]:
-            if node is target:
-                return path
-            if isinstance(node, Internal):
-                path.append(node)
-                stack.append(iter(node.children))
-                break
-        else:
-            stack.pop()
-            if path:
-                path.pop()
-    return None
-
-
-def _complementizer_slot(sbar: Internal, clause: Tree) -> Leaf | None:
-    """Nearest leaf sibling preceding ``clause`` among ``sbar``'s children."""
-    clause_index = next(i for i, c in enumerate(sbar.children) if c is clause)
+def _complementizer_slot(sbar: Internal, clause_index: int) -> Leaf | None:
+    """Nearest leaf sibling preceding ``sbar.children[clause_index]``."""
     for child in reversed(sbar.children[:clause_index]):
         if isinstance(child, Leaf):
             return child
@@ -189,30 +167,21 @@ def _is_overt_that(leaf: Leaf | None) -> bool:
     return leaf is not None and leaf.pos == "IN" and leaf.token.lower() == "that"
 
 
-def _context_of_clause(ancestry: list[Internal], governing: Internal) -> ClauseContext:
-    """Clause context of a governing clause given its ancestor chain."""
-    if not any(a.category in ("S", "SBAR") for a in ancestry):
-        return ClauseContext.MATRIX
-    parent = ancestry[-1] if ancestry else None
-    grandparent = ancestry[-2] if len(ancestry) >= 2 else None
-    if parent is not None and parent.category == "SBAR" and grandparent is not None \
+def _embedded_context(
+    parent: Internal, grandparent: Internal | None, clause_index: int
+) -> ClauseContext:
+    """Context of the S at ``parent.children[clause_index]``; an S or SBAR lies
+    at or above ``parent``."""
+    if parent.category == "SBAR" and grandparent is not None \
             and grandparent.category == "VP":
-        comp = _complementizer_slot(parent, governing)
+        comp = _complementizer_slot(parent, clause_index)
         if _is_overt_that(comp):
             return ClauseContext.EMBEDDED_TC
         if comp is not None and comp.pos == EMPTY_POS:
             return ClauseContext.EMBEDDED_RC
-    if parent is not None and parent.category == "VP":
+    if parent.category == "VP":
         return ClauseContext.EMBEDDED_RC
     return ClauseContext.EMBEDDED_OTHER
-
-
-def _governing_clause(np_ancestry: list[Internal]) -> tuple[Internal, list[Internal]]:
-    """Nearest S ancestor (with its own ancestry); falls back to the root."""
-    for i in range(len(np_ancestry) - 1, -1, -1):
-        if np_ancestry[i].category == "S":
-            return np_ancestry[i], np_ancestry[:i]
-    return np_ancestry[0], []
 
 
 def extract_np_occurrences(
@@ -221,25 +190,29 @@ def extract_np_occurrences(
     """Find every NP in subject or non-subject position, with clause context.
 
     NPs whose parent is neither an S nor a VP (e.g. NPs inside PPs or other
-    NPs) are not occurrences of either kind and are omitted.
+    NPs) are not occurrences of either kind and are omitted.  An NP gets the
+    context of its nearest S ancestor, or matrix when there is none.
     """
     _, spans = _leaf_spans(tree)
     out: list[NPOccurrence] = []
     if not isinstance(tree, Internal):
         return out
-    # One shared path from the root: ``ancestry[j]`` is the node whose
-    # children ``stack[j]`` is walking, so ``ancestry[-1]`` is their parent.
-    ancestry: list[Internal] = [tree]
-    stack = [enumerate(tree.children)]
+    # One frame per node on the path from the root: the iterator over its
+    # children, the node, the clause context its NP children get, and whether
+    # an S or SBAR lies on the path down to and including the node.
+    stack = [
+        (enumerate(tree.children), tree, ClauseContext.MATRIX,
+         tree.category in ("S", "SBAR"))
+    ]
     while stack:
-        for i, child in stack[-1]:
+        children, parent, context, under_clause = stack[-1]
+        for i, child in children:
             if not isinstance(child, Internal):
                 continue
-            if child.category == "NP":
-                position = _position_in_parent(ancestry[-1], i)
+            category = child.category
+            if category == "NP":
+                position = _position_in_parent(parent, i)
                 if position is not None:
-                    governing, gov_ancestry = _governing_clause(ancestry)
-                    context = _context_of_clause(gov_ancestry, governing)
                     out.append(
                         NPOccurrence(
                             node=child,
@@ -248,22 +221,18 @@ def extract_np_occurrences(
                             span=_span_of(child, spans, file_id, sentence_index),
                         )
                     )
-            ancestry.append(child)
-            stack.append(enumerate(child.children))
+            child_context = context
+            if category == "S" and under_clause:
+                grandparent = stack[-2][1] if len(stack) > 1 else None
+                child_context = _embedded_context(parent, grandparent, i)
+            stack.append(
+                (enumerate(child.children), child, child_context,
+                 under_clause or category in ("S", "SBAR"))
+            )
             break
         else:
             stack.pop()
-            ancestry.pop()
     return out
-
-
-def clause_context_of(occurrence: NPOccurrence, tree: Tree) -> ClauseContext:
-    """Recompute the clause context of an occurrence extracted from ``tree``."""
-    ancestry = _ancestry_of(tree, occurrence.node)
-    if ancestry is None:
-        raise ValueError("occurrence node does not belong to this tree")
-    governing, gov_ancestry = _governing_clause(ancestry)
-    return _context_of_clause(gov_ancestry, governing)
 
 
 @dataclass(frozen=True)
@@ -297,10 +266,7 @@ def crosscheck_subject_tags(occurrences: Iterable[NPOccurrence]) -> SubjectTagCr
 
 
 def find_late_closure_configs(
-    tree: Tree,
-    file_id: str = "",
-    sentence_index: int = 0,
-    punctuation_tags: frozenset[str] = PUNCTUATION_TAGS,
+    tree: Tree, file_id: str = "", sentence_index: int = 0
 ) -> list[LateClosureMatch]:
     """Locate VP-final verbs immediately followed by the first leaf of an NP.
 
@@ -333,7 +299,7 @@ def find_late_closure_configs(
                 j
                 for j in range(end - 1, start - 1, -1)
                 if leaves[j].pos != EMPTY_POS
-                and not is_punctuation(leaves[j], punctuation_tags)
+                and not is_punctuation(leaves[j])
             ),
             None,
         )
@@ -342,7 +308,7 @@ def find_late_closure_configs(
         following = next(
             (j for j in range(i + 1, len(leaves)) if leaves[j].pos != EMPTY_POS), None
         )
-        if following is None or is_punctuation(leaves[following], punctuation_tags):
+        if following is None or is_punctuation(leaves[following]):
             continue
         candidates = np_starts.get(following)
         if not candidates:
@@ -360,10 +326,7 @@ def find_late_closure_configs(
 
 
 def survey_fronted_adverbials(
-    tree: Tree,
-    file_id: str = "",
-    sentence_index: int = 0,
-    adverbial_categories: frozenset[str] = ADVERBIAL_CATEGORIES,
+    tree: Tree, file_id: str = "", sentence_index: int = 0
 ) -> list[AdverbialRecord]:
     """Record each adjunct child of the root S that precedes the subject.
 
@@ -394,7 +357,7 @@ def survey_fronted_adverbials(
     leaves, spans = _leaf_spans(tree)
     records = []
     for child in tree.children[:boundary]:
-        if not (isinstance(child, Internal) and child.category in adverbial_categories):
+        if not (isinstance(child, Internal) and child.category in ADVERBIAL_CATEGORIES):
             continue
         end = spans[id(child)][1]
         following = next(
@@ -413,12 +376,17 @@ def survey_fronted_adverbials(
 
 def _sbar_kind(sbar: Internal) -> str | None:
     """Complement type of an SBAR: "that", "reduced", or None."""
-    clause = next(
-        (c for c in sbar.children if isinstance(c, Internal) and c.category == "S"), None
+    clause_index = next(
+        (
+            i
+            for i, c in enumerate(sbar.children)
+            if isinstance(c, Internal) and c.category == "S"
+        ),
+        None,
     )
-    if clause is None:
+    if clause_index is None:
         return None
-    comp = _complementizer_slot(sbar, clause)
+    comp = _complementizer_slot(sbar, clause_index)
     if _is_overt_that(comp):
         return "that"
     if comp is not None and comp.pos == EMPTY_POS:

@@ -1,6 +1,7 @@
 """End-to-end command-line tests driving ``npstat.cli.main``."""
 
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +129,27 @@ class TestFailurePaths:
         assert code == EXIT_OK
         (skip,) = skip_warnings(caplog)
         assert skip.startswith("skipping b.mrg: ")
+
+    @pytest.mark.parametrize("error", [PermissionError, FileNotFoundError])
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_unreadable_file_is_skipped(self, capsys, caplog, monkeypatch, fixture_corpus,
+                                        command, error):
+        read_text = Path.read_text
+
+        def failing_read_text(path, *args, **kwargs):
+            if path.name == "b.mrg":
+                raise error(f"cannot open {path.name}")
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", failing_read_text)
+        code, out, _ = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
+                                    *corpus_args(fixture_corpus)])
+        assert code == EXIT_OK
+        assert skip_warnings(caplog) == ["skipping b.mrg: cannot open b.mrg"]
+        if command == "parse":
+            assert [(r["file"], r["status"]) for r in parse_records(out)] == [
+                ("a.mrg", "ok"), ("b.mrg", "skipped"), ("c.mrg", "ok"),
+            ]
 
     @pytest.mark.parametrize("depth", [1_200, 10_000])
     @pytest.mark.parametrize("shape", ["right", "left"])
@@ -310,6 +332,31 @@ class TestChisqCommand:
         assert code == EXIT_MISSING_INPUT
 
 
+CONFIG_OPTIONS = {
+    "classifier-config": ["table1", "--classifier-config"],
+    "lexicon": ["verb", "--verb", "disclose", "--lexicon"],
+}
+
+
+class TestConfigFileErrors:
+    @pytest.mark.parametrize("problem", ["missing", "directory", "non-utf8"])
+    @pytest.mark.parametrize("option", sorted(CONFIG_OPTIONS))
+    def test_unreadable_config_exits_four(self, capsys, fixture_corpus, tmp_path,
+                                          option, problem):
+        path = tmp_path / "config.cfg"
+        if problem == "directory":
+            path.mkdir()
+        elif problem == "non-utf8":
+            path.write_bytes(b"# caf\xe9\n")
+        code, out, err = run(capsys, [*CONFIG_OPTIONS[option], str(path),
+                                      *corpus_args(fixture_corpus)])
+        assert code == EXIT_CONFIG_ERROR
+        assert out == ""
+        assert err.startswith("error: cannot read ")
+        assert err.count("\n") == 1
+        assert str(path) in err
+
+
 class TestLateClosureCommand:
     def test_lists_planted_configurations(self, capsys, fixture_corpus):
         code, out, _ = run(capsys, ["late-closure", *corpus_args(fixture_corpus),
@@ -361,6 +408,18 @@ class TestAdverbialsCommand:
         code, out, _ = run(capsys, ["adverbials", "--from-counts", "591", "7256"])
         assert code == EXIT_OK
         assert "8.14" in out
+
+    @pytest.mark.parametrize("counts", [("-3", "5"), ("7", "5")])
+    def test_from_counts_rejects_impossible_counts(self, capsys, counts):
+        code, out, err = run(capsys, ["adverbials", "--from-counts", *counts])
+        assert code == EXIT_MISSING_INPUT
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_from_counts_zero_total_is_degenerate(self, capsys):
+        code, _, err = run(capsys, ["adverbials", "--from-counts", "0", "0"])
+        assert code == EXIT_DEGENERATE_STATS
+        assert "degenerate" in err
 
     def test_corpus_breakdown_matches_hand_counts(self, capsys, fixture_corpus):
         code, out, _ = run(capsys, ["adverbials", *corpus_args(fixture_corpus),
