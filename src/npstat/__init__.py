@@ -54,7 +54,6 @@ from .givenness import (
     ClassifierConfigError,
     GivennessCategory,
     NotAnNP,
-    classify_all,
     classify_np,
 )
 from .stats import (
@@ -132,7 +131,6 @@ __all__ = [
     "aggregate_corpus",
     "build_pronoun_indefinite_table",
     "chi_square_2x2",
-    "classify_all",
     "classify_np",
     "corpus_files",
     "crosscheck_subject_tags",

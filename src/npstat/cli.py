@@ -17,7 +17,9 @@ giving the reason (for a parse failure, the first defect in reading order).
 Exit codes: 0 success, 1 every corpus file failed to parse (then only
 ``parse`` writes to stdout), 2 missing/unusable input, 3 degenerate statistics
 input, 4 configuration error (also a config or lexicon file that cannot be
-read or decoded), 70 internal error (a defect in npstat itself).
+read or decoded), 70 internal error (a defect in npstat itself), 141 stdout
+was closed before the output was written (e.g. piped into ``head``); nothing
+is printed on stderr then.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import Iterator, Sequence
 from .corpus import (
     AggregateCounts,
     CorpusSource,
-    RootNotFound,
     aggregate_corpus,
     parsed_files,
     read_files,
@@ -71,6 +72,7 @@ EXIT_MISSING_INPUT = 2
 EXIT_DEGENERATE_STATS = 3
 EXIT_CONFIG_ERROR = 4
 EXIT_INTERNAL_ERROR = 70  # EX_SOFTWARE
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 DEFAULT_VERB_LEXICON: dict[str, tuple[str, ...]] = {
     "return": ("return", "returns", "returned", "returning"),
@@ -412,10 +414,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
 
-    if args.dump_default_config:
-        print(DEFAULT_CONFIG.dump())
-        return EXIT_OK
-    if not getattr(args, "command", None):
+    if not (args.dump_default_config or getattr(args, "command", None)):
         parser.print_usage(sys.stderr)
         print("error: a subcommand is required", file=sys.stderr)
         return EXIT_MISSING_INPUT
@@ -423,23 +422,27 @@ def main(argv: Sequence[str] | None = None) -> int:
     if isinstance(getattr(args, "format", None), str):
         args.format = ReportFormat(args.format)
     try:
-        return args.handler(args)
-    except RootNotFound as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except MissingInput as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
+        if args.dump_default_config:
+            print(DEFAULT_CONFIG.dump())
+            code = EXIT_OK
+        else:
+            code = args.handler(args)
+        sys.stdout.flush()  # buffered output meets a closed pipe here
+        return code
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush at
+        # exit cannot fail again, and exit as if killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (DegenerateMargin, ZeroDenominator) as err:
         print(f"error: degenerate statistics input: {err}", file=sys.stderr)
         return EXIT_DEGENERATE_STATS
     except (ClassifierConfigError, EmptyInflectionSet, LexiconError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except ValueError as err:  # bad explicit counts, malformed cells, ...
+    # RootNotFound is a FileNotFoundError; ValueError covers bad explicit
+    # counts, malformed cells, ...
+    except (MissingInput, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except Exception as err:  # a defect in npstat, not in its input

@@ -1,14 +1,13 @@
 """Directory ingestion and corpus-level aggregation.
 
 :func:`read_files` is the one ingestion path: it visits files in lexicographic
-path order and parses each one.  A file that cannot be read, decoded or
-parsed is reported through logging with one warning, which names the reason
-(for a parse error, the first defect in reading order), and skipped; the run
-continues.  Counts accumulate into
-:class:`AggregateCounts`, a dense
-(givenness category x grammatical position x clause context) table whose
-``merge`` is associative and commutative, so any partition of the corpus
-combines to the same result.
+path order and parses each one as UTF-8 text (a leading byte-order mark is
+dropped).  A file that cannot be read, decoded or parsed is reported through
+logging with one warning, which names the reason (for a parse error, the first
+defect in reading order), and skipped; the run continues.  Counts accumulate
+into :class:`AggregateCounts`, a dense (givenness category x grammatical
+position x clause context) table whose ``merge`` is associative and
+commutative, so any partition of the corpus combines to the same result.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ def corpus_files(source: CorpusSource) -> list[Path]:
 
 def _read_trees(path: Path, file_id: str) -> list[Tree] | None:
     try:
-        return parse_trees(path.read_text(encoding="utf-8"))
+        return parse_trees(path.read_text(encoding="utf-8-sig"))
     except (OSError, TreebankSyntaxError, UnicodeDecodeError) as err:
         log.warning("skipping %s: %s", file_id, err)
         return None
@@ -147,17 +146,10 @@ def ingest(source: CorpusSource) -> Iterator[tuple[str, Tree]]:
 def aggregate(
     stream: Iterable[tuple[str, Tree]], config: ClassifierConfig = DEFAULT_CONFIG
 ) -> AggregateCounts:
-    """Run extraction + classification over a stream and tally every cell.
-
-    Sentence indices restart at 0 for each file_id, matching the order the
-    stream delivers a file's sentences.
-    """
+    """Run extraction + classification over a stream and tally every cell."""
     agg = AggregateCounts()
-    next_index: dict[str, int] = {}
-    for file_id, tree in stream:
-        sentence_index = next_index.get(file_id, 0)
-        next_index[file_id] = sentence_index + 1
-        for occ in extract_np_occurrences(tree, file_id, sentence_index):
+    for _, tree in stream:
+        for occ in extract_np_occurrences(tree):
             agg.increment(classify_np(occ.node, config), occ.position, occ.context)
         agg.sentences_processed += 1
     return agg

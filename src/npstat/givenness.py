@@ -24,7 +24,6 @@ from enum import Enum
 from pathlib import Path
 
 from .treebank import EMPTY_POS, Internal, Leaf, Tree, is_punctuation
-from .queries import NPOccurrence
 
 
 class GivennessCategory(Enum):
@@ -147,10 +146,3 @@ def classify_np(np: Tree, config: ClassifierConfig = DEFAULT_CONFIG) -> Givennes
         return GivennessCategory.INDEFINITE
 
     return GivennessCategory.NOT_CLASSIFIED
-
-
-def classify_all(
-    occurrences: list[NPOccurrence], config: ClassifierConfig = DEFAULT_CONFIG
-) -> list[tuple[NPOccurrence, GivennessCategory]]:
-    """Order-preserving classification of a batch of NP occurrences."""
-    return [(occ, classify_np(occ.node, config)) for occ in occurrences]

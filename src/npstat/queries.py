@@ -23,10 +23,8 @@ Four families of query live here:
 Empty elements (``-NONE-`` leaves) are transparent everywhere adjacency or
 surface order is involved.
 
-One leaf-span index per sentence (:func:`_leaf_spans`, built in a single walk)
-gives every internal node's half-open range of surface leaves.  Occurrence
-spans, late-closure adjacency and the adverbial comma test all read that index
-instead of collecting a subtree's leaves again for each node.
+Each query counts surface leaves inside its own single walk, so a node's
+half-open leaf range is known without collecting its subtree's leaves again.
 """
 
 from __future__ import annotations
@@ -108,39 +106,6 @@ class EmptyInflectionSet(ValueError):
     """The inflection set for a verb lemma is empty; lexicon is misconfigured."""
 
 
-def _leaf_spans(tree: Tree) -> tuple[list[Leaf], dict[int, tuple[int, int]]]:
-    """Surface leaves, and the half-open leaf range of every internal node.
-
-    ``spans[id(node)] == (start, end)`` means ``leaves[start:end]`` are the
-    node's leaves.  The walk keeps an iterator stack, so any depth is safe.
-    """
-    leaves: list[Leaf] = []
-    spans: dict[int, tuple[int, int]] = {}
-    opened: list[tuple[int, int]] = []  # (id, start) of each node on the path
-    stack = [iter((tree,))]
-    while stack:
-        for node in stack[-1]:
-            if isinstance(node, Leaf):
-                leaves.append(node)
-            else:
-                opened.append((id(node), len(leaves)))
-                stack.append(iter(node.children))  # type: ignore[attr-defined]
-                break
-        else:
-            stack.pop()
-            if opened:
-                key, start = opened.pop()
-                spans[key] = (start, len(leaves))
-    return leaves, spans
-
-
-def _span_of(
-    node: Internal, spans: dict[int, tuple[int, int]], file_id: str, sentence_index: int
-) -> SourceSpan:
-    start, end = spans[id(node)]
-    return SourceSpan(file_id, sentence_index, start, end)
-
-
 def _position_in_parent(parent: Internal, child_index: int) -> GrammaticalPosition | None:
     """Grammatical position of the NP at ``parent.children[child_index]``."""
     cat = parent.category
@@ -193,45 +158,51 @@ def extract_np_occurrences(
     NPs) are not occurrences of either kind and are omitted.  An NP gets the
     context of its nearest S ancestor, or matrix when there is none.
     """
-    _, spans = _leaf_spans(tree)
-    out: list[NPOccurrence] = []
+    out: list = []  # an occurrence's slot is filled when its NP's frame pops
     if not isinstance(tree, Internal):
         return out
+    leaf_count = 0
     # One frame per node on the path from the root: the iterator over its
-    # children, the node, the clause context its NP children get, and whether
-    # an S or SBAR lies on the path down to and including the node.
+    # children, the node, the clause context its NP children get, whether an
+    # S or SBAR lies on the path down to and including the node, and, for an
+    # NP occurrence, its (slot, first leaf position, grammatical position).
     stack = [
         (enumerate(tree.children), tree, ClauseContext.MATRIX,
-         tree.category in ("S", "SBAR"))
+         tree.category in ("S", "SBAR"), None)
     ]
     while stack:
-        children, parent, context, under_clause = stack[-1]
+        children, parent, context, under_clause, opened = stack[-1]
         for i, child in children:
             if not isinstance(child, Internal):
+                leaf_count += 1
                 continue
             category = child.category
+            child_opened = None
             if category == "NP":
                 position = _position_in_parent(parent, i)
                 if position is not None:
-                    out.append(
-                        NPOccurrence(
-                            node=child,
-                            position=position,
-                            context=context,
-                            span=_span_of(child, spans, file_id, sentence_index),
-                        )
-                    )
+                    child_opened = (len(out), leaf_count, position)
+                    out.append(None)
             child_context = context
             if category == "S" and under_clause:
                 grandparent = stack[-2][1] if len(stack) > 1 else None
                 child_context = _embedded_context(parent, grandparent, i)
             stack.append(
                 (enumerate(child.children), child, child_context,
-                 under_clause or category in ("S", "SBAR"))
+                 under_clause or category in ("S", "SBAR"), child_opened)
             )
             break
         else:
             stack.pop()
+            if opened is not None:
+                # An NP passes its context on unchanged: it is the occurrence's.
+                slot, start, position = opened
+                out[slot] = NPOccurrence(
+                    node=parent,
+                    position=position,
+                    context=context,
+                    span=SourceSpan(file_id, sentence_index, start, leaf_count),
+                )
     return out
 
 
@@ -275,25 +246,39 @@ def find_late_closure_configs(
     match.  When several nested NPs start at the adjacent leaf, the maximal
     one is reported.
     """
-    leaves, spans = _leaf_spans(tree)
+    # One walk: the surface leaves, and each NP and VP in pre-order as a
+    # [node, start, end] entry whose end is set when the node's frame pops.
+    leaves: list[Leaf] = []
+    nps: list[list] = []
+    vps: list[list] = []
+    stack = [(iter((tree,)), None)]
+    while stack:
+        children, entry = stack[-1]
+        for node in children:
+            if isinstance(node, Leaf):
+                leaves.append(node)
+                continue
+            child_entry = None
+            if node.category in ("NP", "VP"):
+                child_entry = [node, len(leaves), 0]
+                (nps if node.category == "NP" else vps).append(child_entry)
+            stack.append((iter(node.children), child_entry))  # type: ignore[attr-defined]
+            break
+        else:
+            stack.pop()
+            if entry is not None:
+                entry[2] = len(leaves)
 
-    # One pre-order pass: the first overt leaf position of every NP, and the VPs.
-    np_starts: dict[int, list[Internal]] = {}
-    vps: list[Internal] = []
-    for node in tree.iter_nodes():
-        if not isinstance(node, Internal):
-            continue
-        if node.category == "NP":
-            start, end = spans[id(node)]
-            first = next((j for j in range(start, end) if leaves[j].pos != EMPTY_POS), None)
-            if first is not None:
-                np_starts.setdefault(first, []).append(node)
-        elif node.category == "VP":
-            vps.append(node)
+    # NPs by the position of their first overt leaf.
+    np_starts: dict[int, list[list]] = {}
+    for entry in nps:
+        _, start, end = entry
+        first = next((j for j in range(start, end) if leaves[j].pos != EMPTY_POS), None)
+        if first is not None:
+            np_starts.setdefault(first, []).append(entry)
 
     matches: list[LateClosureMatch] = []
-    for node in vps:
-        start, end = spans[id(node)]
+    for node, start, end in vps:
         i = next(
             (
                 j
@@ -313,13 +298,13 @@ def find_late_closure_configs(
         candidates = np_starts.get(following)
         if not candidates:
             continue
-        critical = max(candidates, key=lambda np: spans[id(np)][1] - spans[id(np)][0])
+        critical, _, np_end = max(candidates, key=lambda np: np[2] - np[1])
         matches.append(
             LateClosureMatch(
                 vp_node=node,
                 final_verb=leaves[i],
                 critical_np=critical,
-                span=SourceSpan(file_id, sentence_index, i, spans[id(critical)][1]),
+                span=SourceSpan(file_id, sentence_index, i, np_end),
             )
         )
     return matches
@@ -354,23 +339,30 @@ def survey_fronted_adverbials(
     if boundary is None:
         return []
 
-    leaves, spans = _leaf_spans(tree)
+    # ``start`` counts the leaves of the children before ``child``; the overt
+    # leaf after an adjunct comes from a lazy scan of its later siblings.
     records = []
-    for child in tree.children[:boundary]:
-        if not (isinstance(child, Internal) and child.category in ADVERBIAL_CATEGORIES):
-            continue
-        end = spans[id(child)][1]
-        following = next(
-            (j for j in range(end, len(leaves)) if leaves[j].pos != EMPTY_POS), None
-        )
-        comma = following is not None and leaves[following].pos == ","
-        records.append(
-            AdverbialRecord(
-                category=child.category,
-                comma_delimited=comma,
-                span=_span_of(child, spans, file_id, sentence_index),
+    start = 0
+    for k, child in enumerate(tree.children[:boundary]):
+        end = start + len(child.leaves())
+        if isinstance(child, Internal) and child.category in ADVERBIAL_CATEGORIES:
+            following = next(
+                (
+                    node
+                    for sibling in tree.children[k + 1:]
+                    for node in sibling.iter_nodes()
+                    if isinstance(node, Leaf) and node.pos != EMPTY_POS
+                ),
+                None,
             )
-        )
+            records.append(
+                AdverbialRecord(
+                    category=child.category,
+                    comma_delimited=following is not None and following.pos == ",",
+                    span=SourceSpan(file_id, sentence_index, start, end),
+                )
+            )
+        start = end
     return records
 
 

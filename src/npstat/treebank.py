@@ -21,10 +21,8 @@ from typing import Iterator
 
 EMPTY_POS = "-NONE-"
 
-# Brown- and WSJ-style punctuation preterminal tags.  The currency tags can be
-# dropped by callers that want ``$``/``#`` treated as ordinary tokens.
-CURRENCY_TAGS = frozenset({"$", "#"})
-PUNCTUATION_TAGS = frozenset({",", ".", ":", "``", "''", "-LRB-", "-RRB-"}) | CURRENCY_TAGS
+# Brown- and WSJ-style punctuation preterminal tags, currency included.
+PUNCTUATION_TAGS = frozenset({",", ".", ":", "``", "''", "-LRB-", "-RRB-", "$", "#"})
 
 
 class TreebankSyntaxError(ValueError):
@@ -247,9 +245,9 @@ def serialize_tree(tree: Tree) -> str:
     return "".join(parts)
 
 
-def is_punctuation(leaf: Leaf, tags: frozenset[str] = PUNCTUATION_TAGS) -> bool:
+def is_punctuation(leaf: Leaf) -> bool:
     """True if the leaf's POS tag is a punctuation tag."""
-    return leaf.pos in tags
+    return leaf.pos in PUNCTUATION_TAGS
 
 
 def is_empty_category(node: Tree) -> bool:

@@ -1,13 +1,18 @@
 """End-to-end command-line tests driving ``npstat.cli.main``."""
 
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import npstat
 from npstat.cli import (
     CORPUS_ENV_VAR,
     EXIT_ALL_FILES_FAILED,
+    EXIT_BROKEN_PIPE,
     EXIT_CONFIG_ERROR,
     EXIT_DEGENERATE_STATS,
     EXIT_INTERNAL_ERROR,
@@ -121,6 +126,20 @@ class TestFailurePaths:
             assert out == ""
 
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_leading_byte_order_mark_is_dropped(self, capsys, caplog, tmp_path, command):
+        (tmp_path / "bom.mrg").write_bytes(
+            b"\xef\xbb\xbf(S (NP-SBJ (PRP it)) (VP (VBD saw) (NP (DT a) (NN dog))))\n"
+        )
+        code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
+                                      "--corpus", str(tmp_path)])
+        assert code == EXIT_OK
+        assert skip_warnings(caplog) == []
+        assert err == ""
+        if command == "parse":
+            assert parse_records(out) == [{"record": "parse-file", "file": "bom.mrg",
+                                           "sentences": 1, "status": "ok"}]
+
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
     def test_partial_failure_skips_the_bad_file_once(self, capsys, caplog, fixture_corpus,
                                                      broken_dir, tmp_path, command):
         shutil.copy(fixture_corpus / "a.mrg", tmp_path / "a.mrg")
@@ -184,6 +203,25 @@ class TestFailurePaths:
         assert code == EXIT_INTERNAL_ERROR
         assert out == ""
         assert err == "error: internal error: RuntimeError: planted defect\n"
+
+    @pytest.mark.parametrize("command", ["parse", "table1"])
+    def test_closed_stdout_exits_141_quietly(self, fixture_corpus, command):
+        src = Path(npstat.__file__).resolve().parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                           os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "npstat.cli", *CORPUS_COMMANDS[command],
+                 *corpus_args(fixture_corpus)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert child.returncode == EXIT_BROKEN_PIPE == 141
+        assert child.stderr == b""
 
 
 class TestTable1Command:

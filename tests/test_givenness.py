@@ -11,10 +11,8 @@ from npstat.givenness import (
     ClassifierConfigError,
     GivennessCategory,
     NotAnNP,
-    classify_all,
     classify_np,
 )
-from npstat.queries import extract_np_occurrences
 from npstat.treebank import Leaf, parse_trees
 
 EC = GivennessCategory.EMPTY_CATEGORY
@@ -186,11 +184,3 @@ class TestConfig:
         # Unspecified keys keep their defaults.
         assert config.pronoun_pos_tags == DEFAULT_CONFIG.pronoun_pos_tags
 
-
-class TestClassifyAll:
-    def test_preserves_order_and_pairs(self, fixture_corpus):
-        tree = parse_trees((fixture_corpus / "a.mrg").read_text())[0]
-        occurrences = extract_np_occurrences(tree)
-        pairs = classify_all(occurrences)
-        assert [occ for occ, _ in pairs] == occurrences
-        assert [cat for _, cat in pairs] == [DEF, DEF]

@@ -4,7 +4,6 @@ configurations, fronted adverbials, verb frames."""
 import pytest
 
 from npstat.queries import (
-    _leaf_spans,
     ClauseContext,
     EmptyInflectionSet,
     FrameType,
@@ -15,7 +14,7 @@ from npstat.queries import (
     profile_verb_frames,
     survey_fronted_adverbials,
 )
-from npstat.treebank import Tree, parse_trees
+from npstat.treebank import SourceSpan, Tree, parse_trees
 
 from oracles import (
     late_closure_match_is_sound,
@@ -198,12 +197,25 @@ class TestLeafSpans:
             for tree in parse_trees(path.read_text(encoding="utf-8"))
         ]
         trees += random_trees(seed=420, count=300, max_nodes=200)
+        checked = {"occurrences": 0, "matches": 0, "adverbials": 0}
         for tree in trees:
-            leaves, spans = _leaf_spans(tree)
-            expected = tree.leaves()
-            assert len(leaves) == len(expected)
-            assert all(a is b for a, b in zip(leaves, expected))
-            assert spans == oracle_leaf_ranges(tree)
+            ranges = oracle_leaf_ranges(tree)
+            leaves = tree.leaves()
+            for occ in extract_np_occurrences(tree):
+                assert (occ.span.start, occ.span.end) == ranges[id(occ.node)]
+                checked["occurrences"] += 1
+            for match in find_late_closure_configs(tree):
+                assert leaves[match.span.start] is match.final_verb
+                assert match.span.end == ranges[id(match.critical_np)][1]
+                checked["matches"] += 1
+            for record in survey_fronted_adverbials(tree):
+                assert (record.span.start, record.span.end) in {
+                    ranges[id(child)]
+                    for child in tree.children
+                    if child.category == record.category
+                }
+                checked["adverbials"] += 1
+        assert all(checked.values()), checked
 
     def test_queries_do_not_rewalk_subtrees_at_depth(self, monkeypatch):
         collect = Tree.leaves
@@ -244,6 +256,13 @@ class TestLeafSpans:
                 + [("subject", "embedded-other"), ("subject", "embedded-rc")]
             )
             assert [(a.category, a.comma_delimited) for a in adverbials] == [("SBAR", False)]
+            # The recursive oracle's leaf ranges, by identity, without it.
+            position = {id(leaf): i for i, leaf in enumerate(tree.leaves())}
+            for occ in occurrences:
+                node_leaves = occ.node.leaves()
+                assert (occ.span.start, occ.span.end) == (
+                    position[id(node_leaves[0])], position[id(node_leaves[-1])] + 1
+                )
 
 
 class TestLateClosure:
@@ -346,6 +365,17 @@ class TestFrontedAdverbials:
         assert [(r.category, r.comma_delimited) for r in records] == [
             ("ADVP", False),
             ("PP", True),
+        ]
+
+    def test_spans_count_every_earlier_leaf(self):
+        tree = parse_trees(
+            "(S (CC But) (ADVP (-NONE- *T*-1)) (PP (IN in) (NP (NN town))) (, ,)"
+            " (NP-SBJ (PRP we)) (VP (VBD left)))"
+        )[0]
+        records = survey_fronted_adverbials(tree, "x.mrg", 4)
+        assert [(r.category, r.comma_delimited, r.span) for r in records] == [
+            ("ADVP", False, SourceSpan("x.mrg", 4, 1, 2)),
+            ("PP", True, SourceSpan("x.mrg", 4, 2, 4)),
         ]
 
     def test_non_s_root_yields_nothing(self):

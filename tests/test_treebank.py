@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from npstat.treebank import (
-    CURRENCY_TAGS,
-    PUNCTUATION_TAGS,
     EmptyConstituent,
     Internal,
     Leaf,
@@ -188,12 +186,7 @@ class TestPredicatesAndSpans:
         assert is_punctuation(Leaf(",", ","))
         assert is_punctuation(Leaf("``", "``"))
         assert not is_punctuation(Leaf("NN", "dog"))
-
-    def test_currency_configurable(self):
-        dollar = Leaf("$", "$")
-        assert is_punctuation(dollar)
-        without_currency = PUNCTUATION_TAGS - CURRENCY_TAGS
-        assert not is_punctuation(dollar, tags=without_currency)
+        assert is_punctuation(Leaf("$", "$"))
 
     def test_empty_category_detection(self):
         assert is_empty_category(parse_trees("(NP (-NONE- *))")[0])
