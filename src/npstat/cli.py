@@ -35,6 +35,7 @@ from typing import Iterator, Sequence
 from .corpus import (
     AggregateCounts,
     CorpusSource,
+    FileTally,
     aggregate_corpus,
     parsed_files,
     read_files,
@@ -144,7 +145,7 @@ def _load_lexicon(path: str) -> dict[str, tuple[str, ...]]:
     return lexicon
 
 
-def _all_files_failed(counts: AggregateCounts) -> bool:
+def _all_files_failed(counts: AggregateCounts | FileTally) -> bool:
     """True, after telling the user, when no file parsed and some were skipped."""
     if counts.files_skipped > 0 and counts.files_processed == 0:
         print("error: every corpus file failed to parse", file=sys.stderr)
@@ -153,7 +154,7 @@ def _all_files_failed(counts: AggregateCounts) -> bool:
 
 
 def _sentences(
-    args: argparse.Namespace, files: AggregateCounts
+    args: argparse.Namespace, files: FileTally
 ) -> Iterator[tuple[str, int, Tree]]:
     """Every (file_id, sentence index, tree) of the corpus, tallying ``files``."""
     for file_id, trees in parsed_files(_corpus_source(args), files):
@@ -164,7 +165,7 @@ def _sentences(
 # --- subcommand handlers -------------------------------------------------
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    files = AggregateCounts()
+    files = FileTally()
     rows: list[list] = []
     for file_id, trees in read_files(_corpus_source(args)):
         if trees is None:
@@ -233,7 +234,7 @@ def cmd_chisq(args: argparse.Namespace) -> int:
 
 def cmd_late_closure(args: argparse.Namespace) -> int:
     config = _classifier(args)
-    files = AggregateCounts()
+    files = FileTally()
     rows: list[list] = []
     for file_id, idx, tree in _sentences(args, files):
         for match in find_late_closure_configs(tree, file_id, idx):
@@ -268,7 +269,7 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
         rows =[["ALL", total, not_delimited, ratio_report(not_delimited, total)]]
         print(render_rows(columns, rows, args.format, "adverbial-row"))
         return EXIT_OK
-    files = AggregateCounts()
+    files = FileTally()
     totals: Counter[str] = Counter()
     uncommaed: Counter[str] = Counter()
     for file_id, idx, tree in _sentences(args, files):
@@ -300,7 +301,7 @@ def cmd_verb(args: argparse.Namespace) -> int:
         raise EmptyInflectionSet(
             f"no inflections configured for {args.verb!r}; add it to the lexicon"
         )
-    files = AggregateCounts()
+    files = FileTally()
     profile = profile_verb_frames(
         (tree for _, _, tree in _sentences(args, files)), args.verb, inflections
     )

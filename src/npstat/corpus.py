@@ -13,13 +13,12 @@ commutative, so any partition of the corpus combines to the same result.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .givenness import ClassifierConfig, DEFAULT_CONFIG, GivennessCategory, classify_np
 from .queries import ClauseContext, GrammaticalPosition, extract_np_occurrences
-from .treebank import Tree, TreebankSyntaxError, parse_trees
+from .treebank import SlottedRecord, Tree, TreebankSyntaxError, parse_trees
 
 log = logging.getLogger(__name__)
 
@@ -30,8 +29,7 @@ class RootNotFound(FileNotFoundError):
     pass
 
 
-@dataclass(frozen=True)
-class CorpusSource:
+class CorpusSource(NamedTuple):
     root_path: Path
     include_glob: str = "*"
 
@@ -49,14 +47,22 @@ def _zero_cells() -> dict[CellKey, int]:
     return {key: 0 for key in _all_cell_keys()}
 
 
-@dataclass
-class AggregateCounts:
+class AggregateCounts(SlottedRecord):
     """Dense occurrence counts plus ingestion counters."""
 
-    cells: dict[CellKey, int] = field(default_factory=_zero_cells)
-    files_processed: int = 0
-    sentences_processed: int = 0
-    files_skipped: int = 0
+    __slots__ = _fields = ("cells", "files_processed", "sentences_processed", "files_skipped")
+
+    def __init__(
+        self,
+        cells: dict[CellKey, int] | None = None,
+        files_processed: int = 0,
+        sentences_processed: int = 0,
+        files_skipped: int = 0,
+    ) -> None:
+        self.cells = _zero_cells() if cells is None else cells
+        self.files_processed = files_processed
+        self.sentences_processed = sentences_processed
+        self.files_skipped = files_skipped
 
     def cell(self, category: GivennessCategory, position: GrammaticalPosition,
              context: ClauseContext) -> int:
@@ -118,8 +124,18 @@ def read_files(source: CorpusSource) -> Iterator[tuple[str, list[Tree] | None]]:
     return ((file_id, _read_trees(root / file_id, file_id)) for file_id in file_ids)
 
 
+class FileTally:
+    """How many corpus files one pass parsed and how many it skipped."""
+
+    __slots__ = ("files_processed", "files_skipped")
+
+    def __init__(self) -> None:
+        self.files_processed = 0
+        self.files_skipped = 0
+
+
 def parsed_files(
-    source: CorpusSource, files: AggregateCounts
+    source: CorpusSource, files: FileTally
 ) -> Iterator[tuple[str, list[Tree]]]:
     """The files of :func:`read_files` that parsed, tallied in ``files``.
 
@@ -159,7 +175,7 @@ def aggregate_corpus(
     source: CorpusSource, config: ClassifierConfig = DEFAULT_CONFIG
 ) -> AggregateCounts:
     """Aggregate a whole corpus in one fold, counting processed and skipped files."""
-    files = AggregateCounts()
+    files = FileTally()
     total = aggregate(
         ((file_id, tree) for file_id, trees in parsed_files(source, files) for tree in trees),
         config,

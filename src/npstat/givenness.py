@@ -19,11 +19,10 @@ over the NP's own leaves, so identical trees always classify identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .treebank import EMPTY_POS, Internal, Leaf, Tree, is_punctuation
+from .treebank import EMPTY_POS, Internal, Leaf, SlottedRecord, Tree, is_punctuation
 
 
 class GivennessCategory(Enum):
@@ -51,18 +50,27 @@ DEFAULT_INDEFINITE_DETERMINERS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
-    pronoun_pos_tags: frozenset[str] = DEFAULT_PRONOUN_POS_TAGS
-    proper_pos_tags: frozenset[str] = DEFAULT_PROPER_POS_TAGS
-    definite_determiners: frozenset[str] = DEFAULT_DEFINITE_DETERMINERS
-    indefinite_determiners: frozenset[str] = DEFAULT_INDEFINITE_DETERMINERS
+class ClassifierConfig(SlottedRecord):
+    """Tag and determiner sets of the cascade; determiners are lower-cased."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "definite_determiners",
-                           frozenset(d.lower() for d in self.definite_determiners))
-        object.__setattr__(self, "indefinite_determiners",
-                           frozenset(d.lower() for d in self.indefinite_determiners))
+    __slots__ = _fields = (
+        "pronoun_pos_tags",
+        "proper_pos_tags",
+        "definite_determiners",
+        "indefinite_determiners",
+    )
+
+    def __init__(
+        self,
+        pronoun_pos_tags: frozenset[str] = DEFAULT_PRONOUN_POS_TAGS,
+        proper_pos_tags: frozenset[str] = DEFAULT_PROPER_POS_TAGS,
+        definite_determiners: frozenset[str] = DEFAULT_DEFINITE_DETERMINERS,
+        indefinite_determiners: frozenset[str] = DEFAULT_INDEFINITE_DETERMINERS,
+    ) -> None:
+        self.pronoun_pos_tags = pronoun_pos_tags
+        self.proper_pos_tags = proper_pos_tags
+        self.definite_determiners = frozenset(d.lower() for d in definite_determiners)
+        self.indefinite_determiners = frozenset(d.lower() for d in indefinite_determiners)
         overlap = self.definite_determiners & self.indefinite_determiners
         if overlap:
             raise ClassifierConfigError(
@@ -88,14 +96,14 @@ class ClassifierConfig:
                     f"{path}:{lineno}: expected 'key = items', got {line!r}")
             key, _, items = line.partition("=")
             key = key.strip()
-            if key not in cls.__dataclass_fields__:
+            if key not in cls._fields:
                 raise ClassifierConfigError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = frozenset(items.split())
         return cls(**values)
 
     def dump(self) -> str:
         lines = ["# npstat givenness classifier configuration"]
-        for name in self.__dataclass_fields__:
+        for name in self._fields:
             items = " ".join(sorted(getattr(self, name)))
             lines.append(f"{name} = {items}")
         return "\n".join(lines) + "\n"

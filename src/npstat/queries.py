@@ -29,9 +29,8 @@ half-open leaf range is known without collecting its subtree's leaves again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .treebank import (
     EMPTY_POS,
@@ -62,24 +61,21 @@ class ClauseContext(Enum):
     EMBEDDED_OTHER = "embedded-other"
 
 
-@dataclass(frozen=True)
-class NPOccurrence:
+class NPOccurrence(NamedTuple):
     node: Internal
     position: GrammaticalPosition
     context: ClauseContext
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class LateClosureMatch:
+class LateClosureMatch(NamedTuple):
     vp_node: Internal
     final_verb: Leaf
     critical_np: Internal
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class AdverbialRecord:
+class AdverbialRecord(NamedTuple):
     category: str
     comma_delimited: bool
     span: SourceSpan
@@ -92,8 +88,7 @@ class FrameType(Enum):
     INTRANSITIVE = "intransitive"
 
 
-@dataclass(frozen=True)
-class VerbFrameProfile:
+class VerbFrameProfile(NamedTuple):
     lemma: str
     counts: dict[FrameType, int]
 
@@ -206,8 +201,7 @@ def extract_np_occurrences(
     return out
 
 
-@dataclass(frozen=True)
-class SubjectTagCrosscheck:
+class SubjectTagCrosscheck(NamedTuple):
     """Agreement between positional subjecthood and the SBJ function tag."""
 
     agree: int

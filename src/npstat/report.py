@@ -14,9 +14,8 @@ position x clause context) with its derived TC+RC and total rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import AggregateCounts
 from .givenness import GivennessCategory
@@ -116,8 +115,7 @@ BASE_CELLS = (
 )
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     """One category's base counts; TC+RC is always derived, never stored."""
 
     subj_tc: int
@@ -140,8 +138,7 @@ class Table1Row:
         )
 
 
-@dataclass(frozen=True)
-class Table1Block:
+class Table1Block(NamedTuple):
     """One corpus's frequency table: six category rows plus a total row."""
 
     label: str
@@ -176,8 +173,7 @@ class Table1Block:
         return cls(label=label, rows=rows)
 
 
-@dataclass(frozen=True)
-class Table1Report:
+class Table1Report(NamedTuple):
     blocks: tuple[Table1Block, ...]
 
     def render(self, fmt: ReportFormat) -> str:

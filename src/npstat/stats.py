@@ -12,13 +12,13 @@ Significance is reported as a band against the df=1 critical values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .givenness import GivennessCategory
 from .queries import ClauseContext, GrammaticalPosition
+from .treebank import SlottedRecord
 
 if TYPE_CHECKING:
     from .corpus import AggregateCounts
@@ -47,23 +47,23 @@ CRITICAL_VALUES = (
 )
 
 
-@dataclass(frozen=True)
-class ContingencyTable2x2:
+class ContingencyTable2x2(SlottedRecord):
     """Counts laid out row 1 = (a, b), row 2 = (c, d).
 
     In the pronoun/indefinite cross-tabulations, row 1 is pronoun, row 2 is
     indefinite, column 1 is subject and column 2 is non-subject.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        for cell in (self.a, self.b, self.c, self.d):
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        for cell in (a, b, c, d):
             if cell < 0:
                 raise ValueError("cell counts must be non-negative")
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
 
     @property
     def total(self) -> int:
@@ -73,8 +73,7 @@ class ContingencyTable2x2:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
-class ChiSquareResult:
+class ChiSquareResult(NamedTuple):
     statistic: float
     degrees_of_freedom: int
     significance_band: SignificanceBand

@@ -1,10 +1,12 @@
 """Read and write bracketed constituency treebanks.
 
-Trees are immutable: an ``Internal`` node carries a :class:`NodeLabel` and a
-non-empty tuple of children, a ``Leaf`` carries a raw part-of-speech tag and a
-surface token.  Labels of internal nodes are decomposed into a category, a
-sequence of function tags and an optional coindex; leaf tags are kept verbatim
-(so ``-NONE-`` and ``-LRB-`` survive untouched).
+An ``Internal`` node carries a :class:`NodeLabel` and a non-empty tuple of
+children, a ``Leaf`` carries a raw part-of-speech tag and a surface token.
+Nodes are read-only by convention and compare and hash by identity, so two
+equal-looking subtrees are still two nodes; labels and :class:`SourceSpan`
+records compare by value.  Labels of internal nodes are decomposed into a
+category, a sequence of function tags and an optional coindex; leaf tags are
+kept verbatim (so ``-NONE-`` and ``-LRB-`` survive untouched).
 
 Both common top-level layouts are accepted: bare ``(S ...)`` trees and trees
 wrapped in an extra unlabeled ``( ... )`` pair.  Nesting depth is unbounded:
@@ -15,9 +17,8 @@ recursing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 EMPTY_POS = "-NONE-"
 
@@ -44,8 +45,7 @@ class EmptyConstituent(TreebankSyntaxError):
 _GAP_RE = re.compile(r"^(?P<base>.*?)(?P<gap>=\d+)$")
 
 
-@dataclass(frozen=True)
-class NodeLabel:
+class NodeLabel(NamedTuple):
     """Decomposed nonterminal label, e.g. ``NP-SBJ-1`` or ``VP=2``.
 
     ``function_tags`` keeps hyphen-separated tags in their original order;
@@ -88,7 +88,12 @@ class NodeLabel:
 
 
 class Tree:
-    """Base class for tree nodes; see :class:`Internal` and :class:`Leaf`."""
+    """Base class for tree nodes; see :class:`Internal` and :class:`Leaf`.
+
+    Equality and hashing are object identity, so neither walks a subtree.
+    """
+
+    __slots__ = ()
 
     def leaves(self) -> list["Leaf"]:
         """Leaves in surface order; an iterator stack keeps any depth safe."""
@@ -123,23 +128,31 @@ class Tree:
         return " ".join(l.token for l in self.leaves() if l.pos != EMPTY_POS)
 
 
-@dataclass(frozen=True)
 class Leaf(Tree):
-    pos: str
-    token: str
+    __slots__ = ("pos", "token")
+
+    def __init__(self, pos: str, token: str) -> None:
+        self.pos = pos
+        self.token = token
+
+    def __repr__(self) -> str:
+        return f"<Leaf {self.pos} {self.token!r}>"
 
     def leaves(self) -> list["Leaf"]:
         return [self]
 
 
-@dataclass(frozen=True)
 class Internal(Tree):
-    label: NodeLabel
-    children: tuple[Tree, ...]
+    __slots__ = ("label", "children")
 
-    def __post_init__(self) -> None:
-        if not self.children:
-            raise ValueError(f"internal node {self.label} has no children")
+    def __init__(self, label: NodeLabel, children: tuple[Tree, ...]) -> None:
+        if not children:
+            raise ValueError(f"internal node {label} has no children")
+        self.label = label
+        self.children = children
+
+    def __repr__(self) -> str:
+        return f"<Internal {self.label} children={len(self.children)}>"
 
     @property
     def category(self) -> str:
@@ -187,12 +200,12 @@ def parse_trees(text: str) -> list[Tree]:
                 raise EmptyConstituent(
                     f"constituent {label!r} has no children", _offset(text, start))
             elif type(items[0]) is str:
-                node = Leaf(pos=label, token=items[0])
+                node = Leaf(label, items[0])
             else:
                 node_label = labels.get(label)
                 if node_label is None:
                     node_label = labels[label] = NodeLabel.from_string(label)
-                node = Internal(label=node_label, children=tuple(items))
+                node = Internal(node_label, tuple(items))
             (stack[-1][2] if stack else trees).append(node)
             continue
         if not stack:
@@ -255,15 +268,42 @@ def is_empty_category(node: Tree) -> bool:
     return all(l.pos == EMPTY_POS for l in node.leaves())
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SlottedRecord:
+    """Base of slotted value types whose ``__init__`` checks or fills in fields,
+    which a ``NamedTuple`` cannot do.
+
+    Equality, hash and repr are over the attributes named in ``_fields``, in
+    order, as for a tuple; a subclass sets ``__slots__ = _fields = (...)``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class SourceSpan(SlottedRecord):
     """Provenance of a match: file, sentence, and half-open leaf range."""
 
-    file_id: str
-    sentence_index: int
-    start: int
-    end: int
+    __slots__ = _fields = ("file_id", "sentence_index", "start", "end")
 
-    def __post_init__(self) -> None:
-        if self.start >= self.end:
-            raise ValueError(f"empty leaf range [{self.start}, {self.end})")
+    def __init__(self, file_id: str, sentence_index: int, start: int, end: int) -> None:
+        if start >= end:
+            raise ValueError(f"empty leaf range [{start}, {end})")
+        self.file_id = file_id
+        self.sentence_index = sentence_index
+        self.start = start
+        self.end = end

@@ -37,7 +37,7 @@ from refvalues import (
     from_counts_args,
 )
 from test_givenness import HAND_LABELED_40, classify_string
-from treegen import random_trees
+from treegen import random_trees, same_trees
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -131,7 +131,7 @@ def test_criterion_4_parser_round_trip(fixture_corpus):
     for source, _ in HAND_LABELED_40:
         trees.extend(parse_trees(source))
     assert len(trees) == 1000 + 10 + 40
-    identical = sum(parse_trees(serialize_tree(t)) == [t] for t in trees)
+    identical = sum(same_trees(parse_trees(serialize_tree(t)), [t]) for t in trees)
     assert identical == len(trees)  # 100% node-identical
 
 

@@ -224,6 +224,25 @@ class TestFailurePaths:
         assert child.stderr == b""
 
 
+class TestStartUp:
+    def test_cli_imports_neither_dataclasses_nor_inspect(self):
+        # Each command is a fresh process, so these imports would cost every
+        # run; -S keeps site hooks from importing them first.
+        src = Path(npstat.__file__).resolve().parents[1]
+        probe = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import npstat.cli\n"
+            "npstat.cli.main(['--dump-default-config'])\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        )
+        child = subprocess.run([sys.executable, "-S", "-c", probe],
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.startswith("# npstat givenness classifier configuration")
+        assert child.stdout.splitlines()[-1] == "[]"
+
+
 class TestTable1Command:
     def rows_by_category(self, out):
         return {r["givenness"]: r for r in parse_records(out)}

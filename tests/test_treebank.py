@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from npstat.givenness import NotAnNP, classify_np
+from npstat.queries import ClauseContext, GrammaticalPosition, NPOccurrence
 from npstat.treebank import (
     EmptyConstituent,
     Internal,
@@ -18,7 +20,7 @@ from npstat.treebank import (
     serialize_tree,
 )
 
-from treegen import random_trees
+from treegen import random_trees, same_trees
 
 WRAPPED = "( (S (NP-SBJ (DT The) (NN maid)) (VP (VBD disclosed) (NP (DT the) (NN location))) (. .)) )"
 UNWRAPPED = "(S (NP-SBJ (DT The) (NN maid)) (VP (VBD disclosed) (NP (DT the) (NN location))) (. .))"
@@ -56,7 +58,7 @@ class TestLabels:
 
 class TestParsing:
     def test_wrapped_and_unwrapped_agree(self):
-        assert parse_trees(WRAPPED) == parse_trees(UNWRAPPED)
+        assert same_trees(parse_trees(WRAPPED), parse_trees(UNWRAPPED))
 
     def test_sequence_of_wrapped_sentences(self, fixture_corpus):
         trees = parse_trees((fixture_corpus / "a.mrg").read_text())
@@ -71,7 +73,7 @@ class TestParsing:
     def test_leaf_nodes(self):
         tree = parse_trees("(NP (DT the) (NN dog))")[0]
         assert isinstance(tree, Internal)
-        assert tree.children == (Leaf("DT", "the"), Leaf("NN", "dog"))
+        assert same_trees(tree.children, (Leaf("DT", "the"), Leaf("NN", "dog")))
 
     def test_leaves_in_surface_order_and_text(self):
         tree = parse_trees(
@@ -144,7 +146,7 @@ class TestParserProperties:
     @given(st.integers(min_value=0, max_value=2**32))
     def test_round_trip_of_large_random_trees(self, seed):
         (tree,) = random_trees(seed=seed, count=1, max_nodes=200)
-        assert parse_trees(serialize_tree(tree)) == [tree]
+        assert same_trees(parse_trees(serialize_tree(tree)), [tree])
 
 
 class TestRoundTrip:
@@ -152,18 +154,17 @@ class TestRoundTrip:
         trees = random_trees(seed=90125, count=1000)
         mismatches = 0
         for tree in trees:
-            if parse_trees(serialize_tree(tree)) != [tree]:
+            if not same_trees(parse_trees(serialize_tree(tree)), [tree]):
                 mismatches += 1
         assert mismatches == 0
 
     def test_fixture_files(self, fixture_corpus):
         for path in sorted(fixture_corpus.glob("*.mrg")):
             for tree in parse_trees(path.read_text()):
-                assert parse_trees(serialize_tree(tree)) == [tree]
+                assert same_trees(parse_trees(serialize_tree(tree)), [tree])
 
     @pytest.mark.parametrize("shape", ["right", "left"])
     def test_ten_thousand_levels(self, shape):
-        # Compared as strings: the dataclasses' own __eq__ still recurses.
         depth = 10_000
         if shape == "right":
             source = "(S " * depth + "(NN x)" + ")" * depth
@@ -171,7 +172,36 @@ class TestRoundTrip:
             source = "(S " * depth + "(NP (PRP it))" + " (VP (VBD ran)))" * depth
         (tree,) = parse_trees(source)
         assert serialize_tree(tree) == source
+        assert same_trees(parse_trees(source), [tree])
         assert len(tree.leaves()) == (1 if shape == "right" else depth + 1)
+        # Nodes hash by identity and repr without their subtree, so nothing
+        # that hashes or prints a deep node recurses.
+        assert hash(tree) == hash(tree)
+        assert repr(tree) == f"<Internal S children={1 if shape == 'right' else 2}>"
+        occurrence = NPOccurrence(tree, GrammaticalPosition.SUBJECT,
+                                  ClauseContext.MATRIX, SourceSpan("deep.mrg", 0, 0, 1))
+        assert hash(occurrence) == hash(occurrence)
+        with pytest.raises(NotAnNP, match="got <Internal S children="):
+            classify_np(tree)
+
+    def test_structural_comparison_sees_each_difference(self):
+        source = "(S (NP-1 (DT the) (NN dog)) (VP (VBD ran)))"
+        (tree,) = parse_trees(source)
+        assert same_trees([tree], parse_trees(source))
+        variants = [parse_trees(other)[0] for other in (
+            "(S (NP-2 (DT the) (NN dog)) (VP (VBD ran)))",
+            "(S (NP-1 (DT the) (NNS dog)) (VP (VBD ran)))",
+            "(S (NP-1 (DT the) (NN cat)) (VP (VBD ran)))",
+            "(S (NP-1 (DT the) (NN dog)) (VP (VBD ran) (NP (PRP it))))",
+            "(S (NP-1 (DT the) (NN dog)) (VBD ran))",
+        )]
+        # Serializes as ``source`` but carries "1" as a function tag.
+        subject = Internal(NodeLabel("NP", ("1",)), tree.children[0].children)
+        variants.append(Internal(tree.label, (subject, tree.children[1])))
+        assert serialize_tree(variants[-1]) == source
+        for other in variants:
+            assert not same_trees([tree], [other])
+        assert not same_trees([tree], [tree, tree])
 
     def test_serialized_form_is_canonical(self):
         noisy = "(S   (NP-SBJ (PRP it))\n\t(VP (VBZ seems)))"

@@ -1,14 +1,18 @@
-"""Seeded random tree generation for property tests.
+"""Seeded random tree generation for property tests, and structural comparison.
 
-Trees are built directly from the node dataclasses, so generation cannot
-depend on the parser under test.  Categories are drawn from the set the
-structural queries care about, plus leaves with realistic tag variety:
-overt words, punctuation, and empty elements.
+Trees are built directly from the node classes, so generation cannot depend
+on the parser under test.  Categories are drawn from the set the structural
+queries care about, plus leaves with realistic tag variety: overt words,
+punctuation, and empty elements.
+
+Nodes compare by identity, so round-trip tests compare trees with
+:func:`same_trees`.
 """
 
 import random
+from typing import Sequence
 
-from npstat.treebank import Internal, Leaf, NodeLabel
+from npstat.treebank import Internal, Leaf, NodeLabel, Tree
 
 CATEGORIES = ("S", "SBAR", "VP", "NP", "PP", "ADVP")
 FUNCTION_TAGS = ("SBJ", "TMP", "LOC", "PRD", "CLR", "ADV", "NOM")
@@ -69,3 +73,27 @@ def random_tree(rng: random.Random, max_nodes: int = 25) -> Internal:
 def random_trees(seed: int, count: int, max_nodes: int = 25) -> list[Internal]:
     rng = random.Random(seed)
     return [random_tree(rng, max_nodes) for _ in range(count)]
+
+
+def same_trees(xs: Sequence[Tree], ys: Sequence[Tree]) -> bool:
+    """Structural equality of two tree sequences, at any depth.
+
+    Compares, in pre-order, each node's kind, its :class:`NodeLabel` by value
+    (so ``NP-1`` and an ``NP`` whose function tag is ``1`` differ even though
+    they serialize alike), a leaf's tag and token, and the child count.
+    """
+    if len(xs) != len(ys):
+        return False
+    stack = list(zip(reversed(xs), reversed(ys)))
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Leaf):
+            if (x.pos, x.token) != (y.pos, y.token):
+                return False
+        elif x.label != y.label or len(x.children) != len(y.children):
+            return False
+        else:
+            stack.extend(zip(reversed(x.children), reversed(y.children)))
+    return True
