@@ -12,79 +12,50 @@ The package splits into six layers:
 * :mod:`npstat.corpus`    — directory ingestion and mergeable aggregation;
 * :mod:`npstat.report`    — text/TSV/JSON-records rendering and the
   frequency-table report; :mod:`npstat.cli` wires it all together.
+
+Every name in ``__all__`` is re-exported here, but ``import npstat`` alone
+imports no submodule: a name's submodule is imported the first time the name
+(or the submodule, as ``npstat.corpus``) is looked up on the package.  So a
+caller, the command line included, pays only for the layers it uses.
 """
 
-from .treebank import (
-    EMPTY_POS,
-    PUNCTUATION_TAGS,
-    EmptyConstituent,
-    Internal,
-    Leaf,
-    NodeLabel,
-    SourceSpan,
-    Tree,
-    TreebankSyntaxError,
-    UnbalancedBrackets,
-    is_empty_category,
-    is_punctuation,
-    parse_trees,
-    serialize_tree,
-)
-from .queries import (
-    ADVERBIAL_CATEGORIES,
-    VERB_TAGS,
-    AdverbialRecord,
-    ClauseContext,
-    EmptyInflectionSet,
-    FrameType,
-    GrammaticalPosition,
-    LateClosureMatch,
-    NPOccurrence,
-    SubjectTagCrosscheck,
-    VerbFrameProfile,
-    crosscheck_subject_tags,
-    extract_np_occurrences,
-    find_late_closure_configs,
-    profile_verb_frames,
-    survey_fronted_adverbials,
-)
-from .givenness import (
-    DEFAULT_CONFIG,
-    ClassifierConfig,
-    ClassifierConfigError,
-    GivennessCategory,
-    NotAnNP,
-    classify_np,
-)
-from .stats import (
-    ChiSquareResult,
-    ContingencyTable2x2,
-    DegenerateMargin,
-    SignificanceBand,
-    ZeroDenominator,
-    build_pronoun_indefinite_table,
-    chi_square_2x2,
-    ratio_report,
-)
-from .corpus import (
-    AggregateCounts,
-    CorpusSource,
-    RootNotFound,
-    aggregate,
-    aggregate_corpus,
-    corpus_files,
-    ingest,
-    merge,
-    read_files,
-)
-from .report import (
-    ReportFormat,
-    Table1Block,
-    Table1Report,
-    Table1Row,
-    parse_records,
-    render_rows,
-)
+from importlib import import_module
+
+# Submodule -> the names it exports; each is imported on first access.
+_EXPORTS = {
+    "treebank": (
+        "EMPTY_POS", "PUNCTUATION_TAGS", "EmptyConstituent", "Internal",
+        "Leaf", "NodeLabel", "SourceSpan", "Tree", "TreebankSyntaxError",
+        "UnbalancedBrackets", "is_empty_category", "is_punctuation",
+        "parse_trees", "serialize_tree",
+    ),
+    "queries": (
+        "ADVERBIAL_CATEGORIES", "VERB_TAGS", "AdverbialRecord",
+        "ClauseContext", "EmptyInflectionSet", "FrameType",
+        "GrammaticalPosition", "LateClosureMatch", "NPOccurrence",
+        "SubjectTagCrosscheck", "VerbFrameProfile", "crosscheck_subject_tags",
+        "extract_np_occurrences", "find_late_closure_configs",
+        "profile_verb_frames", "survey_fronted_adverbials",
+    ),
+    "givenness": (
+        "DEFAULT_CONFIG", "ClassifierConfig", "ClassifierConfigError",
+        "GivennessCategory", "NotAnNP", "classify_np",
+    ),
+    "stats": (
+        "ChiSquareResult", "ContingencyTable2x2", "DegenerateMargin",
+        "SignificanceBand", "ZeroDenominator",
+        "build_pronoun_indefinite_table", "chi_square_2x2", "ratio_report",
+    ),
+    "corpus": (
+        "AggregateCounts", "CorpusSource", "RootNotFound", "aggregate",
+        "aggregate_corpus", "corpus_files", "ingest", "merge", "read_files",
+    ),
+    "report": (
+        "ReportFormat", "Table1Block", "Table1Report", "Table1Row",
+        "parse_records", "render_rows",
+    ),
+}
+_SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -149,3 +120,18 @@ __all__ = [
     "serialize_tree",
     "survey_fronted_adverbials",
 ]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

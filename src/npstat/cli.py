@@ -20,50 +20,36 @@ input, 4 configuration error (also a config or lexicon file that cannot be
 read or decoded), 70 internal error (a defect in npstat itself), 141 stdout
 was closed before the output was written (e.g. piped into ``head``); nothing
 is printed on stderr then.
+
+Each command is a fresh process, so start-up is paid on every run.  This module
+imports at the top only what building the argument parser and
+``--dump-default-config`` need (:mod:`npstat.givenness` and
+:mod:`npstat.treebank`); each handler imports the layers it runs, and logging
+is set up only when a corpus is about to be read.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .corpus import (
-    AggregateCounts,
-    CorpusSource,
-    FileTally,
-    aggregate_corpus,
-    parsed_files,
-    read_files,
-)
 from .givenness import (
     DEFAULT_CONFIG,
     ClassifierConfig,
     ClassifierConfigError,
     classify_np,
 )
-from .queries import (
-    ClauseContext,
-    EmptyInflectionSet,
-    FrameType,
-    find_late_closure_configs,
-    profile_verb_frames,
-    survey_fronted_adverbials,
-)
-from .report import ReportFormat, Table1Block, Table1Report, render_rows
-from .stats import (
-    ContingencyTable2x2,
-    DegenerateMargin,
-    ZeroDenominator,
-    build_pronoun_indefinite_table,
-    chi_square_2x2,
-    ratio_report,
-)
-from .treebank import Tree
+from .treebank import ReportFormat
+
+if TYPE_CHECKING:
+    from .corpus import AggregateCounts, CorpusSource, FileTally
+    from .queries import ClauseContext
+    from .stats import ContingencyTable2x2
+    from .treebank import Tree
 
 CORPUS_ENV_VAR = "NPSTAT_CORPUS"
 
@@ -81,12 +67,13 @@ DEFAULT_VERB_LEXICON: dict[str, tuple[str, ...]] = {
     "disclose": ("disclose", "discloses", "disclosed", "disclosing"),
 }
 
+# --contexts token -> ClauseContext member name; "all" pools every context.
 _CONTEXT_TOKENS = {
-    "matrix": (ClauseContext.MATRIX,),
-    "tc": (ClauseContext.EMBEDDED_TC,),
-    "rc": (ClauseContext.EMBEDDED_RC,),
-    "other": (ClauseContext.EMBEDDED_OTHER,),
-    "all": tuple(ClauseContext),
+    "matrix": "MATRIX",
+    "tc": "EMBEDDED_TC",
+    "rc": "EMBEDDED_RC",
+    "other": "EMBEDDED_OTHER",
+    "all": None,
 }
 
 
@@ -99,24 +86,33 @@ class LexiconError(ValueError):
 
 
 def _context_set(text: str) -> frozenset[ClauseContext]:
+    from .queries import ClauseContext
+
     contexts: set[ClauseContext] = set()
     for token in text.replace(",", " ").split():
         if token not in _CONTEXT_TOKENS:
             raise argparse.ArgumentTypeError(
-                f"unknown context {token!r} (choose from matrix, tc, rc, other, all)"
+                f"unknown context {token!r} (choose from {', '.join(_CONTEXT_TOKENS)})"
             )
-        contexts.update(_CONTEXT_TOKENS[token])
+        name = _CONTEXT_TOKENS[token]
+        contexts.update(ClauseContext if name is None else (ClauseContext[name],))
     if not contexts:
         raise argparse.ArgumentTypeError("at least one context is required")
     return frozenset(contexts)
 
 
 def _corpus_source(args: argparse.Namespace) -> CorpusSource:
+    """The corpus to read; from here on, skip warnings are printed on stderr."""
+    import logging
+
+    from .corpus import CorpusSource
+
     root = args.corpus or os.environ.get(CORPUS_ENV_VAR)
     if not root:
         raise MissingInput(
             f"no corpus directory: pass --corpus DIR or set ${CORPUS_ENV_VAR}"
         )
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     return CorpusSource(root_path=Path(root), include_glob=args.glob)
 
 
@@ -157,6 +153,8 @@ def _sentences(
     args: argparse.Namespace, files: FileTally
 ) -> Iterator[tuple[str, int, Tree]]:
     """Every (file_id, sentence index, tree) of the corpus, tallying ``files``."""
+    from .corpus import parsed_files
+
     for file_id, trees in parsed_files(_corpus_source(args), files):
         for idx, tree in enumerate(trees):
             yield file_id, idx, tree
@@ -165,6 +163,9 @@ def _sentences(
 # --- subcommand handlers -------------------------------------------------
 
 def cmd_parse(args: argparse.Namespace) -> int:
+    from .corpus import FileTally, read_files
+    from .report import render_rows
+
     files = FileTally()
     rows: list[list] = []
     for file_id, trees in read_files(_corpus_source(args)):
@@ -179,13 +180,18 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    from .report import Table1Block, Table1Report
+
     if args.from_counts is not None:
         block = Table1Block.from_counts(args.from_counts)
     else:
-        agg = aggregate_corpus(_corpus_source(args), _classifier(args))
+        from .corpus import aggregate_corpus
+
+        source = _corpus_source(args)
+        agg = aggregate_corpus(source, _classifier(args))
         if _all_files_failed(agg):
             return EXIT_ALL_FILES_FAILED
-        label = Path(_corpus_source(args).root_path).name or "corpus"
+        label = Path(source.root_path).name or "corpus"
         block = Table1Block.from_aggregate(agg, label=label)
     print(Table1Report(blocks=(block,)).render(args.format))
     return EXIT_OK
@@ -197,6 +203,9 @@ def _render_chisq(
     row_labels: tuple[str, str],
     col_labels: tuple[str, str],
 ) -> str:
+    from .report import render_rows
+    from .stats import chi_square_2x2
+
     result = chi_square_2x2(table)
     cells = render_rows(
         ("row", *col_labels),
@@ -216,11 +225,15 @@ def _render_chisq(
 
 
 def cmd_chisq(args: argparse.Namespace) -> int:
+    from .stats import ContingencyTable2x2, build_pronoun_indefinite_table
+
     if args.cells is not None:
         a, b, c, d = args.cells
         table = ContingencyTable2x2(a, b, c, d)
         rendering = _render_chisq(table, args.format, ("row1", "row2"), ("col1", "col2"))
     else:
+        from .corpus import aggregate_corpus
+
         agg = aggregate_corpus(_corpus_source(args), _classifier(args))
         if _all_files_failed(agg):
             return EXIT_ALL_FILES_FAILED
@@ -233,6 +246,10 @@ def cmd_chisq(args: argparse.Namespace) -> int:
 
 
 def cmd_late_closure(args: argparse.Namespace) -> int:
+    from .corpus import FileTally
+    from .queries import find_late_closure_configs
+    from .report import render_rows
+
     config = _classifier(args)
     files = FileTally()
     rows: list[list] = []
@@ -257,6 +274,10 @@ def cmd_late_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_adverbials(args: argparse.Namespace) -> int:
+    from .queries import survey_fronted_adverbials
+    from .report import render_rows
+    from .stats import ratio_report
+
     columns = ("category", "fronted", "not_comma_delimited", "pct_not_delimited")
     if args.from_counts is not None:
         if len(args.from_counts) != 2:
@@ -269,6 +290,8 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
         rows =[["ALL", total, not_delimited, ratio_report(not_delimited, total)]]
         print(render_rows(columns, rows, args.format, "adverbial-row"))
         return EXIT_OK
+    from .corpus import FileTally
+
     files = FileTally()
     totals: Counter[str] = Counter()
     uncommaed: Counter[str] = Counter()
@@ -295,6 +318,10 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
 
 
 def cmd_verb(args: argparse.Namespace) -> int:
+    from .corpus import FileTally
+    from .queries import EmptyInflectionSet, FrameType, profile_verb_frames
+    from .report import render_rows
+
     lexicon = _load_lexicon(args.lexicon) if args.lexicon else DEFAULT_VERB_LEXICON
     inflections = lexicon.get(args.verb, ())
     if not inflections:
@@ -371,9 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="test an explicit 2x2 table (row-major) instead of a corpus",
     )
     p.add_argument(
-        "--contexts", type=_context_set, default=frozenset(ClauseContext),
-        metavar="LIST",
-        help="comma-separated clause contexts to pool: matrix, tc, rc, other, all "
+        "--contexts", type=_context_set, default="all", metavar="LIST",
+        help=f"comma-separated clause contexts to pool: {', '.join(_CONTEXT_TOKENS)} "
              "(default: all)",
     )
     p.set_defaults(handler=cmd_chisq)
@@ -403,6 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded(module: str, *names: str) -> tuple[type[Exception], ...]:
+    """The named exception classes of an npstat module, or none if the module
+    was never imported: then nothing can have raised them."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return tuple(getattr(loaded, name) for name in names) if loaded else ()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -412,8 +445,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if code is None:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_MISSING_INPUT
-
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
 
     if not (args.dump_default_config or getattr(args, "command", None)):
         parser.print_usage(sys.stderr)
@@ -435,10 +466,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         # exit cannot fail again, and exit as if killed by SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (DegenerateMargin, ZeroDenominator) as err:
+    except _loaded("stats", "DegenerateMargin", "ZeroDenominator") as err:
         print(f"error: degenerate statistics input: {err}", file=sys.stderr)
         return EXIT_DEGENERATE_STATS
-    except (ClassifierConfigError, EmptyInflectionSet, LexiconError) as err:
+    except (ClassifierConfigError, LexiconError,
+            *_loaded("queries", "EmptyInflectionSet")) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     # RootNotFound is a FileNotFoundError; ValueError covers bad explicit

@@ -14,20 +14,16 @@ position x clause context) with its derived TC+RC and total rows.
 from __future__ import annotations
 
 import json
-from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .corpus import AggregateCounts
 from .givenness import GivennessCategory
 from .queries import ClauseContext, GrammaticalPosition
+from .treebank import ReportFormat
+
+if TYPE_CHECKING:
+    from .corpus import AggregateCounts
 
 Cell = object  # str | int | float in practice
-
-
-class ReportFormat(Enum):
-    ALIGNED_TEXT = "text"
-    TAB_SEPARATED = "tsv"
-    STRUCTURED_RECORDS = "records"
 
 
 def _format_cell(value: Cell) -> str:

@@ -12,7 +12,6 @@ Significance is reported as a band against the df=1 critical values.
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -127,8 +126,14 @@ def build_pronoun_indefinite_table(
 
 
 def ratio_report(numerator: int, denominator: int) -> float:
-    """Percentage 100*numerator/denominator, rounded half-up to 2 decimals."""
+    """Percentage 100*numerator/denominator, rounded half-up to 2 decimals.
+
+    A tie rounds away from zero, and a negative share that rounds to zero
+    is ``-0.0``.  The rounding is exact: it is done on integers.
+    """
     if denominator <= 0:
         raise ZeroDenominator("denominator must be positive")
-    share = Decimal(100) * Decimal(numerator) / Decimal(denominator)
-    return float(share.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    # Hundredths of a percent: floor(10000*|numerator|/denominator + 1/2).
+    hundredths = (20000 * abs(numerator) + denominator) // (2 * denominator)
+    share = hundredths / 100
+    return -share if numerator < 0 else share

@@ -17,6 +17,7 @@ recursing.
 from __future__ import annotations
 
 import re
+from enum import Enum
 from itertools import islice
 from typing import Iterator, NamedTuple
 
@@ -307,3 +308,16 @@ class SourceSpan(SlottedRecord):
         self.sentence_index = sentence_index
         self.start = start
         self.end = end
+
+
+class ReportFormat(Enum):
+    """Output formats of :mod:`npstat.report`, one per ``--format`` choice.
+
+    Defined in this bottom layer, which every command loads, so that the
+    command line can offer the format names without importing the report
+    layer; :mod:`npstat.report` re-exports it.
+    """
+
+    ALIGNED_TEXT = "text"
+    TAB_SEPARATED = "tsv"
+    STRUCTURED_RECORDS = "records"

@@ -2,11 +2,31 @@
 
 Everything here restates the definitional text naively — flat parent maps and
 literal sibling scans — deliberately sharing no traversal code with the
-library, so agreement is meaningful evidence.
+library, so agreement is meaningful evidence.  The two oracles over a whole
+sentence walk it with an explicit stack, so they reach any depth the parser
+does.
 """
+
+from typing import Iterator
 
 from npstat.queries import VERB_TAGS, LateClosureMatch
 from npstat.treebank import Internal, Leaf, Tree, is_punctuation
+
+
+def _parent_map(tree: Tree) -> tuple[dict[int, Internal], list[Tree]]:
+    """``id(child) -> parent`` for every node but the root, and every node in
+    pre-order; an explicit stack, so any depth works."""
+    parent_of: dict[int, Internal] = {}
+    order: list[Tree] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, Internal):
+            for child in node.children:
+                parent_of[id(child)] = node
+            stack.extend(reversed(node.children))
+    return parent_of, order
 
 
 def oracle_occurrences(tree: Tree) -> dict[int, tuple[str, str]]:
@@ -19,25 +39,13 @@ def oracle_occurrences(tree: Tree) -> dict[int, tuple[str, str]]:
     the clause is an overt "that"; embedded-rc as a direct S child of VP or
     under an SBAR child of VP with an empty complementizer; otherwise other.
     """
-    parent_of: dict[int, Internal] = {}
-    order: list[Tree] = []
+    parent_of, order = _parent_map(tree)
 
-    def walk(node: Tree) -> None:
-        order.append(node)
-        if isinstance(node, Internal):
-            for child in node.children:
-                parent_of[id(child)] = node
-                walk(child)
-
-    walk(tree)
-
-    def ancestors(node: Tree) -> list[Internal]:
-        chain: list[Internal] = []
-        current = node
-        while id(current) in parent_of:
-            current = parent_of[id(current)]
-            chain.append(current)
-        return chain  # nearest ancestor first
+    def ancestors(node: Tree) -> Iterator[Internal]:
+        """Nearest first, up to the root; lazy, so a search stops where it hits."""
+        while id(node) in parent_of:
+            node = parent_of[id(node)]
+            yield node
 
     results: dict[int, tuple[str, str]] = {}
     for node in order:
@@ -58,15 +66,13 @@ def oracle_occurrences(tree: Tree) -> dict[int, tuple[str, str]]:
         else:
             continue
 
-        chain = ancestors(node)
-        governing = next((a for a in chain if a.category == "S"), chain[-1])
-        above = ancestors(governing)
-        if not any(a.category in ("S", "SBAR") for a in above):
+        governing = next((a for a in ancestors(node) if a.category == "S"), tree)
+        if not any(a.category in ("S", "SBAR") for a in ancestors(governing)):
             context = "matrix"
         else:
             context = "embedded-other"
-            enclosing = above[0] if above else None
-            outer = above[1] if len(above) > 1 else None
+            above = ancestors(governing)
+            enclosing, outer = next(above, None), next(above, None)
             if (
                 enclosing is not None
                 and enclosing.category == "SBAR"
@@ -96,16 +102,23 @@ def oracle_occurrences(tree: Tree) -> dict[int, tuple[str, str]]:
 def oracle_leaf_ranges(tree: Tree) -> dict[int, tuple[int, int]]:
     """Map id(internal node) -> half-open range of its leaves in the sentence.
 
-    The range runs from the position of the node's first leaf to that of its
-    last leaf, plus one; leaves are found by identity in the sentence's leaf
-    list.
+    Leaves are numbered in pre-order.  A node's range runs from the start of
+    its first child's range to the end of its last child's; children are
+    settled before their parents by visiting the nodes in reverse pre-order.
     """
-    position = {id(leaf): i for i, leaf in enumerate(tree.leaves())}
+    _, order = _parent_map(tree)
+    span: dict[int, tuple[int, int]] = {}
+    leaves = 0
+    for node in order:
+        if isinstance(node, Leaf):
+            span[id(node)] = (leaves, leaves + 1)
+            leaves += 1
     ranges: dict[int, tuple[int, int]] = {}
-    for node in tree.iter_nodes():
+    for node in reversed(order):
         if isinstance(node, Internal):
-            node_leaves = node.leaves()
-            ranges[id(node)] = (position[id(node_leaves[0])], position[id(node_leaves[-1])] + 1)
+            span[id(node)] = ranges[id(node)] = (
+                span[id(node.children[0])][0], span[id(node.children[-1])][1]
+            )
     return ranges
 
 

@@ -225,22 +225,55 @@ class TestFailurePaths:
 
 
 class TestStartUp:
-    def test_cli_imports_neither_dataclasses_nor_inspect(self):
-        # Each command is a fresh process, so these imports would cost every
-        # run; -S keeps site hooks from importing them first.
+    # Each command is a fresh process, so whatever it imports costs every run.
+
+    def main_in_fresh_process(self, argv):
+        """Exit code, stdout lines and loaded module names of ``main(argv)`` in
+        a new ``python -S``, so that no site hook imports anything first."""
         src = Path(npstat.__file__).resolve().parents[1]
         probe = (
             "import sys\n"
             f"sys.path.insert(0, {str(src)!r})\n"
             "import npstat.cli\n"
-            "npstat.cli.main(['--dump-default-config'])\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            f"code = npstat.cli.main({argv!r})\n"
+            "print(code, *sorted(sys.modules))\n"
         )
         child = subprocess.run([sys.executable, "-S", "-c", probe],
                                capture_output=True, text=True, timeout=60)
         assert child.returncode == 0, child.stderr
-        assert child.stdout.startswith("# npstat givenness classifier configuration")
-        assert child.stdout.splitlines()[-1] == "[]"
+        *output, last = child.stdout.splitlines()
+        code, *modules = last.split()
+        return int(code), output, set(modules)
+
+    def test_cli_imports_neither_dataclasses_nor_inspect(self):
+        code, output, modules = self.main_in_fresh_process(["--dump-default-config"])
+        assert code == EXIT_OK
+        assert output[0] == "# npstat givenness classifier configuration"
+        assert not {"dataclasses", "inspect"} & modules
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--dump-default-config"], EXIT_OK),
+        (["--help"], EXIT_OK),
+        (["chisq", "--help"], EXIT_OK),
+        (["--no-such-flag"], EXIT_MISSING_INPUT),
+        (["table1", "--format", "xml"], EXIT_MISSING_INPUT),
+    ], ids=["dump-default-config", "help", "chisq-help", "usage-error",
+            "subcommand-usage-error"])
+    def test_parser_paths_load_no_pipeline_layer(self, argv, expected):
+        code, _, modules = self.main_in_fresh_process(argv)
+        assert code == expected
+        assert not modules & {"npstat.queries", "npstat.corpus", "npstat.report",
+                              "npstat.stats", "logging", "json", "decimal"}
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--from-counts", *from_counts_args(BROWN_TABLE1)],
+        ["chisq", "--cells", "1", "2", "3", "4"],
+    ], ids=["table1", "chisq"])
+    def test_count_only_modes_load_no_corpus_layer(self, argv):
+        code, output, modules = self.main_in_fresh_process(argv)
+        assert code == EXIT_OK
+        assert output
+        assert not modules & {"npstat.corpus", "logging"}
 
 
 class TestTable1Command:

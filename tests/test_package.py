@@ -1,0 +1,64 @@
+"""The package's library surface: every name in ``npstat.__all__`` is there,
+and a submodule is imported only when one of its names is first used."""
+
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import npstat
+
+
+def test_import_loads_no_submodule():
+    src = Path(npstat.__file__).resolve().parents[1]
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import npstat\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('npstat')))\n"
+        "npstat.parse_trees\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('npstat')))\n"
+    )
+    child = subprocess.run([sys.executable, "-S", "-c", probe],
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["npstat", "npstat npstat.treebank"]
+
+
+def test_every_export_is_its_submodules_object():
+    wrong = [
+        name for name in npstat.__all__
+        if getattr(npstat, name)
+        is not getattr(importlib.import_module(f"npstat.{npstat._SUBMODULE_OF[name]}"), name)
+    ]
+    assert wrong == []
+
+
+def test_exports_are_listed_once():
+    assert sorted(npstat._SUBMODULE_OF) == sorted(npstat.__all__)
+    assert len(npstat.__all__) == len(set(npstat.__all__))
+
+
+def test_dir_lists_every_export():
+    assert set(npstat.__all__) <= set(dir(npstat))
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from npstat import *", namespace)
+    unbound = [name for name in npstat.__all__
+               if namespace.get(name) is not getattr(npstat, name)]
+    assert unbound == []
+
+
+def test_submodules_are_attributes():
+    assert npstat.corpus is importlib.import_module("npstat.corpus")
+    assert npstat.report.render_rows is npstat.render_rows
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        npstat.no_such_name
+    assert not hasattr(npstat, "no_such_name")

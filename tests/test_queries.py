@@ -1,6 +1,10 @@
 """Structural query tests: NP positions, clause contexts, late-closure
 configurations, fronted adverbials, verb frames."""
 
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from npstat.queries import (
@@ -189,6 +193,48 @@ def right_branching_chain(clauses: int) -> Tree:
     return tree
 
 
+def check_against_oracles(tree: Tree, checked: Counter) -> None:
+    """All three queries on one sentence against the oracles: positions and
+    contexts, every span, and late-closure soundness; ``checked`` counts what
+    was compared."""
+    ranges = oracle_leaf_ranges(tree)
+    leaves = tree.leaves()
+    occurrences = extract_np_occurrences(tree)
+    actual = {id(o.node): (o.position.value, o.context.value) for o in occurrences}
+    assert len(actual) == len(occurrences), "an NP was reported twice"
+    assert actual == oracle_occurrences(tree)
+    for occ in occurrences:
+        assert (occ.span.start, occ.span.end) == ranges[id(occ.node)]
+        checked["occurrences"] += 1
+    for match in find_late_closure_configs(tree):
+        assert late_closure_match_is_sound(tree, match)
+        assert leaves[match.span.start] is match.final_verb
+        assert match.span.end == ranges[id(match.critical_np)][1]
+        checked["matches"] += 1
+    for record in survey_fronted_adverbials(tree):
+        assert (record.span.start, record.span.end) in {
+            ranges[id(child)]
+            for child in tree.children
+            if child.category == record.category
+        }
+        checked["adverbials"] += 1
+
+
+def deep_clauses_trees(root: Path) -> list[Tree]:
+    """Every sentence of the benchmark's deep-clauses corpus, generated under
+    ``root`` by ``perfbench/gen.py``."""
+    gen_py = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", gen_py)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.generate("deep-clauses", 1, root)
+    return [
+        tree
+        for path in sorted((root / "corpus").rglob("*.mrg"))
+        for tree in parse_trees(path.read_text(encoding="utf-8"))
+    ]
+
+
 class TestLeafSpans:
     def test_agrees_with_oracle(self, smoke_corpus):
         trees = [
@@ -197,25 +243,24 @@ class TestLeafSpans:
             for tree in parse_trees(path.read_text(encoding="utf-8"))
         ]
         trees += random_trees(seed=420, count=300, max_nodes=200)
-        checked = {"occurrences": 0, "matches": 0, "adverbials": 0}
+        checked: Counter = Counter()
         for tree in trees:
-            ranges = oracle_leaf_ranges(tree)
-            leaves = tree.leaves()
-            for occ in extract_np_occurrences(tree):
-                assert (occ.span.start, occ.span.end) == ranges[id(occ.node)]
-                checked["occurrences"] += 1
-            for match in find_late_closure_configs(tree):
-                assert leaves[match.span.start] is match.final_verb
-                assert match.span.end == ranges[id(match.critical_np)][1]
-                checked["matches"] += 1
-            for record in survey_fronted_adverbials(tree):
-                assert (record.span.start, record.span.end) in {
-                    ranges[id(child)]
-                    for child in tree.children
-                    if child.category == record.category
-                }
-                checked["adverbials"] += 1
-        assert all(checked.values()), checked
+            check_against_oracles(tree, checked)
+        assert len(checked) == 3, checked
+
+    @pytest.mark.parametrize("clauses", [2_000, 10_000])
+    def test_agrees_with_oracle_on_deep_chains(self, clauses):
+        checked: Counter = Counter()
+        check_against_oracles(right_branching_chain(clauses), checked)
+        assert checked == {"occurrences": clauses + 2, "matches": 2, "adverbials": 1}
+
+    def test_agrees_with_oracle_on_deep_clauses_corpus(self, tmp_path):
+        trees = deep_clauses_trees(tmp_path / "deep-clauses")
+        assert len(trees) == 6
+        checked: Counter = Counter()
+        for tree in trees:
+            check_against_oracles(tree, checked)
+        assert len(checked) == 3, checked
 
     def test_queries_do_not_rewalk_subtrees_at_depth(self, monkeypatch):
         collect = Tree.leaves
@@ -246,17 +291,17 @@ class TestLeafSpans:
                 ("ended", "we"), ("ended", "the guests"),
             ]
             assert all(late_closure_match_is_sound(tree, m) for m in matches)
-            # The recursive oracle cannot reach 2,000 clauses, so the contexts
-            # are written out: the root's adverbial clause, the root, the
-            # reduced complements, then the innermost adverbial clause and the
-            # innermost complement.
+            # The contexts written out (test_agrees_with_oracle_on_deep_chains
+            # checks them against the oracle): the root's adverbial clause, the
+            # root, the reduced complements, then the innermost adverbial
+            # clause and the innermost complement.
             assert [(o.position.value, o.context.value) for o in occurrences] == (
                 [("subject", "embedded-other"), ("subject", "matrix")]
                 + [("subject", "embedded-rc")] * (depth - 2)
                 + [("subject", "embedded-other"), ("subject", "embedded-rc")]
             )
             assert [(a.category, a.comma_delimited) for a in adverbials] == [("SBAR", False)]
-            # The recursive oracle's leaf ranges, by identity, without it.
+            # Leaf ranges by identity in the sentence's leaf list.
             position = {id(leaf): i for i, leaf in enumerate(tree.leaves())}
             for occ in occurrences:
                 node_leaves = occ.node.leaves()

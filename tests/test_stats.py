@@ -1,8 +1,10 @@
 """Chi-square, significance banding and percentage tests."""
 
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from npstat.corpus import AggregateCounts
 from npstat.givenness import GivennessCategory
@@ -159,6 +161,20 @@ class TestPercentages:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDenominator):
             ratio_report(5, 0)
+
+    # Within these bounds the 28-digit Decimal quotient is far closer to the
+    # exact one than any quotient that is not a tie is to a tie, so the
+    # reference rounds the exact percentage.
+    @given(st.integers(-10**9, 10**9), st.integers(1, 10**9))
+    @example(-1, 100000)  # rounds to -0.0
+    @example(-1, 800)     # a negative tie rounds away from zero
+    @example(1, 800)
+    @example(0, 1)
+    def test_matches_decimal_half_up(self, numerator, denominator):
+        share = Decimal(100) * Decimal(numerator) / Decimal(denominator)
+        expected = float(share.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(ratio_report(numerator, denominator)) == repr(expected)
 
 
 class TestPronounIndefiniteTable:
