@@ -31,6 +31,7 @@ is set up only when a corpus is about to be read.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections import Counter
@@ -274,7 +275,6 @@ def cmd_late_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_adverbials(args: argparse.Namespace) -> int:
-    from .queries import survey_fronted_adverbials
     from .report import render_rows
     from .stats import ratio_report
 
@@ -291,6 +291,7 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
         print(render_rows(columns, rows, args.format, "adverbial-row"))
         return EXIT_OK
     from .corpus import FileTally
+    from .queries import survey_fronted_adverbials
 
     files = FileTally()
     totals: Counter[str] = Counter()
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="test an explicit 2x2 table (row-major) instead of a corpus",
     )
     p.add_argument(
-        "--contexts", type=_context_set, default="all", metavar="LIST",
+        "--contexts", type=_context_set, metavar="LIST",
         help=f"comma-separated clause contexts to pool: {', '.join(_CONTEXT_TOKENS)} "
              "(default: all)",
     )
@@ -484,7 +485,17 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Entry point of the ``npstat`` command and of ``python -m npstat.cli``."""
+    # Trees hold no reference cycles, so reference counting frees them, and a
+    # command leaves the same small amount of cyclic garbage (its argument
+    # parser) however large the corpus.  The cyclic collector would only
+    # rescan live trees, during the run and once more over every object at
+    # exit; freezing moves what is left out of the exit sweep.  ``main`` keeps
+    # the caller's GC state, so tests and library callers are unaffected.
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

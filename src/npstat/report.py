@@ -13,11 +13,9 @@ position x clause context) with its derived TC+RC and total rows.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .givenness import GivennessCategory
-from .queries import ClauseContext, GrammaticalPosition
 from .treebank import ReportFormat
 
 if TYPE_CHECKING:
@@ -49,6 +47,8 @@ def render_rows(
                 f"row has {len(row)} cells, expected {len(columns)}: {row!r}"
             )
     if fmt is ReportFormat.STRUCTURED_RECORDS:
+        import json
+
         lines = [
             json.dumps({"record": record_type, **dict(zip(columns, row))})
             for row in rows
@@ -82,6 +82,8 @@ def render_rows(
 
 def parse_records(text: str) -> list[dict]:
     """Inverse of the records format: one dict per non-blank line."""
+    import json
+
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
@@ -100,14 +102,16 @@ TABLE1_COLUMNS = (
     "nonsubj_matrix",
 )
 
-# Per-category base cells accepted by from_counts, in feed order.
+# Per-category base cells accepted by from_counts, in feed order, as
+# (GrammaticalPosition, ClauseContext) member names: the query layer that
+# defines them is imported only when a table is built from a corpus.
 BASE_CELLS = (
-    (GrammaticalPosition.SUBJECT, ClauseContext.EMBEDDED_TC),
-    (GrammaticalPosition.SUBJECT, ClauseContext.EMBEDDED_RC),
-    (GrammaticalPosition.SUBJECT, ClauseContext.MATRIX),
-    (GrammaticalPosition.NON_SUBJECT, ClauseContext.EMBEDDED_TC),
-    (GrammaticalPosition.NON_SUBJECT, ClauseContext.EMBEDDED_RC),
-    (GrammaticalPosition.NON_SUBJECT, ClauseContext.MATRIX),
+    ("SUBJECT", "EMBEDDED_TC"),
+    ("SUBJECT", "EMBEDDED_RC"),
+    ("SUBJECT", "MATRIX"),
+    ("NON_SUBJECT", "EMBEDDED_TC"),
+    ("NON_SUBJECT", "EMBEDDED_RC"),
+    ("NON_SUBJECT", "MATRIX"),
 )
 
 
@@ -147,8 +151,11 @@ class Table1Block(NamedTuple):
 
     @classmethod
     def from_aggregate(cls, agg: AggregateCounts, label: str = "corpus") -> "Table1Block":
+        from .queries import ClauseContext, GrammaticalPosition
+
+        cells = [(GrammaticalPosition[pos], ClauseContext[ctx]) for pos, ctx in BASE_CELLS]
         rows = {
-            cat: Table1Row(*(agg.cell(cat, pos, ctx) for pos, ctx in BASE_CELLS))
+            cat: Table1Row(*(agg.cell(cat, pos, ctx) for pos, ctx in cells))
             for cat in GivennessCategory
         }
         return cls(label=label, rows=rows)

@@ -16,11 +16,11 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .givenness import GivennessCategory
-from .queries import ClauseContext, GrammaticalPosition
 from .treebank import SlottedRecord
 
 if TYPE_CHECKING:
     from .corpus import AggregateCounts
+    from .queries import ClauseContext
 
 
 class DegenerateMargin(ValueError):
@@ -103,16 +103,19 @@ def chi_square_2x2(table: ContingencyTable2x2) -> ChiSquareResult:
 
 
 def build_pronoun_indefinite_table(
-    aggregate: "AggregateCounts",
-    context_filter: Iterable[ClauseContext] = tuple(ClauseContext),
+    aggregate: AggregateCounts,
+    context_filter: Iterable[ClauseContext] | None = None,
 ) -> ContingencyTable2x2:
     """Cross-tabulate pronoun/indefinite against subject/non-subject.
 
-    Cells are summed over the given clause contexts (default: all four):
-    a = pronoun subjects, b = pronoun non-subjects, c = indefinite subjects,
-    d = indefinite non-subjects.
+    Cells are summed over the given clause contexts (default, ``None``: all
+    four): a = pronoun subjects, b = pronoun non-subjects, c = indefinite
+    subjects, d = indefinite non-subjects.
     """
-    contexts = set(context_filter)
+    # Imported here, so that the count-only modes never load the query layer.
+    from .queries import ClauseContext, GrammaticalPosition
+
+    contexts = set(ClauseContext if context_filter is None else context_filter)
 
     def cell(category: GivennessCategory, position: GrammaticalPosition) -> int:
         return sum(aggregate.cell(category, position, ctx) for ctx in contexts)

@@ -12,6 +12,12 @@ Both common top-level layouts are accepted: bare ``(S ...)`` trees and trees
 wrapped in an extra unlabeled ``( ... )`` pair.  Nesting depth is unbounded:
 parsing, leaf collection and serialization keep explicit stacks instead of
 recursing.
+
+The parser reads three kinds of token: a whole preterminal ``(POS word)``; an
+opening bracket together with its label, when another ``(`` follows; and any
+other bracket or word on its own.  Most of a treebank is preterminals and
+labeled openings, so a sentence takes under half as many tokens as it has
+brackets and words.
 """
 
 from __future__ import annotations
@@ -160,7 +166,13 @@ class Internal(Tree):
         return self.label.category
 
 
-_TOKEN_RE = re.compile(r"[()]|[^()\s]+")
+# Three token kinds, as (head, word, tok) group values:
+#   a whole preterminal "(POS word)"          -> (POS, word, None)
+#   "(" and its label when a "(" follows      -> (label, None, None)
+#   any other "(", ")" or word                -> (None, None, tok)
+# Backtracking cannot split a label or word, so each text has one tokenization.
+_TOKEN_RE = re.compile(
+    r"\(\s*([^()\s]+)(?:\s+([^()\s]+)\s*\)|(?=\s*\())|([()]|[^()\s]+)")
 
 
 def _offset(text: str, k: int) -> int:
@@ -178,14 +190,21 @@ def parse_trees(text: str) -> list[Tree]:
     :class:`UnbalancedBrackets` or :class:`EmptyConstituent` (subclasses of
     :class:`TreebankSyntaxError`) at the first defect it meets.
     """
-    tokens = _TOKEN_RE.findall(text)
+    # ``split`` gives the text before the first token, then per token its three
+    # group values and the whitespace after it: token k is parts[4k+1:4k+4].
+    # A flat list of strings holds nothing the cyclic collector tracks, where
+    # ``findall`` would build a tuple per token.
+    parts = _TOKEN_RE.split(text)
+    groups = iter(parts)
+    next(groups)
     trees: list[Tree] = []
     labels: dict[str, NodeLabel] = {}
     # One frame per open group: [token index of its '(', label, items].  The
     # label is None until the first item, and stays None when that item is a
-    # group.  A labeled frame's lone word item sits at token index + 2.
+    # group.  A labeled frame's lone word item sits at token index + 2: such a
+    # frame opened with a bare "(", and its label and word are bare tokens.
     stack: list[list] = []
-    for k, tok in enumerate(tokens):
+    for k, (head, word, tok, _) in enumerate(zip(groups, groups, groups, groups)):
         if tok == ")":
             if not stack:
                 raise UnbalancedBrackets("unmatched ')'", _offset(text, k))
@@ -209,27 +228,35 @@ def parse_trees(text: str) -> list[Tree]:
                 node = Internal(node_label, tuple(items))
             (stack[-1][2] if stack else trees).append(node)
             continue
+        # Every token but a bare word opens a group.
+        opens = tok is None or tok == "("
         if not stack:
-            if tok != "(":
+            if not opens:
                 raise TreebankSyntaxError(f"stray text {tok!r} between trees", _offset(text, k))
-            stack.append([k, None, []])
+            if word:
+                trees.append(Leaf(head, word))
+            else:
+                stack.append([k, head, []])
             continue
-        # ``tok`` starts the next item of the innermost open group.
+        # The token starts the next item of the innermost open group.
         frame = stack[-1]
         start, label, items = frame
         if items:
             if label is None:
                 if len(stack) > 1:
                     raise EmptyConstituent("constituent has no label", _offset(text, start))
-                if tok != "(":
+                if not opens:
                     raise TreebankSyntaxError(
                         f"stray token {tok!r} outside a constituent", _offset(text, k))
-            elif type(items[0]) is str or tok != "(":
+            elif type(items[0]) is str or not opens:
                 word_at = start + 2 if type(items[0]) is str else k
                 raise TreebankSyntaxError(
-                    f"word {tokens[word_at]!r} outside a preterminal", _offset(text, word_at))
-        if tok == "(":
-            stack.append([k, None, []])
+                    f"word {parts[4 * word_at + 3]!r} outside a preterminal",
+                    _offset(text, word_at))
+        if word:
+            items.append(Leaf(head, word))
+        elif opens:
+            stack.append([k, head, []])
         elif label is None:
             frame[1] = tok
         else:

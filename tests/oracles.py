@@ -4,13 +4,97 @@ Everything here restates the definitional text naively — flat parent maps and
 literal sibling scans — deliberately sharing no traversal code with the
 library, so agreement is meaningful evidence.  The two oracles over a whole
 sentence walk it with an explicit stack, so they reach any depth the parser
-does.
+does.  :func:`oracle_parse` reads every bracket and word as its own token,
+where the library reads a preterminal as one, and is the reference for the
+parser's trees and errors.
 """
 
+import re
+from itertools import islice
 from typing import Iterator
 
 from npstat.queries import VERB_TAGS, LateClosureMatch
-from npstat.treebank import Internal, Leaf, Tree, is_punctuation
+from npstat.treebank import (
+    EmptyConstituent,
+    Internal,
+    Leaf,
+    NodeLabel,
+    Tree,
+    TreebankSyntaxError,
+    UnbalancedBrackets,
+    is_punctuation,
+)
+
+# One token per bracket and per word: a preterminal is four tokens.
+_ORACLE_TOKEN_RE = re.compile(r"[()]|[^()\s]+")
+
+
+def _oracle_offset(text: str, k: int) -> int:
+    return next(islice(_ORACLE_TOKEN_RE.finditer(text), k, None)).start()
+
+
+def oracle_parse(text: str) -> list[Tree]:
+    """Reference parser: every bracket and every word is its own token.
+
+    The same trees, and the same error class, message and offset, as
+    :func:`npstat.treebank.parse_trees` must give.  One loop with an explicit
+    stack of frames ``[token index of '(', label, items]``; a labeled frame's
+    lone word item sits at token index + 2.
+    """
+    tokens = _ORACLE_TOKEN_RE.findall(text)
+    trees: list[Tree] = []
+    stack: list[list] = []
+    for k, tok in enumerate(tokens):
+        if tok == ")":
+            if not stack:
+                raise UnbalancedBrackets("unmatched ')'", _oracle_offset(text, k))
+            start, label, items = stack.pop()
+            if label is None:
+                if not items:
+                    raise EmptyConstituent("empty constituent '()'",
+                                           _oracle_offset(text, start))
+                if not stack:
+                    trees.extend(items)
+                    continue
+                node = items[0]
+            elif not items:
+                raise EmptyConstituent(f"constituent {label!r} has no children",
+                                       _oracle_offset(text, start))
+            elif isinstance(items[0], str):
+                node = Leaf(label, items[0])
+            else:
+                node = Internal(NodeLabel.from_string(label), tuple(items))
+            (stack[-1][2] if stack else trees).append(node)
+            continue
+        if not stack:
+            if tok != "(":
+                raise TreebankSyntaxError(f"stray text {tok!r} between trees",
+                                          _oracle_offset(text, k))
+            stack.append([k, None, []])
+            continue
+        frame = stack[-1]
+        start, label, items = frame
+        if items:
+            if label is None:
+                if len(stack) > 1:
+                    raise EmptyConstituent("constituent has no label",
+                                           _oracle_offset(text, start))
+                if tok != "(":
+                    raise TreebankSyntaxError(f"stray token {tok!r} outside a constituent",
+                                              _oracle_offset(text, k))
+            elif isinstance(items[0], str) or tok != "(":
+                word_at = start + 2 if isinstance(items[0], str) else k
+                raise TreebankSyntaxError(f"word {tokens[word_at]!r} outside a preterminal",
+                                          _oracle_offset(text, word_at))
+        if tok == "(":
+            stack.append([k, None, []])
+        elif label is None:
+            frame[1] = tok
+        else:
+            items.append(tok)
+    if stack:
+        raise UnbalancedBrackets("unclosed '('", _oracle_offset(text, stack[-1][0]))
+    return trees
 
 
 def _parent_map(tree: Tree) -> tuple[dict[int, Internal], list[Tree]]:

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driving ``npstat.cli.main``."""
 
+import gc
 import os
 import shutil
 import subprocess
@@ -265,15 +266,91 @@ class TestStartUp:
         assert not modules & {"npstat.queries", "npstat.corpus", "npstat.report",
                               "npstat.stats", "logging", "json", "decimal"}
 
-    @pytest.mark.parametrize("argv", [
-        ["table1", "--from-counts", *from_counts_args(BROWN_TABLE1)],
-        ["chisq", "--cells", "1", "2", "3", "4"],
-    ], ids=["table1", "chisq"])
-    def test_count_only_modes_load_no_corpus_layer(self, argv):
+    @pytest.mark.parametrize("argv, unused", [
+        (["table1", "--from-counts", *from_counts_args(BROWN_TABLE1)], set()),
+        (["chisq", "--cells", "1", "2", "3", "4"], {"npstat.queries"}),
+        (["adverbials", "--from-counts", "1", "2"], {"npstat.queries"}),
+    ], ids=["table1", "chisq", "adverbials"])
+    def test_count_only_modes_load_no_corpus_layer(self, argv, unused):
+        # Text format, so neither is the records format's json needed.
         code, output, modules = self.main_in_fresh_process(argv)
         assert code == EXIT_OK
         assert output
-        assert not modules & {"npstat.corpus", "logging"}
+        assert not modules & {"npstat.corpus", "logging", "json", *unused}
+
+
+class TestCyclicGarbage:
+    # The npstat command runs without the cyclic collector (see cli.run).  That
+    # is sound only while trees hold no reference cycles, so that the garbage a
+    # command leaves for the collector does not grow with the corpus.
+
+    def garbage_left_by(self, capsys, argv):
+        """Objects the cyclic collector finds after ``main(argv)`` ran with it off."""
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            main(argv)
+            return gc.collect()
+        finally:
+            capsys.readouterr()
+            if was_enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_garbage_does_not_grow_with_the_corpus(self, capsys, fixture_corpus,
+                                                   broken_dir, tmp_path, command):
+        larger = tmp_path / "larger"
+        for copy in range(4):
+            shutil.copytree(fixture_corpus, larger / f"copy-{copy}")
+        shutil.copy(broken_dir / "malformed.mrg", larger / "malformed.mrg")
+        argv = CORPUS_COMMANDS[command]
+        self.garbage_left_by(capsys, [*argv, "--corpus", str(fixture_corpus)])  # warm-up
+        small = self.garbage_left_by(capsys, [*argv, "--corpus", str(fixture_corpus)])
+        large = self.garbage_left_by(capsys, [*argv, "--corpus", str(larger)])
+        assert small == large
+
+    @pytest.mark.parametrize("entry", ["run", "main"])
+    def test_only_the_command_entry_point_runs_without_collections(self, smoke_corpus,
+                                                                   entry):
+        src = Path(npstat.__file__).resolve().parents[1]
+        call = "npstat.cli.run()" if entry == "run" else "sys.exit(npstat.cli.main())"
+        probe = (
+            "import gc, sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import npstat.cli\n"
+            "starts = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(1))\n"
+            f"sys.argv = ['npstat', 'table1', '--corpus', {str(smoke_corpus)!r}]\n"
+            "try:\n"
+            f"    {call}\n"
+            "except SystemExit as done:\n"
+            "    print(done.code, len(starts), gc.isenabled(), file=sys.stderr)\n"
+        )
+        child = subprocess.run([sys.executable, "-S", "-c", probe],
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        code, collections, enabled = child.stderr.split()
+        assert child.stdout.startswith(smoke_corpus.name)
+        assert code == str(EXIT_OK)
+        if entry == "run":
+            assert (collections, enabled) == ("0", "False")
+        else:
+            # The corpus is large enough for the collector to run.
+            assert int(collections) > 0 and enabled == "True"
+
+    def test_main_keeps_the_callers_gc_state(self, capsys, fixture_corpus):
+        frozen = gc.get_freeze_count()
+        try:
+            for state in (gc.disable, gc.enable):
+                state()
+                expected = gc.isenabled()
+                assert main(["table1", *corpus_args(fixture_corpus)]) == EXIT_OK
+                assert gc.isenabled() == expected
+                assert gc.get_freeze_count() == frozen
+        finally:
+            gc.enable()
+            capsys.readouterr()
 
 
 class TestTable1Command:

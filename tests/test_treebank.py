@@ -20,6 +20,7 @@ from npstat.treebank import (
     serialize_tree,
 )
 
+from oracles import oracle_parse
 from treegen import random_trees, same_trees
 
 WRAPPED = "( (S (NP-SBJ (DT The) (NN maid)) (VP (VBD disclosed) (NP (DT the) (NN location))) (. .)) )"
@@ -131,8 +132,49 @@ class TestParsing:
         assert str(exc.value) == "word 'DT' outside a preterminal at offset 4"
 
 
+def assert_parses_like_oracle(text):
+    """``parse_trees`` builds the reference parser's trees, or raises its error
+    with the same class, message and offset."""
+    try:
+        expected = oracle_parse(text)
+    except TreebankSyntaxError as err:
+        with pytest.raises(TreebankSyntaxError) as exc:
+            parse_trees(text)
+        got = exc.value
+        assert (type(got), str(got), got.position) == (type(err), str(err), err.position)
+    else:
+        assert same_trees(parse_trees(text), expected)
+
+
+# Characters a mutation may insert: brackets, whitespace and label or word text.
+MUTATION_CHARS = "() \n\tNPS-1=*x"
+
+
+@st.composite
+def mutated_slices(draw, texts):
+    """A slice of one of ``texts`` with up to four characters deleted, inserted,
+    replaced or repeated."""
+    text = draw(st.sampled_from(texts))
+    start = draw(st.integers(0, len(text) - 1))
+    piece = list(text[start:start + draw(st.integers(1, 300))])
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(piece)))
+        edit = draw(st.sampled_from(("delete", "insert", "replace", "repeat")))
+        if edit == "insert":
+            piece.insert(at, draw(st.sampled_from(MUTATION_CHARS)))
+        elif at == len(piece):
+            continue
+        elif edit == "delete":
+            del piece[at]
+        elif edit == "replace":
+            piece[at] = draw(st.sampled_from(MUTATION_CHARS))
+        else:
+            piece[at:at] = piece[at:at + draw(st.integers(1, 8))]
+    return "".join(piece)
+
+
 class TestParserProperties:
-    @settings(deadline=None)
+    @settings(deadline=None, max_examples=500)
     @given(st.one_of(st.text(), st.text(alphabet="() \nNPx")))
     def test_any_text_parses_or_raises_syntax_error(self, text):
         try:
@@ -141,6 +183,20 @@ class TestParserProperties:
             assert not text[err.position].isspace()
         else:
             assert isinstance(trees, list)
+        assert_parses_like_oracle(text)
+
+    def test_corpus_files_parse_like_the_reference(self, smoke_corpus, fixture_corpus,
+                                                   broken_dir):
+        paths = [*smoke_corpus.glob("*.mrg"), *fixture_corpus.glob("*.mrg"),
+                 *broken_dir.glob("*.mrg")]
+        for path in sorted(paths):
+            assert_parses_like_oracle(path.read_text())
+
+    @settings(deadline=None, max_examples=500)
+    @given(data=st.data())
+    def test_mutated_corpus_text_parses_like_the_reference(self, smoke_corpus, data):
+        texts = [path.read_text() for path in sorted(smoke_corpus.glob("*.mrg"))]
+        assert_parses_like_oracle(data.draw(mutated_slices(texts)))
 
     @settings(deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
