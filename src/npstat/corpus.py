@@ -13,12 +13,13 @@ commutative, so any partition of the corpus combines to the same result.
 from __future__ import annotations
 
 import logging
-from pathlib import Path
+from collections import Counter
+from pathlib import Path, PurePath
 from typing import Iterable, Iterator, NamedTuple
 
-from .givenness import ClassifierConfig, DEFAULT_CONFIG, GivennessCategory, classify_np
-from .queries import ClauseContext, GrammaticalPosition, extract_np_occurrences
-from .treebank import SlottedRecord, Tree, TreebankSyntaxError, parse_trees
+from .givenness import ClassifierConfig, DEFAULT_CONFIG, GivennessCategory, classify_overt
+from .queries import ClauseContext, GrammaticalPosition, walk_np_occurrences
+from .treebank import EMPTY_POS, Leaf, SlottedRecord, Tree, TreebankSyntaxError, parse_trees
 
 log = logging.getLogger(__name__)
 
@@ -34,17 +35,11 @@ class CorpusSource(NamedTuple):
     include_glob: str = "*"
 
 
-def _all_cell_keys() -> list[CellKey]:
-    return [
-        (cat, pos, ctx)
-        for cat in GivennessCategory
-        for pos in GrammaticalPosition
-        for ctx in ClauseContext
-    ]
-
-
 def _zero_cells() -> dict[CellKey, int]:
-    return {key: 0 for key in _all_cell_keys()}
+    return {
+        (cat, pos, ctx): 0
+        for cat in GivennessCategory for pos in GrammaticalPosition for ctx in ClauseContext
+    }
 
 
 class AggregateCounts(SlottedRecord):
@@ -95,7 +90,16 @@ def merge(x: AggregateCounts, y: AggregateCounts) -> AggregateCounts:
 
 
 def corpus_files(source: CorpusSource) -> list[Path]:
-    """All matching files under the root, lexicographic by relative path."""
+    """All matching files under the root, lexicographic by relative path.
+
+    A pattern that is absolute or has a ``..`` component could reach files
+    outside the root: it raises ValueError before anything is listed.
+    """
+    pattern = PurePath(source.include_glob)
+    if pattern.anchor or ".." in pattern.parts:
+        raise ValueError(
+            f"glob pattern {source.include_glob!r} must be relative to the corpus "
+            "root, with no '..' component")
     root = Path(source.root_path)
     if not root.is_dir():
         raise RootNotFound(f"corpus root {root} does not exist")
@@ -162,12 +166,24 @@ def ingest(source: CorpusSource) -> Iterator[tuple[str, Tree]]:
 def aggregate(
     stream: Iterable[tuple[str, Tree]], config: ClassifierConfig = DEFAULT_CONFIG
 ) -> AggregateCounts:
-    """Run extraction + classification over a stream and tally every cell."""
-    agg = AggregateCounts()
+    """Run extraction + classification over a stream and tally every cell.
+
+    One walk per sentence: the cascade classifies each NP from its slice of
+    the leaves the extraction walk collected.  Counting a whole sentence's
+    list of keys at once hashes each key once and never counts half a sentence.
+    """
+    counts: Counter[CellKey] = Counter()
+    sentences = 0
     for _, tree in stream:
-        for occ in extract_np_occurrences(tree):
-            agg.increment(classify_np(occ.node, config), occ.position, occ.context)
-        agg.sentences_processed += 1
+        leaves: list[Leaf] = []
+        counts.update([
+            (classify_overt(node, [l for l in leaves[start:end] if l.pos != EMPTY_POS],
+                            config), position, context)
+            for node, position, context, start, end in walk_np_occurrences(tree, leaves)
+        ])
+        sentences += 1
+    agg = AggregateCounts.from_cells(counts)
+    agg.sentences_processed = sentences
     return agg
 
 

@@ -15,6 +15,8 @@ cascade, ordered specific to general:
 
 The classifier never consults discourse context; it is a surface heuristic
 over the NP's own leaves, so identical trees always classify identically.
+The cascade is :func:`classify_overt`, given the NP's overt leaves by a caller
+that already holds them; :func:`classify_np` collects them for one NP.
 """
 
 from __future__ import annotations
@@ -116,19 +118,38 @@ def classify_np(np: Tree, config: ClassifierConfig = DEFAULT_CONFIG) -> Givennes
     """Apply the rule cascade to one NP node; first matching rule wins."""
     if not (isinstance(np, Internal) and np.category == "NP"):
         raise NotAnNP(f"expected an internal NP node, got {np!r}")
+    return classify_overt(np, [l for l in np.leaves() if l.pos != EMPTY_POS], config)
 
-    overt = [l for l in np.leaves() if l.pos != EMPTY_POS]
+
+def _last_overt_leaf(node: Tree) -> Leaf | None:
+    """The rightmost non-``-NONE-`` leaf under ``node``, found right to left."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if type(node) is not Leaf:
+            stack.extend(node.children)  # type: ignore[attr-defined]
+        elif node.pos != EMPTY_POS:
+            return node
+    return None
+
+
+def classify_overt(
+    np: Internal, overt: list[Leaf], config: ClassifierConfig
+) -> GivennessCategory:
+    """The rule cascade, its only copy, over an NP node and its leaves other
+    than ``-NONE-`` in surface order; a walk that holds them passes them in."""
     if not overt:
         return GivennessCategory.EMPTY_CATEGORY
 
-    if len(overt) == 1 and overt[0].pos in config.pronoun_pos_tags:
+    first = overt[0]
+    if len(overt) == 1 and first.pos in config.pronoun_pos_tags:
         return GivennessCategory.PRONOUN
 
     head = next(
         (
             child
             for child in reversed(np.children)
-            if isinstance(child, Leaf)
+            if type(child) is Leaf
             and child.pos != EMPTY_POS
             and not is_punctuation(child)
         ),
@@ -137,18 +158,18 @@ def classify_np(np: Tree, config: ClassifierConfig = DEFAULT_CONFIG) -> Givennes
     if head is not None and head.pos in config.proper_pos_tags:
         return GivennessCategory.PROPER_NAME
 
-    first = overt[0]
-    if first.token.lower() in config.definite_determiners:
+    word = first.token.lower()
+    if word in config.definite_determiners:
         return GivennessCategory.DEFINITE
     if first.pos == "PRP$":
         return GivennessCategory.DEFINITE
     initial = np.children[0]
-    if isinstance(initial, Internal) and initial.category == "NP":
-        initial_overt = [l for l in initial.leaves() if l.pos != EMPTY_POS]
-        if initial_overt and initial_overt[-1].pos == "POS":
+    if type(initial) is Internal and initial.label.category == "NP":
+        last = _last_overt_leaf(initial)
+        if last is not None and last.pos == "POS":
             return GivennessCategory.DEFINITE
 
-    if first.token.lower() in config.indefinite_determiners:
+    if word in config.indefinite_determiners:
         return GivennessCategory.INDEFINITE
     if first.pos == "CD":
         return GivennessCategory.INDEFINITE

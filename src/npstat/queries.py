@@ -25,6 +25,8 @@ surface order is involved.
 
 Each query counts surface leaves inside its own single walk, so a node's
 half-open leaf range is known without collecting its subtree's leaves again.
+The extraction walk also hands out the sentence's leaves, from which
+:func:`npstat.corpus.aggregate` classifies each NP without a second walk.
 """
 
 from __future__ import annotations
@@ -103,10 +105,10 @@ class EmptyInflectionSet(ValueError):
 
 def _position_in_parent(parent: Internal, child_index: int) -> GrammaticalPosition | None:
     """Grammatical position of the NP at ``parent.children[child_index]``."""
-    cat = parent.category
+    cat = parent.label.category
     if cat == "S":
         later_vp = any(
-            isinstance(sib, Internal) and sib.category == "VP"
+            type(sib) is Internal and sib.label.category == "VP"
             for sib in parent.children[child_index + 1:]
         )
         return GrammaticalPosition.SUBJECT if later_vp else GrammaticalPosition.NON_SUBJECT
@@ -144,39 +146,37 @@ def _embedded_context(
     return ClauseContext.EMBEDDED_OTHER
 
 
-def extract_np_occurrences(
-    tree: Tree, file_id: str = "", sentence_index: int = 0
-) -> list[NPOccurrence]:
-    """Find every NP in subject or non-subject position, with clause context.
-
-    NPs whose parent is neither an S nor a VP (e.g. NPs inside PPs or other
-    NPs) are not occurrences of either kind and are omitted.  An NP gets the
-    context of its nearest S ancestor, or matrix when there is none.
-    """
+def walk_np_occurrences(
+    tree: Tree, leaves: list[Leaf]
+) -> list[tuple[Internal, GrammaticalPosition, ClauseContext, int, int]]:
+    """The one walk behind :func:`extract_np_occurrences`: ``(node, position,
+    context, start, end)`` per occurrence, in pre-order, with ``[start, end)``
+    its leaf range; the sentence's leaves are appended to ``leaves``."""
     out: list = []  # an occurrence's slot is filled when its NP's frame pops
-    if not isinstance(tree, Internal):
+    if type(tree) is not Internal:
+        leaves.extend(tree.leaves())
         return out
-    leaf_count = 0
+    add_leaf = leaves.append
     # One frame per node on the path from the root: the iterator over its
     # children, the node, the clause context its NP children get, whether an
     # S or SBAR lies on the path down to and including the node, and, for an
     # NP occurrence, its (slot, first leaf position, grammatical position).
     stack = [
         (enumerate(tree.children), tree, ClauseContext.MATRIX,
-         tree.category in ("S", "SBAR"), None)
+         tree.label.category in ("S", "SBAR"), None)
     ]
     while stack:
         children, parent, context, under_clause, opened = stack[-1]
         for i, child in children:
-            if not isinstance(child, Internal):
-                leaf_count += 1
+            if type(child) is Leaf:
+                add_leaf(child)
                 continue
-            category = child.category
+            category = child.label.category
             child_opened = None
             if category == "NP":
                 position = _position_in_parent(parent, i)
                 if position is not None:
-                    child_opened = (len(out), leaf_count, position)
+                    child_opened = (len(out), len(leaves), position)
                     out.append(None)
             child_context = context
             if category == "S" and under_clause:
@@ -192,13 +192,24 @@ def extract_np_occurrences(
             if opened is not None:
                 # An NP passes its context on unchanged: it is the occurrence's.
                 slot, start, position = opened
-                out[slot] = NPOccurrence(
-                    node=parent,
-                    position=position,
-                    context=context,
-                    span=SourceSpan(file_id, sentence_index, start, leaf_count),
-                )
+                out[slot] = (parent, position, context, start, len(leaves))
     return out
+
+
+def extract_np_occurrences(
+    tree: Tree, file_id: str = "", sentence_index: int = 0
+) -> list[NPOccurrence]:
+    """Find every NP in subject or non-subject position, with clause context.
+
+    NPs whose parent is neither an S nor a VP (e.g. NPs inside PPs or other
+    NPs) are not occurrences of either kind and are omitted.  An NP gets the
+    context of its nearest S ancestor, or matrix when there is none.
+    """
+    return [
+        NPOccurrence(node, position, context,
+                     SourceSpan(file_id, sentence_index, start, end))
+        for node, position, context, start, end in walk_np_occurrences(tree, [])
+    ]
 
 
 class SubjectTagCrosscheck(NamedTuple):
@@ -381,8 +392,7 @@ def _sbar_kind(sbar: Internal) -> str | None:
 
 
 def _frame_of(parent: Internal, verb_index: int) -> FrameType:
-    siblings = [c for c in parent.children[verb_index + 1:]]
-    internals = [c for c in siblings if isinstance(c, Internal)]
+    internals = [c for c in parent.children[verb_index + 1:] if isinstance(c, Internal)]
     if any(c.category == "NP" and not is_empty_category(c) for c in internals):
         return FrameType.NP_COMPLEMENT
     sbar_kinds = [_sbar_kind(c) for c in internals if c.category == "SBAR"]

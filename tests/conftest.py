@@ -1,6 +1,9 @@
+import importlib.util
 from pathlib import Path
 
 import pytest
+
+from npstat.treebank import Tree, parse_trees
 
 from corpusgen import build_corpus
 
@@ -22,3 +25,20 @@ def broken_dir() -> Path:
 def smoke_corpus(tmp_path_factory) -> Path:
     """Deterministic 8-file, 200-sentence synthetic corpus."""
     return build_corpus(tmp_path_factory.mktemp("smoke-corpus"))
+
+
+@pytest.fixture(scope="session")
+def deep_clauses_trees(tmp_path_factory) -> list[Tree]:
+    """Every sentence of the benchmark's deep-clauses corpus (seed 1),
+    generated by ``perfbench/gen.py``."""
+    gen_py = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", gen_py)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    root = tmp_path_factory.mktemp("deep-clauses")
+    gen.generate("deep-clauses", 1, root)
+    return [
+        tree
+        for path in sorted((root / "corpus").rglob("*.mrg"))
+        for tree in parse_trees(path.read_text(encoding="utf-8"))
+    ]

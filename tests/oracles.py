@@ -6,14 +6,18 @@ library, so agreement is meaningful evidence.  The two oracles over a whole
 sentence walk it with an explicit stack, so they reach any depth the parser
 does.  :func:`oracle_parse` reads every bracket and word as its own token,
 where the library reads a preterminal as one, and is the reference for the
-parser's trees and errors.
+parser's trees and errors.  :func:`reference_aggregate_cells` is the other
+exception: it is the composition that :func:`npstat.corpus.aggregate` fuses
+into one walk, kept as that walk's reference.
 """
 
 import re
 from itertools import islice
 from typing import Iterator
 
-from npstat.queries import VERB_TAGS, LateClosureMatch
+from npstat.corpus import AggregateCounts, CellKey
+from npstat.givenness import ClassifierConfig, classify_np
+from npstat.queries import VERB_TAGS, LateClosureMatch, extract_np_occurrences
 from npstat.treebank import (
     EmptyConstituent,
     Internal,
@@ -244,3 +248,14 @@ def with_comma_after(node: Tree, target: Leaf) -> Tree:
         else:
             children.append(with_comma_after(child, target))
     return Internal(label=node.label, children=tuple(children))
+
+
+def reference_aggregate_cells(trees: list[Tree], config: ClassifierConfig) -> dict[CellKey, int]:
+    """The cells :func:`npstat.corpus.aggregate` must give for ``trees``:
+    :func:`classify_np`, which collects each NP's leaves again, on every
+    occurrence that :func:`extract_np_occurrences` finds."""
+    agg = AggregateCounts()
+    for tree in trees:
+        for occ in extract_np_occurrences(tree):
+            agg.increment(classify_np(occ.node, config), occ.position, occ.context)
+    return agg.cells

@@ -22,7 +22,7 @@ from npstat.cli import (
     main,
 )
 from npstat import corpus
-from npstat.givenness import DEFAULT_CONFIG, ClassifierConfig, classify_np
+from npstat.givenness import DEFAULT_CONFIG, ClassifierConfig, classify_overt
 from npstat.report import parse_records
 
 from refvalues import (
@@ -150,6 +150,21 @@ class TestFailurePaths:
         (skip,) = skip_warnings(caplog)
         assert skip.startswith("skipping b.mrg: ")
 
+    @pytest.mark.parametrize("pattern", ["/x", "../corpus/*", "sub/../*.mrg"])
+    @pytest.mark.parametrize("command", ["parse", "table1"])
+    def test_glob_outside_root_exits_2_before_reading(self, capsys, monkeypatch,
+                                                      fixture_corpus, command, pattern):
+        def no_read(path, *args, **kwargs):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(Path, "read_text", no_read)
+        code, out, err = run(capsys, [*CORPUS_COMMANDS[command], *corpus_args(fixture_corpus),
+                                      "--glob", pattern])
+        assert code == EXIT_MISSING_INPUT
+        assert out == ""
+        assert err == (f"error: glob pattern {pattern!r} must be relative to the corpus "
+                       "root, with no '..' component\n")
+
     @pytest.mark.parametrize("error", [PermissionError, FileNotFoundError])
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
     def test_unreadable_file_is_skipped(self, capsys, caplog, monkeypatch, fixture_corpus,
@@ -193,13 +208,13 @@ class TestFailurePaths:
     def test_internal_error_exits_70(self, capsys, monkeypatch, fixture_corpus):
         calls = []
 
-        def failing_classify(node, config):
+        def failing_classify(node, overt, config):
             calls.append(node)
             if len(calls) == 2:
                 raise RuntimeError("planted defect")
-            return classify_np(node, config)
+            return classify_overt(node, overt, config)
 
-        monkeypatch.setattr(corpus, "classify_np", failing_classify)
+        monkeypatch.setattr(corpus, "classify_overt", failing_classify)
         code, out, err = run(capsys, ["table1", *corpus_args(fixture_corpus)])
         assert code == EXIT_INTERNAL_ERROR
         assert out == ""

@@ -4,6 +4,7 @@ import logging
 import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npstat.corpus import (
     AggregateCounts,
@@ -16,8 +17,11 @@ from npstat.corpus import (
     merge,
     read_files,
 )
-from npstat.givenness import GivennessCategory
+from npstat.givenness import DEFAULT_CONFIG, ClassifierConfig, GivennessCategory
 from npstat.queries import ClauseContext, GrammaticalPosition
+
+from oracles import reference_aggregate_cells
+from treegen import random_trees
 
 EC = GivennessCategory.EMPTY_CATEGORY
 PRO = GivennessCategory.PRONOUN
@@ -167,6 +171,53 @@ class TestAggregate:
             combined = merge(combined, aggregate(pairs[start: start + 3]))
         assert combined.cells == single.cells
         assert combined.sentences_processed == single.sentences_processed
+
+
+# The default classifier and one that moves NPs between categories: a config
+# that aggregate failed to pass on would give the default's cells.
+CONFIGS = (
+    DEFAULT_CONFIG,
+    ClassifierConfig(
+        pronoun_pos_tags=frozenset({"PRP"}),
+        proper_pos_tags=frozenset({"NNP"}),
+        definite_determiners=frozenset({"the", "his"}),
+        indefinite_determiners=frozenset({"a", "some", "this", "three"}),
+    ),
+)
+
+
+def corpus_trees(root) -> list:
+    return [tree for _, tree in ingest(CorpusSource(root))]
+
+
+class TestAggregateReference:
+    """aggregate's one walk gives the cells of classify_np over
+    extract_np_occurrences."""
+
+    @staticmethod
+    def check(trees, config):
+        cells = aggregate([("f", tree) for tree in trees], config).cells
+        assert cells == reference_aggregate_cells(trees, config)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), config=st.sampled_from(CONFIGS))
+    def test_random_trees(self, seed, config):
+        self.check(random_trees(seed, count=20, max_nodes=120), config)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_fixture_and_smoke_corpora(self, fixture_corpus, smoke_corpus, config):
+        self.check(corpus_trees(fixture_corpus) + corpus_trees(smoke_corpus), config)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_deep_clauses_corpus(self, deep_clauses_trees, config):
+        self.check(deep_clauses_trees, config)
+
+    def test_configs_give_different_cells(self, fixture_corpus, smoke_corpus,
+                                          deep_clauses_trees):
+        for trees in (corpus_trees(fixture_corpus) + corpus_trees(smoke_corpus),
+                      deep_clauses_trees):
+            default, other = (reference_aggregate_cells(trees, c) for c in CONFIGS)
+            assert default != other
 
 
 class TestMerge:

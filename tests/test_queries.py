@@ -1,12 +1,12 @@
 """Structural query tests: NP positions, clause contexts, late-closure
 configurations, fronted adverbials, verb frames."""
 
-import importlib.util
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
+from npstat.corpus import aggregate
+from npstat.givenness import GivennessCategory
 from npstat.queries import (
     ClauseContext,
     EmptyInflectionSet,
@@ -220,21 +220,6 @@ def check_against_oracles(tree: Tree, checked: Counter) -> None:
         checked["adverbials"] += 1
 
 
-def deep_clauses_trees(root: Path) -> list[Tree]:
-    """Every sentence of the benchmark's deep-clauses corpus, generated under
-    ``root`` by ``perfbench/gen.py``."""
-    gen_py = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", gen_py)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    gen.generate("deep-clauses", 1, root)
-    return [
-        tree
-        for path in sorted((root / "corpus").rglob("*.mrg"))
-        for tree in parse_trees(path.read_text(encoding="utf-8"))
-    ]
-
-
 class TestLeafSpans:
     def test_agrees_with_oracle(self, smoke_corpus):
         trees = [
@@ -254,11 +239,10 @@ class TestLeafSpans:
         check_against_oracles(right_branching_chain(clauses), checked)
         assert checked == {"occurrences": clauses + 2, "matches": 2, "adverbials": 1}
 
-    def test_agrees_with_oracle_on_deep_clauses_corpus(self, tmp_path):
-        trees = deep_clauses_trees(tmp_path / "deep-clauses")
-        assert len(trees) == 6
+    def test_agrees_with_oracle_on_deep_clauses_corpus(self, deep_clauses_trees):
+        assert len(deep_clauses_trees) == 6
         checked: Counter = Counter()
-        for tree in trees:
+        for tree in deep_clauses_trees:
             check_against_oracles(tree, checked)
         assert len(checked) == 3, checked
 
@@ -281,12 +265,20 @@ class TestLeafSpans:
                 find_late_closure_configs(tree),
                 extract_np_occurrences(tree),
                 survey_fronted_adverbials(tree),
+                aggregate([("chain", tree)]),  # table1's extract + classify path
             )
             counts[depth] = calls
         monkeypatch.undo()
         assert counts[2_000] == counts[20] <= 3
         for depth, tree in chains.items():
-            matches, occurrences, adverbials = results[depth]
+            matches, occurrences, adverbials, agg = results[depth]
+            pronoun = GivennessCategory.PRONOUN
+            assert {key: n for key, n in agg.cells.items() if n} == {
+                (pronoun, SUBJ, ClauseContext.EMBEDDED_OTHER): 2,
+                (pronoun, SUBJ, ClauseContext.MATRIX): 1,
+                (pronoun, SUBJ, ClauseContext.EMBEDDED_RC): depth - 2,
+                (GivennessCategory.DEFINITE, SUBJ, ClauseContext.EMBEDDED_RC): 1,
+            }
             assert [(m.final_verb.token, m.critical_np.text()) for m in matches] == [
                 ("ended", "we"), ("ended", "the guests"),
             ]
