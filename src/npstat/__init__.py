@@ -59,67 +59,7 @@ _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADVERBIAL_CATEGORIES",
-    "AdverbialRecord",
-    "AggregateCounts",
-    "ChiSquareResult",
-    "ClassifierConfig",
-    "ClassifierConfigError",
-    "ClauseContext",
-    "ContingencyTable2x2",
-    "CorpusSource",
-    "DEFAULT_CONFIG",
-    "DegenerateMargin",
-    "EMPTY_POS",
-    "EmptyConstituent",
-    "EmptyInflectionSet",
-    "FrameType",
-    "GivennessCategory",
-    "GrammaticalPosition",
-    "Internal",
-    "LateClosureMatch",
-    "Leaf",
-    "NodeLabel",
-    "NotAnNP",
-    "NPOccurrence",
-    "PUNCTUATION_TAGS",
-    "ReportFormat",
-    "RootNotFound",
-    "SignificanceBand",
-    "SourceSpan",
-    "SubjectTagCrosscheck",
-    "Table1Block",
-    "Table1Report",
-    "Table1Row",
-    "Tree",
-    "TreebankSyntaxError",
-    "UnbalancedBrackets",
-    "VERB_TAGS",
-    "VerbFrameProfile",
-    "ZeroDenominator",
-    "aggregate",
-    "aggregate_corpus",
-    "build_pronoun_indefinite_table",
-    "chi_square_2x2",
-    "classify_np",
-    "corpus_files",
-    "crosscheck_subject_tags",
-    "extract_np_occurrences",
-    "find_late_closure_configs",
-    "ingest",
-    "is_empty_category",
-    "is_punctuation",
-    "merge",
-    "parse_records",
-    "parse_trees",
-    "profile_verb_frames",
-    "ratio_report",
-    "read_files",
-    "render_rows",
-    "serialize_tree",
-    "survey_fronted_adverbials",
-]
+__all__ = sorted(_SUBMODULE_OF)
 
 
 def __getattr__(name: str):

@@ -13,7 +13,8 @@ Common behavior: --corpus defaults to $NPSTAT_CORPUS; --format selects
 aligned text, TSV, or line-delimited JSON records.  Every corpus subcommand
 reads the corpus in one serial pass through :func:`npstat.corpus.read_files`;
 a file that cannot be read or fails to parse is skipped with one warning
-giving the reason (for a parse failure, the first defect in reading order).
+giving the reason (for a parse failure, the first defect in reading order), and
+a corpus in which no file matches ``--glob`` gets one warning too.
 Exit codes: 0 success, 1 every corpus file failed to parse (then only
 ``parse`` writes to stdout), 2 missing/unusable input, 3 degenerate statistics
 input, 4 configuration error (also a config or lexicon file that cannot be
@@ -24,8 +25,7 @@ is printed on stderr then.
 Each command is a fresh process, so start-up is paid on every run.  This module
 imports at the top only what building the argument parser and
 ``--dump-default-config`` need (:mod:`npstat.givenness` and
-:mod:`npstat.treebank`); each handler imports the layers it runs, and logging
-is set up only when a corpus is about to be read.
+:mod:`npstat.treebank`); each handler imports the layers it runs.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .givenness import (
 from .treebank import ReportFormat
 
 if TYPE_CHECKING:
-    from .corpus import AggregateCounts, CorpusSource, FileTally
+    from .corpus import AggregateCounts, CorpusSource, FileResult
     from .queries import ClauseContext
     from .stats import ContingencyTable2x2
     from .treebank import Tree
@@ -103,9 +103,6 @@ def _context_set(text: str) -> frozenset[ClauseContext]:
 
 
 def _corpus_source(args: argparse.Namespace) -> CorpusSource:
-    """The corpus to read; from here on, skip warnings are printed on stderr."""
-    import logging
-
     from .corpus import CorpusSource
 
     root = args.corpus or os.environ.get(CORPUS_ENV_VAR)
@@ -113,7 +110,6 @@ def _corpus_source(args: argparse.Namespace) -> CorpusSource:
         raise MissingInput(
             f"no corpus directory: pass --corpus DIR or set ${CORPUS_ENV_VAR}"
         )
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     return CorpusSource(root_path=Path(root), include_glob=args.glob)
 
 
@@ -142,7 +138,7 @@ def _load_lexicon(path: str) -> dict[str, tuple[str, ...]]:
     return lexicon
 
 
-def _all_files_failed(counts: AggregateCounts | FileTally) -> bool:
+def _all_files_failed(counts: AggregateCounts) -> bool:
     """True, after telling the user, when no file parsed and some were skipped."""
     if counts.files_skipped > 0 and counts.files_processed == 0:
         print("error: every corpus file failed to parse", file=sys.stderr)
@@ -150,13 +146,29 @@ def _all_files_failed(counts: AggregateCounts | FileTally) -> bool:
     return False
 
 
+def _read_corpus(source: CorpusSource) -> Iterator[FileResult]:
+    """:func:`npstat.corpus.read_files`, telling the user which files were
+    skipped and why, or that no file matched."""
+    from .corpus import read_files
+
+    listed = False
+    for file_id, trees, reason in read_files(source):
+        listed = True
+        if reason is not None:
+            print(f"WARNING: skipping {file_id}: {reason}", file=sys.stderr)
+        yield file_id, trees, reason
+    if not listed:
+        print(f"warning: no file under {source.root_path} matches --glob "
+              f"{source.include_glob!r}", file=sys.stderr)
+
+
 def _sentences(
-    args: argparse.Namespace, files: FileTally
+    args: argparse.Namespace, files: AggregateCounts
 ) -> Iterator[tuple[str, int, Tree]]:
     """Every (file_id, sentence index, tree) of the corpus, tallying ``files``."""
     from .corpus import parsed_files
 
-    for file_id, trees in parsed_files(_corpus_source(args), files):
+    for file_id, trees in parsed_files(_read_corpus(_corpus_source(args)), files):
         for idx, tree in enumerate(trees):
             yield file_id, idx, tree
 
@@ -164,19 +176,14 @@ def _sentences(
 # --- subcommand handlers -------------------------------------------------
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    from .corpus import FileTally, read_files
+    from .corpus import AggregateCounts
     from .report import render_rows
 
-    files = FileTally()
-    rows: list[list] = []
-    for file_id, trees in read_files(_corpus_source(args)):
-        if trees is None:
-            files.files_skipped += 1
-            rows.append([file_id, 0, "skipped"])
-        else:
-            files.files_processed += 1
-            rows.append([file_id, len(trees), "ok"])
+    rows = [[file_id, 0, "skipped"] if trees is None else [file_id, len(trees), "ok"]
+            for file_id, trees, _ in _read_corpus(_corpus_source(args))]
     print(render_rows(("file", "sentences", "status"), rows, args.format, "parse-file"))
+    skipped = sum(status == "skipped" for _, _, status in rows)
+    files = AggregateCounts(files_processed=len(rows) - skipped, files_skipped=skipped)
     return EXIT_ALL_FILES_FAILED if _all_files_failed(files) else EXIT_OK
 
 
@@ -186,10 +193,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
     if args.from_counts is not None:
         block = Table1Block.from_counts(args.from_counts)
     else:
-        from .corpus import aggregate_corpus
+        from .corpus import aggregate_files
 
         source = _corpus_source(args)
-        agg = aggregate_corpus(source, _classifier(args))
+        agg = aggregate_files(_read_corpus(source), _classifier(args))
         if _all_files_failed(agg):
             return EXIT_ALL_FILES_FAILED
         label = Path(source.root_path).name or "corpus"
@@ -233,9 +240,9 @@ def cmd_chisq(args: argparse.Namespace) -> int:
         table = ContingencyTable2x2(a, b, c, d)
         rendering = _render_chisq(table, args.format, ("row1", "row2"), ("col1", "col2"))
     else:
-        from .corpus import aggregate_corpus
+        from .corpus import aggregate_files
 
-        agg = aggregate_corpus(_corpus_source(args), _classifier(args))
+        agg = aggregate_files(_read_corpus(_corpus_source(args)), _classifier(args))
         if _all_files_failed(agg):
             return EXIT_ALL_FILES_FAILED
         table = build_pronoun_indefinite_table(agg, args.contexts)
@@ -247,12 +254,12 @@ def cmd_chisq(args: argparse.Namespace) -> int:
 
 
 def cmd_late_closure(args: argparse.Namespace) -> int:
-    from .corpus import FileTally
+    from .corpus import AggregateCounts
     from .queries import find_late_closure_configs
     from .report import render_rows
 
     config = _classifier(args)
-    files = FileTally()
+    files = AggregateCounts()
     rows: list[list] = []
     for file_id, idx, tree in _sentences(args, files):
         for match in find_late_closure_configs(tree, file_id, idx):
@@ -290,10 +297,10 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
         rows =[["ALL", total, not_delimited, ratio_report(not_delimited, total)]]
         print(render_rows(columns, rows, args.format, "adverbial-row"))
         return EXIT_OK
-    from .corpus import FileTally
+    from .corpus import AggregateCounts
     from .queries import survey_fronted_adverbials
 
-    files = FileTally()
+    files = AggregateCounts()
     totals: Counter[str] = Counter()
     uncommaed: Counter[str] = Counter()
     for file_id, idx, tree in _sentences(args, files):
@@ -319,7 +326,7 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
 
 
 def cmd_verb(args: argparse.Namespace) -> int:
-    from .corpus import FileTally
+    from .corpus import AggregateCounts
     from .queries import EmptyInflectionSet, FrameType, profile_verb_frames
     from .report import render_rows
 
@@ -329,7 +336,7 @@ def cmd_verb(args: argparse.Namespace) -> int:
         raise EmptyInflectionSet(
             f"no inflections configured for {args.verb!r}; add it to the lexicon"
         )
-    files = FileTally()
+    files = AggregateCounts()
     profile = profile_verb_frames(
         (tree for _, _, tree in _sentences(args, files)), args.verb, inflections
     )

@@ -2,17 +2,16 @@
 
 :func:`read_files` is the one ingestion path: it visits files in lexicographic
 path order and parses each one as UTF-8 text (a leading byte-order mark is
-dropped).  A file that cannot be read, decoded or parsed is reported through
-logging with one warning, which names the reason (for a parse error, the first
-defect in reading order), and skipped; the run continues.  Counts accumulate
-into :class:`AggregateCounts`, a dense (givenness category x grammatical
-position x clause context) table whose ``merge`` is associative and
-commutative, so any partition of the corpus combines to the same result.
+dropped).  A file that cannot be read, decoded or parsed is skipped, and the
+reason (for a parse error, the first defect in reading order) is handed back
+to the caller; nothing is printed.  Counts accumulate into
+:class:`AggregateCounts`, a dense (givenness category x grammatical position x
+clause context) table whose ``merge`` is associative and commutative, so any
+partition of the corpus combines to the same result.
 """
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from pathlib import Path, PurePath
 from typing import Iterable, Iterator, NamedTuple
@@ -21,9 +20,9 @@ from .givenness import ClassifierConfig, DEFAULT_CONFIG, GivennessCategory, clas
 from .queries import ClauseContext, GrammaticalPosition, walk_np_occurrences
 from .treebank import EMPTY_POS, Leaf, SlottedRecord, Tree, TreebankSyntaxError, parse_trees
 
-log = logging.getLogger(__name__)
-
 CellKey = tuple[GivennessCategory, GrammaticalPosition, ClauseContext]
+# (file_id, trees, reason): a skipped file has no trees and says why.
+FileResult = tuple[str, list[Tree] | None, str | None]
 
 
 class RootNotFound(FileNotFoundError):
@@ -107,50 +106,39 @@ def corpus_files(source: CorpusSource) -> list[Path]:
     return sorted(files, key=lambda p: p.relative_to(root).as_posix())
 
 
-def _read_trees(path: Path, file_id: str) -> list[Tree] | None:
+def _read_trees(path: Path) -> tuple[list[Tree] | None, str | None]:
     try:
-        return parse_trees(path.read_text(encoding="utf-8-sig"))
+        return parse_trees(path.read_text(encoding="utf-8-sig")), None
     except (OSError, TreebankSyntaxError, UnicodeDecodeError) as err:
-        log.warning("skipping %s: %s", file_id, err)
-        return None
+        return None, str(err)
 
 
-def read_files(source: CorpusSource) -> Iterator[tuple[str, list[Tree] | None]]:
-    """Parse every corpus file in order: ``(file_id, trees)`` pairs.
+def read_files(source: CorpusSource) -> Iterator[FileResult]:
+    """Parse every corpus file in order: ``(file_id, trees, reason)`` triples.
 
-    ``file_id`` is the path relative to the corpus root.  ``trees`` is None
-    for a file that failed to read, decode or parse; it gets one ``skipping``
-    warning.
+    ``file_id`` is the path relative to the corpus root.  For a file that
+    failed to read, decode or parse, ``trees`` is None and ``reason`` says why;
+    otherwise ``reason`` is None.  Nothing is printed or logged.
     Raises :class:`RootNotFound` when called, not when first iterated.
     """
     root = Path(source.root_path)
     file_ids = [path.relative_to(root).as_posix() for path in corpus_files(source)]
-    return ((file_id, _read_trees(root / file_id, file_id)) for file_id in file_ids)
-
-
-class FileTally:
-    """How many corpus files one pass parsed and how many it skipped."""
-
-    __slots__ = ("files_processed", "files_skipped")
-
-    def __init__(self) -> None:
-        self.files_processed = 0
-        self.files_skipped = 0
+    return ((file_id, *_read_trees(root / file_id)) for file_id in file_ids)
 
 
 def parsed_files(
-    source: CorpusSource, files: FileTally
+    files: Iterable[FileResult], counts: AggregateCounts
 ) -> Iterator[tuple[str, list[Tree]]]:
-    """The files of :func:`read_files` that parsed, tallied in ``files``.
+    """The files of a :func:`read_files` stream that parsed, tallied in ``counts``.
 
-    Each parsed file adds one to ``files.files_processed``, each skipped one
-    to ``files.files_skipped``.
+    Each parsed file adds one to ``counts.files_processed``, each skipped one
+    to ``counts.files_skipped``.
     """
-    for file_id, trees in read_files(source):
+    for file_id, trees, _ in files:
         if trees is None:
-            files.files_skipped += 1
+            counts.files_skipped += 1
         else:
-            files.files_processed += 1
+            counts.files_processed += 1
             yield file_id, trees
 
 
@@ -158,7 +146,7 @@ def ingest(source: CorpusSource) -> Iterator[tuple[str, Tree]]:
     """Open a corpus directory as a stream of (file_id, tree) pairs."""
     return (
         (file_id, tree)
-        for file_id, trees in read_files(source) if trees is not None
+        for file_id, trees, _ in read_files(source) if trees is not None
         for tree in trees
     )
 
@@ -187,15 +175,17 @@ def aggregate(
     return agg
 
 
+def aggregate_files(files: Iterable[FileResult], config: ClassifierConfig) -> AggregateCounts:
+    """Aggregate a :func:`read_files` stream, counting parsed and skipped files."""
+    counts = AggregateCounts()
+    return merge(counts, aggregate(
+        ((file_id, tree) for file_id, trees in parsed_files(files, counts) for tree in trees),
+        config,
+    ))
+
+
 def aggregate_corpus(
     source: CorpusSource, config: ClassifierConfig = DEFAULT_CONFIG
 ) -> AggregateCounts:
-    """Aggregate a whole corpus in one fold, counting processed and skipped files."""
-    files = FileTally()
-    total = aggregate(
-        ((file_id, tree) for file_id, trees in parsed_files(source, files) for tree in trees),
-        config,
-    )
-    total.files_processed = files.files_processed
-    total.files_skipped = files.files_skipped
-    return total
+    """Aggregate a whole corpus; a skipped file is counted, and nothing is printed."""
+    return aggregate_files(read_files(source), config)

@@ -23,8 +23,9 @@ def broken_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def smoke_corpus(tmp_path_factory) -> Path:
-    """Deterministic 8-file, 200-sentence synthetic corpus."""
-    return build_corpus(tmp_path_factory.mktemp("smoke-corpus"))
+    """Deterministic 8-file, 200-sentence synthetic corpus, in a directory
+    named ``smoke`` (table1 labels its output with that name)."""
+    return build_corpus(tmp_path_factory.mktemp("smoke-corpus") / "smoke")
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,19 @@
 """End-to-end command-line tests driving ``npstat.cli.main``."""
 
 import gc
+import io
+import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import npstat
 from npstat.cli import (
@@ -41,9 +47,9 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def skip_warnings(caplog):
-    """The ``skipping`` warnings logged so far; a real run prints them on stderr."""
-    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("skipping")]
+def skip_warnings(err):
+    """The ``skipping`` lines of a run's stderr."""
+    return [line for line in err.splitlines() if line.startswith("WARNING: skipping ")]
 
 
 def corpus_args(fixture_corpus):
@@ -100,11 +106,11 @@ class TestFailurePaths:
             assert out == ""
 
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
-    def test_lone_empty_file(self, capsys, caplog, tmp_path, command):
+    def test_lone_empty_file(self, capsys, tmp_path, command):
         (tmp_path / "empty.mrg").write_bytes(b"")
         code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
                                       "--corpus", str(tmp_path)])
-        assert skip_warnings(caplog) == []
+        assert skip_warnings(err) == []
         if command == "chisq":
             assert code == EXIT_DEGENERATE_STATS
             assert err.startswith("error: degenerate statistics input: ")
@@ -116,39 +122,38 @@ class TestFailurePaths:
                                            "sentences": 0, "status": "ok"}]
 
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
-    def test_lone_non_utf8_file(self, capsys, caplog, tmp_path, command):
+    def test_lone_non_utf8_file(self, capsys, tmp_path, command):
         (tmp_path / "latin.mrg").write_bytes(b"\xe9(S (NN x))\n")
         code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--corpus", str(tmp_path)])
         assert code == EXIT_ALL_FILES_FAILED
-        (skip,) = skip_warnings(caplog)
-        assert skip.startswith("skipping latin.mrg: 'utf-8' codec can't decode")
+        (skip,) = skip_warnings(err)
+        assert skip.startswith("WARNING: skipping latin.mrg: 'utf-8' codec can't decode")
         assert err.splitlines()[-1] == "error: every corpus file failed to parse"
         if command != "parse":
             assert out == ""
 
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
-    def test_leading_byte_order_mark_is_dropped(self, capsys, caplog, tmp_path, command):
+    def test_leading_byte_order_mark_is_dropped(self, capsys, tmp_path, command):
         (tmp_path / "bom.mrg").write_bytes(
             b"\xef\xbb\xbf(S (NP-SBJ (PRP it)) (VP (VBD saw) (NP (DT a) (NN dog))))\n"
         )
         code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
                                       "--corpus", str(tmp_path)])
         assert code == EXIT_OK
-        assert skip_warnings(caplog) == []
+        assert skip_warnings(err) == []
         assert err == ""
         if command == "parse":
             assert parse_records(out) == [{"record": "parse-file", "file": "bom.mrg",
                                            "sentences": 1, "status": "ok"}]
 
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
-    def test_partial_failure_skips_the_bad_file_once(self, capsys, caplog, fixture_corpus,
+    def test_partial_failure_skips_the_bad_file_once(self, capsys, fixture_corpus,
                                                      broken_dir, tmp_path, command):
         shutil.copy(fixture_corpus / "a.mrg", tmp_path / "a.mrg")
         shutil.copy(broken_dir / "malformed.mrg", tmp_path / "b.mrg")
-        code, _, _ = run(capsys, [*CORPUS_COMMANDS[command], "--corpus", str(tmp_path)])
+        code, _, err = run(capsys, [*CORPUS_COMMANDS[command], "--corpus", str(tmp_path)])
         assert code == EXIT_OK
-        (skip,) = skip_warnings(caplog)
-        assert skip.startswith("skipping b.mrg: ")
+        assert err == "WARNING: skipping b.mrg: unclosed '(' at offset 0\n"
 
     @pytest.mark.parametrize("pattern", ["/x", "../corpus/*", "sub/../*.mrg"])
     @pytest.mark.parametrize("command", ["parse", "table1"])
@@ -165,9 +170,23 @@ class TestFailurePaths:
         assert err == (f"error: glob pattern {pattern!r} must be relative to the corpus "
                        "root, with no '..' component\n")
 
+    @pytest.mark.parametrize("command", ["parse", "table1"])
+    def test_glob_matching_no_file_warns(self, capsys, fixture_corpus, tmp_path, command):
+        code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
+                                      *corpus_args(fixture_corpus), "--glob", "*.mgr"])
+        assert code == EXIT_OK
+        assert err == f"warning: no file under {fixture_corpus} matches --glob '*.mgr'\n"
+        # An empty corpus directory (named like the fixture, for table1's
+        # label) gets the same stdout and the same warning.
+        empty = tmp_path / fixture_corpus.name
+        empty.mkdir()
+        assert run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
+                            "--corpus", str(empty)]) == (
+            EXIT_OK, out, f"warning: no file under {empty} matches --glob '*'\n")
+
     @pytest.mark.parametrize("error", [PermissionError, FileNotFoundError])
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
-    def test_unreadable_file_is_skipped(self, capsys, caplog, monkeypatch, fixture_corpus,
+    def test_unreadable_file_is_skipped(self, capsys, monkeypatch, fixture_corpus,
                                         command, error):
         read_text = Path.read_text
 
@@ -177,10 +196,10 @@ class TestFailurePaths:
             return read_text(path, *args, **kwargs)
 
         monkeypatch.setattr(Path, "read_text", failing_read_text)
-        code, out, _ = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
-                                    *corpus_args(fixture_corpus)])
+        code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
+                                      *corpus_args(fixture_corpus)])
         assert code == EXIT_OK
-        assert skip_warnings(caplog) == ["skipping b.mrg: cannot open b.mrg"]
+        assert err == "WARNING: skipping b.mrg: cannot open b.mrg\n"
         if command == "parse":
             assert [(r["file"], r["status"]) for r in parse_records(out)] == [
                 ("a.mrg", "ok"), ("b.mrg", "skipped"), ("c.mrg", "ok"),
@@ -189,7 +208,7 @@ class TestFailurePaths:
     @pytest.mark.parametrize("depth", [1_200, 10_000])
     @pytest.mark.parametrize("shape", ["right", "left"])
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
-    def test_deep_file_is_read(self, capsys, caplog, fixture_corpus, tmp_path,
+    def test_deep_file_is_read(self, capsys, fixture_corpus, tmp_path,
                                command, shape, depth):
         shutil.copy(fixture_corpus / "a.mrg", tmp_path / "a.mrg")
         if shape == "right":
@@ -197,10 +216,10 @@ class TestFailurePaths:
         else:
             deep = "(S " * depth + "(NP (PRP it))" + " (VP (VBD ran)))" * depth
         (tmp_path / "deep.mrg").write_text(deep + "\n", encoding="utf-8")
-        code, out, _ = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
-                                    "--corpus", str(tmp_path)])
+        code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
+                                      "--corpus", str(tmp_path)])
         assert code == EXIT_OK
-        assert skip_warnings(caplog) == []
+        assert err == ""
         if command == "parse":
             assert parse_records(out)[-1] == {"record": "parse-file", "file": "deep.mrg",
                                               "sentences": 1, "status": "ok"}
@@ -244,8 +263,9 @@ class TestStartUp:
     # Each command is a fresh process, so whatever it imports costs every run.
 
     def main_in_fresh_process(self, argv):
-        """Exit code, stdout lines and loaded module names of ``main(argv)`` in
-        a new ``python -S``, so that no site hook imports anything first."""
+        """Exit code, stdout lines, loaded module names and stderr of
+        ``main(argv)`` in a new ``python -S``, so that no site hook imports
+        anything first."""
         src = Path(npstat.__file__).resolve().parents[1]
         probe = (
             "import sys\n"
@@ -259,10 +279,10 @@ class TestStartUp:
         assert child.returncode == 0, child.stderr
         *output, last = child.stdout.splitlines()
         code, *modules = last.split()
-        return int(code), output, set(modules)
+        return int(code), output, set(modules), child.stderr
 
     def test_cli_imports_neither_dataclasses_nor_inspect(self):
-        code, output, modules = self.main_in_fresh_process(["--dump-default-config"])
+        code, output, modules, _ = self.main_in_fresh_process(["--dump-default-config"])
         assert code == EXIT_OK
         assert output[0] == "# npstat givenness classifier configuration"
         assert not {"dataclasses", "inspect"} & modules
@@ -276,7 +296,7 @@ class TestStartUp:
     ], ids=["dump-default-config", "help", "chisq-help", "usage-error",
             "subcommand-usage-error"])
     def test_parser_paths_load_no_pipeline_layer(self, argv, expected):
-        code, _, modules = self.main_in_fresh_process(argv)
+        code, _, modules, _ = self.main_in_fresh_process(argv)
         assert code == expected
         assert not modules & {"npstat.queries", "npstat.corpus", "npstat.report",
                               "npstat.stats", "logging", "json", "decimal"}
@@ -288,10 +308,129 @@ class TestStartUp:
     ], ids=["table1", "chisq", "adverbials"])
     def test_count_only_modes_load_no_corpus_layer(self, argv, unused):
         # Text format, so neither is the records format's json needed.
-        code, output, modules = self.main_in_fresh_process(argv)
+        code, output, modules, _ = self.main_in_fresh_process(argv)
         assert code == EXIT_OK
         assert output
         assert not modules & {"npstat.corpus", "logging", "json", *unused}
+
+    @pytest.mark.parametrize("skipping", [False, True], ids=["fixture", "one-skipped"])
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_corpus_commands_load_no_logging(self, fixture_corpus, broken_dir, tmp_path,
+                                             command, skipping):
+        root, expected_err = fixture_corpus, ""
+        if skipping:
+            root = tmp_path / "corpus"
+            shutil.copytree(fixture_corpus, root)
+            shutil.copy(broken_dir / "malformed.mrg", root / "d.mrg")
+            expected_err = "WARNING: skipping d.mrg: unclosed '(' at offset 0\n"
+        code, output, modules, err = self.main_in_fresh_process(
+            [*CORPUS_COMMANDS[command], "--corpus", str(root)])
+        assert code == EXIT_OK
+        assert output
+        assert err == expected_err
+        assert "logging" not in modules
+
+
+FORMATS = ("text", "tsv", "records")
+TRANSCRIPTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "cli-transcripts.json").read_text(encoding="utf-8")
+)
+
+
+class TestTranscripts:
+    # The refactor contract.  fixtures/cli-transcripts.json holds [exit code,
+    # stdout, stderr] of every corpus command in every format on the fixture,
+    # broken-fixture and smoke corpora, keyed "CORPUS COMMAND FORMAT".  An
+    # entry changes only with a behaviour change that is named as such.
+
+    def test_every_case_is_recorded(self):
+        assert sorted(TRANSCRIPTS) == sorted(
+            f"{corpus} {command} {fmt}" for corpus in ("fixture", "broken", "smoke")
+            for command in CORPUS_COMMANDS for fmt in FORMATS)
+
+    @pytest.mark.parametrize("case", sorted(TRANSCRIPTS),
+                             ids=lambda case: case.replace(" ", "-"))
+    def test_output_is_unchanged(self, capsys, fixture_corpus, broken_dir, smoke_corpus,
+                                 case):
+        corpus, command, fmt = case.split()
+        root = {"fixture": fixture_corpus, "broken": broken_dir, "smoke": smoke_corpus}[corpus]
+        assert list(run(capsys, [*CORPUS_COMMANDS[command], "--corpus", str(root),
+                                 "--format", fmt])) == TRANSCRIPTS[case]
+
+
+def _flip_bracket(draw, data: bytes) -> bytes:
+    brackets = [i for i, byte in enumerate(data) if byte in b"()"]
+    if not brackets:
+        return data
+    i = draw(st.sampled_from(brackets))
+    return data[:i] + (b")" if data[i:i + 1] == b"(" else b"(") + data[i + 1:]
+
+
+def _insert_non_utf8(draw, data: bytes) -> bytes:
+    i = draw(st.integers(0, len(data)))
+    return data[:i] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3", b"\x80"])) + data[i:]
+
+
+# Mutations of smoke-corpus text, each given a draw function and the bytes.
+MUTATIONS = {
+    "truncate": lambda draw, data: data[:draw(st.integers(0, len(data)))],
+    "flip-bracket": _flip_bracket,
+    "bom": lambda draw, data: b"\xef\xbb\xbf" + data,
+    "crlf": lambda draw, data: data.replace(b"\n", b"\r\n"),
+    "non-utf8": _insert_non_utf8,
+    # Every nominal and determiner preterminal becomes an empty element, so
+    # every NP holds only -NONE- leaves.
+    "empty-nps": lambda draw, data: re.sub(rb"\((?:PRP|NNP|NNS|NN|DT|POS) [^()\s]+\)",
+                                           b"(-NONE- *)", data),
+}
+
+
+class TestArbitraryCorpusBytes:
+    # Whatever the corpus files hold, every corpus command exits 0, 1 or 3,
+    # never reports an internal error, and names each skipped file once.
+
+    @staticmethod
+    def corpus_file(draw, smoke_lines: list[str]) -> bytes:
+        if draw(st.booleans()):
+            return draw(st.binary(max_size=120))
+        start = draw(st.integers(0, len(smoke_lines) - 1))
+        data = ("\n".join(smoke_lines[start:start + draw(st.integers(1, 3))]) + "\n").encode()
+        for name in draw(st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=3)):
+            data = MUTATIONS[name](draw, data)
+        return data
+
+    @staticmethod
+    def run_in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_cli_contract(self, smoke_corpus, data):
+        smoke_lines = (smoke_corpus / "gen-00.mrg").read_text(encoding="utf-8").splitlines()
+        files = data.draw(st.integers(1, 3))
+        with tempfile.TemporaryDirectory() as root:
+            for i in range(files):
+                (Path(root) / f"f{i}.mrg").write_bytes(self.corpus_file(data.draw, smoke_lines))
+            _, out, _ = self.run_in_process(["parse", "--corpus", root, "--format", "records"])
+            skipped = [r["file"] for r in parse_records(out) if r["status"] == "skipped"]
+            all_failed = len(skipped) == files
+            for command in sorted(CORPUS_COMMANDS):
+                for fmt in FORMATS:
+                    code, out, err = self.run_in_process(
+                        [*CORPUS_COMMANDS[command], "--corpus", root, "--format", fmt])
+                    assert code in {EXIT_OK, EXIT_ALL_FILES_FAILED, EXIT_DEGENERATE_STATS}
+                    assert "internal error" not in err
+                    assert all(line.startswith(("WARNING: skipping ", "error: "))
+                               for line in err.splitlines())
+                    skips = [line.removeprefix("WARNING: skipping ").split(": ", 1)[0]
+                             for line in skip_warnings(err)]
+                    assert skips == skipped
+                    assert (code == EXIT_ALL_FILES_FAILED) == all_failed
+                    if command != "chisq":
+                        assert code != EXIT_DEGENERATE_STATS
 
 
 class TestCyclicGarbage:

@@ -1,6 +1,5 @@
 """Ingestion, aggregation and merge tests."""
 
-import logging
 import shutil
 
 import pytest
@@ -72,9 +71,10 @@ class TestIngest:
         assert len(pairs) == 10
         assert [fid for fid, _ in pairs] == ["a.mrg"] * 4 + ["b.mrg"] * 3 + ["c.mrg"] * 3
         files = list(read_files(CorpusSource(fixture_corpus)))
-        assert [fid for fid, trees in files if trees is not None] == ["a.mrg", "b.mrg", "c.mrg"]
-        assert [fid for fid, trees in files if trees is None] == []
-        assert sum(len(trees) for _, trees in files) == 10
+        assert [fid for fid, trees, _ in files if trees is not None] == ["a.mrg", "b.mrg", "c.mrg"]
+        assert [fid for fid, trees, _ in files if trees is None] == []
+        assert [reason for _, _, reason in files] == [None] * 3
+        assert sum(len(trees) for _, trees, _ in files) == 10
 
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(RootNotFound):
@@ -98,27 +98,25 @@ class TestIngest:
         pairs = list(ingest(CorpusSource(tmp_path)))
         assert len(pairs) == 7  # the two good files' sentences
         files = list(read_files(CorpusSource(tmp_path)))
-        assert [fid for fid, trees in files if trees is None] == ["b.mrg"]
-        assert [fid for fid, trees in files if trees is not None] == ["a.mrg", "c.mrg"]
+        assert [fid for fid, trees, _ in files if trees is None] == ["b.mrg"]
+        assert [fid for fid, trees, _ in files if trees is not None] == ["a.mrg", "c.mrg"]
 
     def test_skip_warning_states_reason_once(self, fixture_corpus, broken_dir, tmp_path,
-                                             caplog):
+                                             capsys):
         shutil.copy(fixture_corpus / "a.mrg", tmp_path / "a.mrg")
         shutil.copy(broken_dir / "malformed.mrg", tmp_path / "b.mrg")
         (tmp_path / "c.mrg").write_bytes(b"\xff( (S (NP (NN x))) )")
-        with caplog.at_level(logging.WARNING, logger="npstat.corpus"):
-            files = list(read_files(CorpusSource(tmp_path)))
-        assert [fid for fid, trees in files if trees is None] == ["b.mrg", "c.mrg"]
-        messages = [record.getMessage() for record in caplog.records]
-        assert len(messages) == 2
-        malformed, undecodable = messages
-        assert malformed.startswith("skipping b.mrg: ")
+        files = list(read_files(CorpusSource(tmp_path)))
+        assert capsys.readouterr() == ("", "")  # the reader prints nothing
+        assert [fid for fid, trees, _ in files if trees is None] == ["b.mrg", "c.mrg"]
+        reasons = [(fid, reason) for fid, _, reason in files if reason is not None]
+        assert [fid for fid, _ in reasons] == ["b.mrg", "c.mrg"]
+        (_, malformed), (_, undecodable) = reasons
         assert malformed.count("offset") == 1
-        assert undecodable.startswith("skipping c.mrg: ")
         assert undecodable.count("invalid start byte") == 1
-        for message in messages:
-            assert "(offset" not in message
-            assert "?" not in message
+        for _, reason in reasons:
+            assert "(offset" not in reason
+            assert "?" not in reason
 
     def test_recursive_lexicographic_order(self, fixture_corpus, tmp_path):
         (tmp_path / "sub").mkdir()
