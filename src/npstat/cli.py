@@ -42,15 +42,15 @@ from .givenness import (
     DEFAULT_CONFIG,
     ClassifierConfig,
     ClassifierConfigError,
-    classify_np,
+    classify_overt,
 )
-from .treebank import ReportFormat
+from .treebank import EMPTY_POS, ReportFormat
 
 if TYPE_CHECKING:
     from .corpus import AggregateCounts, CorpusSource, FileResult
     from .queries import ClauseContext
     from .stats import ContingencyTable2x2
-    from .treebank import Tree
+    from .treebank import Leaf, Tree
 
 CORPUS_ENV_VAR = "NPSTAT_CORPUS"
 
@@ -255,19 +255,20 @@ def cmd_chisq(args: argparse.Namespace) -> int:
 
 def cmd_late_closure(args: argparse.Namespace) -> int:
     from .corpus import AggregateCounts
-    from .queries import find_late_closure_configs
+    from .queries import walk_late_closure
     from .report import render_rows
 
     config = _classifier(args)
     files = AggregateCounts()
     rows: list[list] = []
     for file_id, idx, tree in _sentences(args, files):
-        for match in find_late_closure_configs(tree, file_id, idx):
-            category = classify_np(match.critical_np, config)
-            rows.append(
-                [file_id, idx, match.final_verb.token,
-                 match.critical_np.text(), category.value]
-            )
+        leaves: list[Leaf] = []
+        for _, verb, np, start, end in walk_late_closure(tree, leaves):
+            # Only -NONE- leaves lie between the verb and the NP's first overt
+            # leaf, so these are exactly the NP's overt leaves.
+            overt = [l for l in leaves[start + 1:end] if l.pos != EMPTY_POS]
+            rows.append([file_id, idx, verb.token, " ".join(l.token for l in overt),
+                         classify_overt(np, overt, config).value])
     if _all_files_failed(files):
         return EXIT_ALL_FILES_FAILED
     print(

@@ -157,7 +157,7 @@ def aggregate(
     """Run extraction + classification over a stream and tally every cell.
 
     One walk per sentence: the cascade classifies each NP from its slice of
-    the leaves the extraction walk collected.  Counting a whole sentence's
+    the leaves the sentence walk collected.  Counting a whole sentence's
     list of keys at once hashes each key once and never counts half a sentence.
     """
     counts: Counter[CellKey] = Counter()

@@ -24,7 +24,8 @@ from __future__ import annotations
 from enum import Enum
 from pathlib import Path
 
-from .treebank import EMPTY_POS, Internal, Leaf, SlottedRecord, Tree, is_punctuation
+from .treebank import (EMPTY_POS, Internal, Leaf, SlottedRecord, Tree, is_punctuation,
+                       last_overt_leaf)
 
 
 class GivennessCategory(Enum):
@@ -121,18 +122,6 @@ def classify_np(np: Tree, config: ClassifierConfig = DEFAULT_CONFIG) -> Givennes
     return classify_overt(np, [l for l in np.leaves() if l.pos != EMPTY_POS], config)
 
 
-def _last_overt_leaf(node: Tree) -> Leaf | None:
-    """The rightmost non-``-NONE-`` leaf under ``node``, found right to left."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if type(node) is not Leaf:
-            stack.extend(node.children)  # type: ignore[attr-defined]
-        elif node.pos != EMPTY_POS:
-            return node
-    return None
-
-
 def classify_overt(
     np: Internal, overt: list[Leaf], config: ClassifierConfig
 ) -> GivennessCategory:
@@ -165,7 +154,7 @@ def classify_overt(
         return GivennessCategory.DEFINITE
     initial = np.children[0]
     if type(initial) is Internal and initial.label.category == "NP":
-        last = _last_overt_leaf(initial)
+        last = last_overt_leaf(initial)
         if last is not None and last.pos == "POS":
             return GivennessCategory.DEFINITE
 

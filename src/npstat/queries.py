@@ -8,9 +8,9 @@ Four families of query live here:
   skipped.  Each occurrence also gets a clause context: matrix, embedded
   that-clause complement, embedded reduced (zero-complementizer) complement,
   or other embedding (relatives, adverbial clauses, ...).  The context is
-  inherited down the one extraction walk: an S takes its context from its
-  parent and grandparent when the walk enters it, and every other node passes
-  its own on to its children.
+  inherited down the sentence walk: an S takes its context from its parent
+  and grandparent when the walk enters it, and every other node passes its
+  own on to its children.
 * Clause-final verb + adjacent NP configurations: a VP whose last overt,
   non-punctuation leaf is verb-tagged, string-adjacent to the first leaf of a
   following NP with no punctuation in between.  These are the locally
@@ -23,10 +23,14 @@ Four families of query live here:
 Empty elements (``-NONE-`` leaves) are transparent everywhere adjacency or
 surface order is involved.
 
-Each query counts surface leaves inside its own single walk, so a node's
-half-open leaf range is known without collecting its subtree's leaves again.
-The extraction walk also hands out the sentence's leaves, from which
-:func:`npstat.corpus.aggregate` classifies each NP without a second walk.
+:func:`walk_sentence` is the one walk over a sentence.  It collects the
+leaves and gives every internal node with its parent, child index, clause
+context and half-open leaf range, so no query collects a subtree's leaves
+again.  Extraction, late closure and verb frames filter its entries; the
+adverbial survey only scans the root's children.  :func:`walk_np_occurrences`
+and :func:`walk_late_closure` hand the sentence's leaves to callers that
+classify each NP from them: :func:`npstat.corpus.aggregate` and the
+``late-closure`` command.
 """
 
 from __future__ import annotations
@@ -134,66 +138,70 @@ def _embedded_context(
 ) -> ClauseContext:
     """Context of the S at ``parent.children[clause_index]``; an S or SBAR lies
     at or above ``parent``."""
-    if parent.category == "SBAR" and grandparent is not None \
-            and grandparent.category == "VP":
+    category = parent.label.category
+    if category == "SBAR" and grandparent is not None \
+            and grandparent.label.category == "VP":
         comp = _complementizer_slot(parent, clause_index)
         if _is_overt_that(comp):
             return ClauseContext.EMBEDDED_TC
         if comp is not None and comp.pos == EMPTY_POS:
             return ClauseContext.EMBEDDED_RC
-    if parent.category == "VP":
+    if category == "VP":
         return ClauseContext.EMBEDDED_RC
     return ClauseContext.EMBEDDED_OTHER
 
 
-def walk_np_occurrences(
-    tree: Tree, leaves: list[Leaf]
-) -> list[tuple[Internal, GrammaticalPosition, ClauseContext, int, int]]:
-    """The one walk behind :func:`extract_np_occurrences`: ``(node, position,
-    context, start, end)`` per occurrence, in pre-order, with ``[start, end)``
-    its leaf range; the sentence's leaves are appended to ``leaves``."""
-    out: list = []  # an occurrence's slot is filled when its NP's frame pops
+def walk_sentence(tree: Tree, leaves: list[Leaf]) -> list[list]:
+    """The one sentence walk behind every query but the adverbial survey.
+
+    One ``[node, parent, index, context, start, end]`` entry per internal node,
+    in pre-order: ``node`` is ``parent.children[index]`` (the root's parent is
+    None), ``context`` is the clause context its NP children take, and
+    ``[start, end)`` is its leaf range.  The sentence's leaves are appended to
+    ``leaves``.
+    """
     if type(tree) is not Internal:
         leaves.extend(tree.leaves())
-        return out
+        return []
     add_leaf = leaves.append
+    root = [tree, None, 0, ClauseContext.MATRIX, len(leaves), 0]
+    out = [root]
     # One frame per node on the path from the root: the iterator over its
-    # children, the node, the clause context its NP children get, whether an
-    # S or SBAR lies on the path down to and including the node, and, for an
-    # NP occurrence, its (slot, first leaf position, grammatical position).
-    stack = [
-        (enumerate(tree.children), tree, ClauseContext.MATRIX,
-         tree.label.category in ("S", "SBAR"), None)
-    ]
+    # children, its entry, and whether an S or SBAR lies on the path down to
+    # and including the node.  An entry's end is set when its frame pops.
+    stack = [(enumerate(tree.children), root, tree.label.category in ("S", "SBAR"))]
     while stack:
-        children, parent, context, under_clause, opened = stack[-1]
+        children, entry, under_clause = stack[-1]
         for i, child in children:
             if type(child) is Leaf:
                 add_leaf(child)
                 continue
             category = child.label.category
-            child_opened = None
-            if category == "NP":
-                position = _position_in_parent(parent, i)
-                if position is not None:
-                    child_opened = (len(out), len(leaves), position)
-                    out.append(None)
-            child_context = context
+            context = entry[3]
             if category == "S" and under_clause:
-                grandparent = stack[-2][1] if len(stack) > 1 else None
-                child_context = _embedded_context(parent, grandparent, i)
-            stack.append(
-                (enumerate(child.children), child, child_context,
-                 under_clause or category in ("S", "SBAR"), child_opened)
-            )
+                context = _embedded_context(entry[0], entry[1], i)
+            child_entry = [child, entry[0], i, context, len(leaves), 0]
+            out.append(child_entry)
+            stack.append((enumerate(child.children), child_entry,
+                          under_clause or category in ("S", "SBAR")))
             break
         else:
             stack.pop()
-            if opened is not None:
-                # An NP passes its context on unchanged: it is the occurrence's.
-                slot, start, position = opened
-                out[slot] = (parent, position, context, start, len(leaves))
+            entry[5] = len(leaves)
     return out
+
+
+def walk_np_occurrences(
+    tree: Tree, leaves: list[Leaf]
+) -> list[tuple[Internal, GrammaticalPosition, ClauseContext, int, int]]:
+    """:func:`extract_np_occurrences` over :func:`walk_sentence`: ``(node,
+    position, context, start, end)`` per occurrence, in pre-order."""
+    return [
+        (node, position, context, start, end)
+        for node, parent, i, context, start, end in walk_sentence(tree, leaves)
+        if node.label.category == "NP" and parent is not None
+        and (position := _position_in_parent(parent, i)) is not None
+    ]
 
 
 def extract_np_occurrences(
@@ -241,48 +249,24 @@ def crosscheck_subject_tags(occurrences: Iterable[NPOccurrence]) -> SubjectTagCr
     return SubjectTagCrosscheck(agree=agree, disagree=disagree)
 
 
-def find_late_closure_configs(
-    tree: Tree, file_id: str = "", sentence_index: int = 0
-) -> list[LateClosureMatch]:
-    """Locate VP-final verbs immediately followed by the first leaf of an NP.
+def walk_late_closure(
+    tree: Tree, leaves: list[Leaf]
+) -> list[tuple[Internal, Leaf, Internal, int, int]]:
+    """:func:`find_late_closure_configs` over :func:`walk_sentence`: ``(vp,
+    verb, np, start, end)`` per match, with ``[start, end)`` the leaf range
+    from the verb through the NP."""
+    np_starts: dict[int, list] = {}  # NPs by the position of their first overt leaf
+    vps = []
+    for node, _, _, _, start, end in walk_sentence(tree, leaves):
+        category = node.label.category
+        if category == "NP":
+            first = next((j for j in range(start, end) if leaves[j].pos != EMPTY_POS), None)
+            if first is not None:
+                np_starts.setdefault(first, []).append((node, start, end))
+        elif category == "VP":
+            vps.append((node, start, end))
 
-    The adjacency test runs over the surface leaf sequence: empty elements are
-    skipped, and any punctuation leaf between the verb and the NP kills the
-    match.  When several nested NPs start at the adjacent leaf, the maximal
-    one is reported.
-    """
-    # One walk: the surface leaves, and each NP and VP in pre-order as a
-    # [node, start, end] entry whose end is set when the node's frame pops.
-    leaves: list[Leaf] = []
-    nps: list[list] = []
-    vps: list[list] = []
-    stack = [(iter((tree,)), None)]
-    while stack:
-        children, entry = stack[-1]
-        for node in children:
-            if isinstance(node, Leaf):
-                leaves.append(node)
-                continue
-            child_entry = None
-            if node.category in ("NP", "VP"):
-                child_entry = [node, len(leaves), 0]
-                (nps if node.category == "NP" else vps).append(child_entry)
-            stack.append((iter(node.children), child_entry))  # type: ignore[attr-defined]
-            break
-        else:
-            stack.pop()
-            if entry is not None:
-                entry[2] = len(leaves)
-
-    # NPs by the position of their first overt leaf.
-    np_starts: dict[int, list[list]] = {}
-    for entry in nps:
-        _, start, end = entry
-        first = next((j for j in range(start, end) if leaves[j].pos != EMPTY_POS), None)
-        if first is not None:
-            np_starts.setdefault(first, []).append(entry)
-
-    matches: list[LateClosureMatch] = []
+    matches = []
     for node, start, end in vps:
         i = next(
             (
@@ -301,18 +285,26 @@ def find_late_closure_configs(
         if following is None or is_punctuation(leaves[following]):
             continue
         candidates = np_starts.get(following)
-        if not candidates:
-            continue
-        critical, _, np_end = max(candidates, key=lambda np: np[2] - np[1])
-        matches.append(
-            LateClosureMatch(
-                vp_node=node,
-                final_verb=leaves[i],
-                critical_np=critical,
-                span=SourceSpan(file_id, sentence_index, i, np_end),
-            )
-        )
+        if candidates:
+            critical, _, np_end = max(candidates, key=lambda np: np[2] - np[1])
+            matches.append((node, leaves[i], critical, i, np_end))
     return matches
+
+
+def find_late_closure_configs(
+    tree: Tree, file_id: str = "", sentence_index: int = 0
+) -> list[LateClosureMatch]:
+    """Locate VP-final verbs immediately followed by the first leaf of an NP.
+
+    The adjacency test runs over the surface leaf sequence: empty elements are
+    skipped, and any punctuation leaf between the verb and the NP kills the
+    match.  When several nested NPs start at the adjacent leaf, the maximal
+    one is reported.
+    """
+    return [
+        LateClosureMatch(vp, verb, np, SourceSpan(file_id, sentence_index, start, end))
+        for vp, verb, np, start, end in walk_late_closure(tree, [])
+    ]
 
 
 def survey_fronted_adverbials(
@@ -416,12 +408,11 @@ def profile_verb_frames(
         raise EmptyInflectionSet(f"no inflections configured for {lemma!r}")
     counts = {frame: 0 for frame in FrameType}
     for tree in trees:
-        for node in tree.iter_nodes():
-            if not isinstance(node, Internal):
-                continue
+        for entry in walk_sentence(tree, []):
+            node = entry[0]
             for i, child in enumerate(node.children):
                 if (
-                    isinstance(child, Leaf)
+                    type(child) is Leaf
                     and child.pos in VERB_TAGS
                     and child.token.lower() in forms
                 ):

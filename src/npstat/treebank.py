@@ -291,9 +291,21 @@ def is_punctuation(leaf: Leaf) -> bool:
     return leaf.pos in PUNCTUATION_TAGS
 
 
+def last_overt_leaf(node: Tree) -> Leaf | None:
+    """The rightmost non-``-NONE-`` leaf under ``node``, found right to left."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if type(node) is not Leaf:
+            stack.extend(node.children)  # type: ignore[attr-defined]
+        elif node.pos != EMPTY_POS:
+            return node
+    return None
+
+
 def is_empty_category(node: Tree) -> bool:
     """True if every leaf under ``node`` is a ``-NONE-`` empty element."""
-    return all(l.pos == EMPTY_POS for l in node.leaves())
+    return last_overt_leaf(node) is None
 
 
 class SlottedRecord:

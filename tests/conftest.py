@@ -29,15 +29,21 @@ def smoke_corpus(tmp_path_factory) -> Path:
 
 
 @pytest.fixture(scope="session")
-def deep_clauses_trees(tmp_path_factory) -> list[Tree]:
-    """Every sentence of the benchmark's deep-clauses corpus (seed 1),
-    generated by ``perfbench/gen.py``."""
+def perfbench_gen():
+    """The benchmark's corpus generator, ``perfbench/gen.py``."""
     gen_py = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
     spec = importlib.util.spec_from_file_location("perfbench_gen", gen_py)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return gen
+
+
+@pytest.fixture(scope="session")
+def deep_clauses_trees(tmp_path_factory, perfbench_gen) -> list[Tree]:
+    """Every sentence of the benchmark's deep-clauses corpus (seed 1),
+    generated by ``perfbench/gen.py``."""
     root = tmp_path_factory.mktemp("deep-clauses")
-    gen.generate("deep-clauses", 1, root)
+    perfbench_gen.generate("deep-clauses", 1, root)
     return [
         tree
         for path in sorted((root / "corpus").rglob("*.mrg"))

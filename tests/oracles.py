@@ -2,7 +2,7 @@
 
 Everything here restates the definitional text naively — flat parent maps and
 literal sibling scans — deliberately sharing no traversal code with the
-library, so agreement is meaningful evidence.  The two oracles over a whole
+library, so agreement is meaningful evidence.  The oracles over a whole
 sentence walk it with an explicit stack, so they reach any depth the parser
 does.  :func:`oracle_parse` reads every bracket and word as its own token,
 where the library reads a preterminal as one, and is the reference for the
@@ -233,6 +233,101 @@ def late_closure_match_is_sound(tree: Tree, match: LateClosureMatch) -> bool:
     if np_first_overt is not following:
         return False
     return match.critical_np.category == "NP"
+
+
+def oracle_late_closure(tree: Tree) -> list[tuple[Internal, Leaf, Internal]]:
+    """Every ``(vp, verb, np)`` late-closure triple, VPs in pre-order.
+
+    A VP's verb is its last leaf that is neither ``-NONE-`` nor punctuation,
+    and must be verb-tagged.  The next leaf after it in the sentence that is
+    not ``-NONE-`` must not be punctuation, and the NP is the highest ancestor
+    of that leaf whose first overt leaf it is.  First and last leaves are
+    settled children before parents, in reverse pre-order.
+    """
+    parent_of, order = _parent_map(tree)
+    leaves = [node for node in order if isinstance(node, Leaf)]
+    at = {id(leaf): k for k, leaf in enumerate(leaves)}
+    first_overt: dict[int, Leaf | None] = {}
+    last_content: dict[int, Leaf | None] = {}
+    for node in reversed(order):
+        if isinstance(node, Leaf):
+            overt = node.pos != "-NONE-"
+            first_overt[id(node)] = node if overt else None
+            last_content[id(node)] = node if overt and not is_punctuation(node) else None
+        else:
+            firsts = [first_overt[id(c)] for c in node.children]
+            lasts = [last_content[id(c)] for c in node.children]
+            first_overt[id(node)] = next((l for l in firsts if l is not None), None)
+            last_content[id(node)] = next((l for l in reversed(lasts) if l is not None), None)
+
+    triples = []
+    for vp in order:
+        if not (isinstance(vp, Internal) and vp.category == "VP"):
+            continue
+        verb = last_content[id(vp)]
+        if verb is None or verb.pos not in VERB_TAGS:
+            continue
+        following = next(
+            (leaves[k] for k in range(at[id(verb)] + 1, len(leaves))
+             if leaves[k].pos != "-NONE-"),
+            None,
+        )
+        if following is None or is_punctuation(following):
+            continue
+        nps = []
+        node = following
+        while id(node) in parent_of:
+            node = parent_of[id(node)]
+            if node.category == "NP" and first_overt[id(node)] is following:
+                nps.append(node)
+        if nps:
+            triples.append((vp, verb, nps[-1]))
+    return triples
+
+
+def oracle_verb_frames(trees: list[Tree], forms: set[str]) -> dict[str, int]:
+    """Frame value -> count over every verb-tagged leaf whose token matches one
+    of ``forms`` when both are lower-cased, by a literal scan of the leaf's
+    later siblings.
+
+    NP complement: a later NP sibling with an overt leaf.  Otherwise
+    that-clause: a later SBAR sibling whose last leaf child before its first S
+    child is an overt "that".  Otherwise reduced clause: such an SBAR whose
+    leaf is ``-NONE-``, or a later S sibling.  Otherwise intransitive.
+    """
+    counts = {"np-complement": 0, "that-clause": 0, "reduced-clause": 0, "intransitive": 0}
+    forms = {form.lower() for form in forms}
+    for tree in trees:
+        parent_of, order = _parent_map(tree)
+        for leaf in order:
+            if not (isinstance(leaf, Leaf) and leaf.pos in VERB_TAGS
+                    and leaf.token.lower() in forms and id(leaf) in parent_of):
+                continue
+            siblings = parent_of[id(leaf)].children
+            index = next(i for i, c in enumerate(siblings) if c is leaf)
+            later = [c for c in siblings[index + 1:] if isinstance(c, Internal)]
+            complementizers = []
+            for sbar in (c for c in later if c.category == "SBAR"):
+                comp = None
+                for child in sbar.children:
+                    if isinstance(child, Internal) and child.category == "S":
+                        complementizers.append(comp)
+                        break
+                    if isinstance(child, Leaf):
+                        comp = child
+            if any(c.category == "NP" and any(l.pos != "-NONE-" for l in c.leaves())
+                   for c in later):
+                frame = "np-complement"
+            elif any(c is not None and c.pos == "IN" and c.token.lower() == "that"
+                     for c in complementizers):
+                frame = "that-clause"
+            elif any(c is not None and c.pos == "-NONE-" for c in complementizers) \
+                    or any(c.category == "S" for c in later):
+                frame = "reduced-clause"
+            else:
+                frame = "intransitive"
+            counts[frame] += 1
+    return counts
 
 
 def with_comma_after(node: Tree, target: Leaf) -> Tree:

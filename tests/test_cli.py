@@ -358,6 +358,24 @@ class TestTranscripts:
                                  "--format", fmt])) == TRANSCRIPTS[case]
 
 
+class TestBenchmarkGroundTruth:
+    # The seed-101 part of the refactor contract: on each benchmark workload,
+    # the records output equals what the generator's ground truth says, with
+    # one skip line per malformed file.
+
+    @pytest.mark.parametrize("workload", ["flat-wsj", "deep-clauses", "many-small"])
+    def test_records_equal_ground_truth(self, capsys, tmp_path, perfbench_gen, workload):
+        manifest = perfbench_gen.generate(workload, 101, tmp_path)
+        for key, expected in manifest["expected"].items():
+            code, out, err = run(capsys, [*CORPUS_COMMANDS[key.replace("_", "-")],
+                                          "--corpus", str(tmp_path / "corpus"),
+                                          "--format", "records"])
+            assert (code, out) == (EXIT_OK, expected), key
+            skipped = [line.removeprefix("WARNING: skipping ").split(": ", 1)[0]
+                       for line in skip_warnings(err)]
+            assert sorted(skipped) == sorted(manifest["skipped"]), key
+
+
 def _flip_bracket(draw, data: bytes) -> bytes:
     brackets = [i for i, byte in enumerate(data) if byte in b"()"]
     if not brackets:

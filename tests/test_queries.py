@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from npstat.cli import main
 from npstat.corpus import aggregate
 from npstat.givenness import GivennessCategory
 from npstat.queries import (
@@ -17,19 +18,28 @@ from npstat.queries import (
     find_late_closure_configs,
     profile_verb_frames,
     survey_fronted_adverbials,
+    walk_sentence,
 )
-from npstat.treebank import SourceSpan, Tree, parse_trees
+from npstat.report import parse_records
+from npstat.treebank import SourceSpan, Tree, parse_trees, serialize_tree
 
 from oracles import (
     late_closure_match_is_sound,
+    oracle_late_closure,
     oracle_leaf_ranges,
     oracle_occurrences,
+    oracle_verb_frames,
     with_comma_after,
 )
-from treegen import random_trees
+from treegen import WORDS, random_trees
 
 SUBJ = GrammaticalPosition.SUBJECT
 NONSUBJ = GrammaticalPosition.NON_SUBJECT
+
+# Every word of the random trees, plus verbs of the smoke corpus, the
+# deep-clauses corpus and the chains; the two corpora use them in all four
+# complement frames.
+FRAME_FORMS = {*WORDS, "disclosed", "said", "worked", "ended", "left"}
 
 
 def occ_summary(tree):
@@ -132,10 +142,17 @@ class TestClauseContexts:
         assert ("the cannibals", "subject", "embedded-other") in occ_summary(tree)
 
 
+def frame_counts(trees: list[Tree]) -> dict[str, int]:
+    profile = profile_verb_frames(trees, "any", FRAME_FORMS)
+    return {frame.value: n for frame, n in profile.counts.items()}
+
+
 class TestOracleEquivalence:
     def test_thousand_random_trees(self):
         disagreements = 0
-        for tree in random_trees(seed=417, count=1000):
+        matches = 0
+        trees = random_trees(seed=417, count=1000)
+        for tree in trees:
             expected = oracle_occurrences(tree)
             occs = extract_np_occurrences(tree)
             actual = {
@@ -144,7 +161,16 @@ class TestOracleEquivalence:
             assert len(actual) == len(occs), "an NP was reported twice"
             if actual != expected:
                 disagreements += 1
+            triples = oracle_late_closure(tree)
+            assert [(m.vp_node, m.final_verb, m.critical_np)
+                    for m in find_late_closure_configs(tree)] == triples
+            matches += len(triples)
         assert disagreements == 0
+        assert matches > 0
+        frames = oracle_verb_frames(trees, FRAME_FORMS)
+        assert frame_counts(trees) == frames
+        # A random tree almost never puts an overt "that" before a clause.
+        assert all(n for frame, n in frames.items() if frame != "that-clause"), frames
 
     def test_smoke_corpus_and_large_random_trees(self, smoke_corpus):
         trees = [
@@ -194,11 +220,19 @@ def right_branching_chain(clauses: int) -> Tree:
 
 
 def check_against_oracles(tree: Tree, checked: Counter) -> None:
-    """All three queries on one sentence against the oracles: positions and
-    contexts, every span, and late-closure soundness; ``checked`` counts what
-    was compared."""
+    """The sentence walk and every query on one sentence against the oracles:
+    positions and contexts, every span, late-closure soundness and
+    completeness, and verb frames; ``checked`` counts what was compared."""
     ranges = oracle_leaf_ranges(tree)
     leaves = tree.leaves()
+    walked: list = []
+    entries = walk_sentence(tree, walked)
+    assert walked == leaves
+    # The oracle settles ranges in reverse pre-order.
+    assert [(id(e[0]), e[4], e[5]) for e in entries] == [
+        (node_id, *ranges[node_id]) for node_id in reversed(ranges)
+    ]
+    assert all(parent.children[i] is node for node, parent, i, *_ in entries[1:])
     occurrences = extract_np_occurrences(tree)
     actual = {id(o.node): (o.position.value, o.context.value) for o in occurrences}
     assert len(actual) == len(occurrences), "an NP was reported twice"
@@ -206,7 +240,10 @@ def check_against_oracles(tree: Tree, checked: Counter) -> None:
     for occ in occurrences:
         assert (occ.span.start, occ.span.end) == ranges[id(occ.node)]
         checked["occurrences"] += 1
-    for match in find_late_closure_configs(tree):
+    matches = find_late_closure_configs(tree)
+    assert [(m.vp_node, m.final_verb, m.critical_np) for m in matches] \
+        == oracle_late_closure(tree)
+    for match in matches:
         assert late_closure_match_is_sound(tree, match)
         assert leaves[match.span.start] is match.final_verb
         assert match.span.end == ranges[id(match.critical_np)][1]
@@ -218,6 +255,13 @@ def check_against_oracles(tree: Tree, checked: Counter) -> None:
             if child.category == record.category
         }
         checked["adverbials"] += 1
+    frames = oracle_verb_frames([tree], FRAME_FORMS)
+    assert frame_counts([tree]) == frames
+    checked.update({f"frame {frame}": n for frame, n in frames.items() if n})
+
+
+CHECKED_ALL = {"occurrences", "matches", "adverbials", "frame np-complement",
+               "frame that-clause", "frame reduced-clause", "frame intransitive"}
 
 
 class TestLeafSpans:
@@ -231,22 +275,23 @@ class TestLeafSpans:
         checked: Counter = Counter()
         for tree in trees:
             check_against_oracles(tree, checked)
-        assert len(checked) == 3, checked
+        assert set(checked) == CHECKED_ALL, checked
 
     @pytest.mark.parametrize("clauses", [2_000, 10_000])
     def test_agrees_with_oracle_on_deep_chains(self, clauses):
         checked: Counter = Counter()
         check_against_oracles(right_branching_chain(clauses), checked)
-        assert checked == {"occurrences": clauses + 2, "matches": 2, "adverbials": 1}
+        assert checked == {"occurrences": clauses + 2, "matches": 2, "adverbials": 1,
+                           "frame reduced-clause": clauses - 1, "frame intransitive": 3}
 
     def test_agrees_with_oracle_on_deep_clauses_corpus(self, deep_clauses_trees):
         assert len(deep_clauses_trees) == 6
         checked: Counter = Counter()
         for tree in deep_clauses_trees:
             check_against_oracles(tree, checked)
-        assert len(checked) == 3, checked
+        assert set(checked) == CHECKED_ALL, checked
 
-    def test_queries_do_not_rewalk_subtrees_at_depth(self, monkeypatch):
+    def test_queries_do_not_rewalk_subtrees_at_depth(self, monkeypatch, capsys, tmp_path):
         collect = Tree.leaves
         calls = 0
 
@@ -256,6 +301,9 @@ class TestLeafSpans:
             return collect(self)
 
         chains = {depth: right_branching_chain(depth) for depth in (20, 2_000)}
+        for depth, tree in chains.items():
+            (tmp_path / str(depth)).mkdir()
+            (tmp_path / str(depth) / "chain.mrg").write_text(serialize_tree(tree) + "\n")
         monkeypatch.setattr(Tree, "leaves", counting_leaves)
         counts = {}
         results = {}
@@ -266,12 +314,19 @@ class TestLeafSpans:
                 extract_np_occurrences(tree),
                 survey_fronted_adverbials(tree),
                 aggregate([("chain", tree)]),  # table1's extract + classify path
+                main(["late-closure", "--corpus", str(tmp_path / str(depth)),
+                      "--format", "records"]),
             )
             counts[depth] = calls
         monkeypatch.undo()
         assert counts[2_000] == counts[20] <= 3
+        late_rows = parse_records(capsys.readouterr().out)
+        assert [(r["verb"], r["np"], r["givenness"]) for r in late_rows] == [
+            ("ended", "we", "pronoun"), ("ended", "the guests", "definite"),
+        ] * 2
         for depth, tree in chains.items():
-            matches, occurrences, adverbials, agg = results[depth]
+            matches, occurrences, adverbials, agg, code = results[depth]
+            assert code == 0
             pronoun = GivennessCategory.PRONOUN
             assert {key: n for key, n in agg.cells.items() if n} == {
                 (pronoun, SUBJ, ClauseContext.EMBEDDED_OTHER): 2,
