@@ -23,10 +23,11 @@ Four families of query live here:
 Empty elements (``-NONE-`` leaves) are transparent everywhere adjacency or
 surface order is involved.
 
-:func:`walk_sentence` is the one walk over a sentence.  It collects the
-leaves and gives every internal node with its parent, child index, clause
-context and half-open leaf range, so no query collects a subtree's leaves
-again.  Extraction, late closure and verb frames filter its entries; the
+:func:`walk_sentence` is the sentence walk behind extraction and late
+closure, which filter its entries.  It collects the leaves and gives every
+internal node with its parent, child index, clause context and half-open leaf
+range, so neither query collects a subtree's leaves again.  Verb frames read
+only each internal node's children, so they scan a plain node stack; the
 adverbial survey only scans the root's children.  :func:`walk_np_occurrences`
 and :func:`walk_late_closure` hand the sentence's leaves to callers that
 classify each NP from them: :func:`npstat.corpus.aggregate` and the
@@ -152,7 +153,7 @@ def _embedded_context(
 
 
 def walk_sentence(tree: Tree, leaves: list[Leaf]) -> list[list]:
-    """The one sentence walk behind every query but the adverbial survey.
+    """The one sentence walk behind NP extraction and late closure.
 
     One ``[node, parent, index, context, start, end]`` entry per internal node,
     in pre-order: ``node`` is ``parent.children[index]`` (the root's parent is
@@ -408,13 +409,12 @@ def profile_verb_frames(
         raise EmptyInflectionSet(f"no inflections configured for {lemma!r}")
     counts = {frame: 0 for frame in FrameType}
     for tree in trees:
-        for entry in walk_sentence(tree, []):
-            node = entry[0]
+        stack = [tree] if type(tree) is Internal else []
+        while stack:
+            node = stack.pop()
             for i, child in enumerate(node.children):
-                if (
-                    type(child) is Leaf
-                    and child.pos in VERB_TAGS
-                    and child.token.lower() in forms
-                ):
+                if type(child) is not Leaf:
+                    stack.append(child)
+                elif child.pos in VERB_TAGS and child.token.lower() in forms:
                     counts[_frame_of(node, i)] += 1
     return VerbFrameProfile(lemma=lemma, counts=counts)

@@ -13,18 +13,15 @@ wrapped in an extra unlabeled ``( ... )`` pair.  Nesting depth is unbounded:
 parsing, leaf collection and serialization keep explicit stacks instead of
 recursing.
 
-The parser reads three kinds of token: a whole preterminal ``(POS word)``; an
-opening bracket together with its label, when another ``(`` follows; and any
-other bracket or word on its own.  Most of a treebank is preterminals and
-labeled openings, so a sentence takes under half as many tokens as it has
-brackets and words.
+The parser leaves tokenizing to string methods: it spaces out each ``)`` and
+splits the text at each ``(``, so every chunk holds one opening's label, a
+preterminal's word and the ``)`` that follow.  Its loop turns once per ``(``.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
-from itertools import islice
 from typing import Iterator, NamedTuple
 
 EMPTY_POS = "-NONE-"
@@ -166,18 +163,15 @@ class Internal(Tree):
         return self.label.category
 
 
-# Three token kinds, as (head, word, tok) group values:
-#   a whole preterminal "(POS word)"          -> (POS, word, None)
-#   "(" and its label when a "(" follows      -> (label, None, None)
-#   any other "(", ")" or word                -> (None, None, tok)
-# Backtracking cannot split a label or word, so each text has one tokenization.
-_TOKEN_RE = re.compile(
-    r"\(\s*([^()\s]+)(?:\s+([^()\s]+)\s*\)|(?=\s*\())|([()]|[^()\s]+)")
-
-
-def _offset(text: str, k: int) -> int:
-    """Character offset of the ``k``-th token; only errors need it."""
-    return next(islice(_TOKEN_RE.finditer(text), k, None)).start()
+def _position(text: str, chunk: int, count: int = 0) -> int:
+    """Offset of the ``count``-th token after the ``chunk``-th ``(`` (chunk 0
+    is the text before the first), or of that ``(`` when ``count`` is 0."""
+    pieces = text.split("(")
+    at = end = len("(".join(pieces[:chunk]))
+    for token in pieces[chunk].replace(")", " ) ").split()[:count]:
+        at = text.index(token, end)
+        end = at + len(token)
+    return at
 
 
 def parse_trees(text: str) -> list[Tree]:
@@ -186,83 +180,89 @@ def parse_trees(text: str) -> list[Tree]:
     A top-level unlabeled ``( ... )`` wrapper is transparent: each group it
     contains becomes its own tree; deeper down, an unlabeled group holding one
     constituent collapses into it.  Nesting depth is unbounded: one loop reads
-    the tokens left to right with an explicit stack, and raises
+    the text one ``(`` at a time with an explicit stack, and raises
     :class:`UnbalancedBrackets` or :class:`EmptyConstituent` (subclasses of
     :class:`TreebankSyntaxError`) at the first defect it meets.
     """
-    # ``split`` gives the text before the first token, then per token its three
-    # group values and the whitespace after it: token k is parts[4k+1:4k+4].
-    # A flat list of strings holds nothing the cyclic collector tracks, where
-    # ``findall`` would build a tuple per token.
-    parts = _TOKEN_RE.split(text)
-    groups = iter(parts)
-    next(groups)
+    # Chunk i > 0 is what follows the i-th "(" up to the next one: a label,
+    # then a word if the group is a preterminal, then the ")"s that close
+    # groups.  Chunk 0, before any "(", must hold nothing.
+    chunks = text.replace(")", " ) ").split("(")
     trees: list[Tree] = []
     labels: dict[str, NodeLabel] = {}
-    # One frame per open group: [token index of its '(', label, items].  The
-    # label is None until the first item, and stays None when that item is a
-    # group.  A labeled frame's lone word item sits at token index + 2: such a
-    # frame opened with a bare "(", and its label and word are bare tokens.
-    stack: list[list] = []
-    for k, (head, word, tok, _) in enumerate(zip(groups, groups, groups, groups)):
-        if tok == ")":
+    # The innermost open group: the index of the chunk its "(" opens, its
+    # label and its child nodes.  The label is None until the first token
+    # after the "(", and stays None when that token is another "(".  Opening
+    # a group pushes these three onto ``stack``, and closing it pops them
+    # back; with no group open they are None, "" and ``trees``.
+    start, label, items = None, "", trees
+    stack: list[tuple] = []
+    push, pop = stack.append, stack.pop
+    new = object.__new__  # skip ``__init__``, a tenth of the parse: the loop checks first
+    for i, chunk in enumerate(chunks):
+        tokens = chunk.split()
+        first = 0
+        if i:
+            # The "(" starts the next item of the innermost open group.
+            if label is None and items and len(stack) > 1:
+                raise EmptyConstituent("constituent has no label", _position(text, start))
+            # Short paths: a labeled opening, and a whole preterminal.
+            n = len(tokens)
+            if n == 1 and tokens[0] != ")":
+                push((start, label, items))
+                start, label, items = i, tokens[0], []
+                continue
+            if n > 2 and tokens[2] == ")" and tokens[0] != ")" != tokens[1]:
+                leaf = new(Leaf)
+                leaf.pos, leaf.token = tokens[0], tokens[1]
+                items.append(leaf)
+                if n == 3:
+                    continue
+                first = 3
+            else:
+                push((start, label, items))
+                start, label, items = i, None, []
+        for k in range(first, len(tokens)):
+            tok = tokens[k]
+            if tok == ")":
+                if not stack:
+                    raise UnbalancedBrackets("unmatched ')'", _position(text, i, k + 1))
+                if not items:
+                    raise EmptyConstituent(
+                        "empty constituent '()'" if label is None
+                        else f"constituent {label!r} has no children", _position(text, start))
+                if label is None:
+                    # A nested unlabeled group holds one group; the wrapper, trees.
+                    nodes = items
+                    start, label, items = pop()
+                    items.extend(nodes)
+                    continue
+                node = new(Internal)
+                node.label = labels.get(label) or labels.setdefault(
+                    label, NodeLabel.from_string(label))
+                node.children = tuple(items)
+                start, label, items = pop()
+                items.append(node)
+                continue
+            # A word: the label or the next item of the innermost open group.
             if not stack:
-                raise UnbalancedBrackets("unmatched ')'", _offset(text, k))
-            start, label, items = stack.pop()
+                raise TreebankSyntaxError(
+                    f"stray text {tok!r} between trees", _position(text, i, k + 1))
             if label is None:
                 if not items:
-                    raise EmptyConstituent("empty constituent '()'", _offset(text, start))
-                if not stack:
-                    trees.extend(items)
+                    label = tok
                     continue
-                node = items[0]
-            elif not items:
-                raise EmptyConstituent(
-                    f"constituent {label!r} has no children", _offset(text, start))
-            elif type(items[0]) is str:
-                node = Leaf(label, items[0])
-            else:
-                node_label = labels.get(label)
-                if node_label is None:
-                    node_label = labels[label] = NodeLabel.from_string(label)
-                node = Internal(node_label, tuple(items))
-            (stack[-1][2] if stack else trees).append(node)
-            continue
-        # Every token but a bare word opens a group.
-        opens = tok is None or tok == "("
-        if not stack:
-            if not opens:
-                raise TreebankSyntaxError(f"stray text {tok!r} between trees", _offset(text, k))
-            if word:
-                trees.append(Leaf(head, word))
-            else:
-                stack.append([k, head, []])
-            continue
-        # The token starts the next item of the innermost open group.
-        frame = stack[-1]
-        start, label, items = frame
-        if items:
-            if label is None:
                 if len(stack) > 1:
-                    raise EmptyConstituent("constituent has no label", _offset(text, start))
-                if not opens:
-                    raise TreebankSyntaxError(
-                        f"stray token {tok!r} outside a constituent", _offset(text, k))
-            elif type(items[0]) is str or not opens:
-                word_at = start + 2 if type(items[0]) is str else k
+                    raise EmptyConstituent("constituent has no label", _position(text, start))
                 raise TreebankSyntaxError(
-                    f"word {parts[4 * word_at + 3]!r} outside a preterminal",
-                    _offset(text, word_at))
-        if word:
-            items.append(Leaf(head, word))
-        elif opens:
-            stack.append([k, head, []])
-        elif label is None:
-            frame[1] = tok
-        else:
-            items.append(tok)
+                    f"stray token {tok!r} outside a constituent", _position(text, i, k + 1))
+            # A preterminal's word has a ")" next, and the short path took those:
+            # any other token makes a word stray, and the end leaves it unclosed.
+            if items or k < len(tokens) - 1 or i < len(chunks) - 1:
+                raise TreebankSyntaxError(
+                    f"word {tok!r} outside a preterminal", _position(text, i, k + 1))
     if stack:
-        raise UnbalancedBrackets("unclosed '('", _offset(text, stack[-1][0]))
+        raise UnbalancedBrackets("unclosed '('", _position(text, start))
     return trees
 
 

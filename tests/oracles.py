@@ -5,10 +5,11 @@ literal sibling scans — deliberately sharing no traversal code with the
 library, so agreement is meaningful evidence.  The oracles over a whole
 sentence walk it with an explicit stack, so they reach any depth the parser
 does.  :func:`oracle_parse` reads every bracket and word as its own token,
-where the library reads a preterminal as one, and is the reference for the
-parser's trees and errors.  :func:`reference_aggregate_cells` is the other
-exception: it is the composition that :func:`npstat.corpus.aggregate` fuses
-into one walk, kept as that walk's reference.
+where the library splits the text at each ``(`` and reads one opening at a
+time, and is the reference for the parser's trees and errors.
+:func:`reference_aggregate_cells` is the other exception: it is the
+composition that :func:`npstat.corpus.aggregate` fuses into one walk, kept as
+that walk's reference.
 """
 
 import re

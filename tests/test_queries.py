@@ -169,8 +169,7 @@ class TestOracleEquivalence:
         assert matches > 0
         frames = oracle_verb_frames(trees, FRAME_FORMS)
         assert frame_counts(trees) == frames
-        # A random tree almost never puts an overt "that" before a clause.
-        assert all(n for frame, n in frames.items() if frame != "that-clause"), frames
+        assert all(frames.values()), frames
 
     def test_smoke_corpus_and_large_random_trees(self, smoke_corpus):
         trees = [

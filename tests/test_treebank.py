@@ -1,5 +1,8 @@
 """Parser, serializer and label tests."""
 
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -131,6 +134,12 @@ class TestParsing:
         assert type(exc.value) is TreebankSyntaxError
         assert str(exc.value) == "word 'DT' outside a preterminal at offset 4"
 
+    def test_offset_of_a_word_whose_text_the_label_holds(self):
+        # "P" first occurs inside the label "NP", at offset 2.
+        with pytest.raises(TreebankSyntaxError) as exc:
+            parse_trees("(NP P x)")
+        assert str(exc.value) == "word 'P' outside a preterminal at offset 4"
+
 
 def assert_parses_like_oracle(text):
     """``parse_trees`` builds the reference parser's trees, or raises its error
@@ -146,8 +155,11 @@ def assert_parses_like_oracle(text):
         assert same_trees(parse_trees(text), expected)
 
 
+# Whitespace other than space, tab and newline; ``str.split()`` and ``re``'s
+# ``\s`` both split on each (see ``test_whitespace_parity``).
+ODD_SPACES = "\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"
 # Characters a mutation may insert: brackets, whitespace and label or word text.
-MUTATION_CHARS = "() \n\tNPS-1=*x"
+MUTATION_CHARS = "() \n\tNPS-1=*x" + ODD_SPACES
 
 
 @st.composite
@@ -175,7 +187,7 @@ def mutated_slices(draw, texts):
 
 class TestParserProperties:
     @settings(deadline=None, max_examples=500)
-    @given(st.one_of(st.text(), st.text(alphabet="() \nNPx")))
+    @given(st.one_of(st.text(), st.text(alphabet="() \nNPx" + ODD_SPACES)))
     def test_any_text_parses_or_raises_syntax_error(self, text):
         try:
             trees = parse_trees(text)
@@ -184,6 +196,12 @@ class TestParserProperties:
         else:
             assert isinstance(trees, list)
         assert_parses_like_oracle(text)
+
+    def test_whitespace_parity(self):
+        # The parser splits words with ``str.split()``, its reference with
+        # ``re``'s ``\s``; over every code point both see the same words.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"[^\s]+", every) == every.split()
 
     def test_corpus_files_parse_like_the_reference(self, smoke_corpus, fixture_corpus,
                                                    broken_dir):

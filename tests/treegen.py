@@ -3,7 +3,9 @@
 Trees are built directly from the node classes, so generation cannot depend
 on the parser under test.  Categories are drawn from the set the structural
 queries care about, plus leaves with realistic tag variety: overt words,
-punctuation, and empty elements.
+punctuation, and empty elements.  A few internal nodes are planted as a verb
+with a ``(SBAR (IN that) (S ...))`` complement, which random draws almost
+never assemble, so that-clause frames and contexts occur.
 
 Nodes compare by identity, so round-trip tests compare trees with
 :func:`same_trees`.
@@ -20,6 +22,9 @@ OVERT_POS = (
     "DT", "NN", "NNS", "NNP", "NNPS", "PRP", "PRP$", "VB", "VBD", "VBZ",
     "VBG", "IN", "TO", "JJ", "RB", "CD", "POS", "MD", "WRB", "CC",
 )
+VERB_POS = ("VB", "VBD", "VBZ", "VBG")
+# Share of grown internal nodes that become a planted that-clause complement.
+THAT_CLAUSE_P = 0.05
 PUNCT_POS_TOKEN = ((",", ","), (".", "."), (":", ";"), ("``", "``"), ("''", "''"))
 WORDS = (
     "the", "a", "an", "that", "this", "some", "cat", "dogs", "Smith", "Larson",
@@ -51,6 +56,14 @@ def random_leaf(rng: random.Random) -> Leaf:
     return Leaf(pos=rng.choice(OVERT_POS), token=rng.choice(WORDS))
 
 
+def that_clause(rng: random.Random, clause: Internal) -> Internal:
+    """``(VP verb (SBAR (IN that) clause))``: a verb with a that-clause
+    complement, which random labels and leaves almost never put together."""
+    sbar = Internal(label=NodeLabel("SBAR"), children=(Leaf(pos="IN", token="that"), clause))
+    verb = Leaf(pos=rng.choice(VERB_POS), token=rng.choice(WORDS))
+    return Internal(label=NodeLabel("VP"), children=(verb, sbar))
+
+
 def random_tree(rng: random.Random, max_nodes: int = 25) -> Internal:
     """One sentence tree with at most ``max_nodes`` nodes, root always internal."""
     budget = rng.randrange(3, max_nodes + 1)
@@ -62,6 +75,9 @@ def random_tree(rng: random.Random, max_nodes: int = 25) -> Internal:
             return random_leaf(rng)
         width = rng.randrange(1, 4)
         children = tuple(grow(depth + 1) for _ in range(width))
+        if budget > 3 and rng.random() < THAT_CLAUSE_P:
+            budget -= 3
+            return that_clause(rng, Internal(label=NodeLabel("S"), children=children))
         return Internal(label=random_label(rng), children=children)
 
     budget -= 1
