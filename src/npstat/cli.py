@@ -138,9 +138,9 @@ def _load_lexicon(path: str) -> dict[str, tuple[str, ...]]:
     return lexicon
 
 
-def _all_files_failed(counts: AggregateCounts) -> bool:
+def _all_files_failed(processed: int, skipped: int) -> bool:
     """True, after telling the user, when no file parsed and some were skipped."""
-    if counts.files_skipped > 0 and counts.files_processed == 0:
+    if skipped > 0 and processed == 0:
         print("error: every corpus file failed to parse", file=sys.stderr)
         return True
     return False
@@ -176,15 +176,13 @@ def _sentences(
 # --- subcommand handlers -------------------------------------------------
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    from .corpus import AggregateCounts
     from .report import render_rows
 
     rows = [[file_id, 0, "skipped"] if trees is None else [file_id, len(trees), "ok"]
             for file_id, trees, _ in _read_corpus(_corpus_source(args))]
     print(render_rows(("file", "sentences", "status"), rows, args.format, "parse-file"))
     skipped = sum(status == "skipped" for _, _, status in rows)
-    files = AggregateCounts(files_processed=len(rows) - skipped, files_skipped=skipped)
-    return EXIT_ALL_FILES_FAILED if _all_files_failed(files) else EXIT_OK
+    return EXIT_ALL_FILES_FAILED if _all_files_failed(len(rows) - skipped, skipped) else EXIT_OK
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -197,7 +195,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
         source = _corpus_source(args)
         agg = aggregate_files(_read_corpus(source), _classifier(args))
-        if _all_files_failed(agg):
+        if _all_files_failed(agg.files_processed, agg.files_skipped):
             return EXIT_ALL_FILES_FAILED
         label = Path(source.root_path).name or "corpus"
         block = Table1Block.from_aggregate(agg, label=label)
@@ -243,7 +241,7 @@ def cmd_chisq(args: argparse.Namespace) -> int:
         from .corpus import aggregate_files
 
         agg = aggregate_files(_read_corpus(_corpus_source(args)), _classifier(args))
-        if _all_files_failed(agg):
+        if _all_files_failed(agg.files_processed, agg.files_skipped):
             return EXIT_ALL_FILES_FAILED
         table = build_pronoun_indefinite_table(agg, args.contexts)
         rendering = _render_chisq(
@@ -269,7 +267,7 @@ def cmd_late_closure(args: argparse.Namespace) -> int:
             overt = [l for l in leaves[start + 1:end] if l.pos != EMPTY_POS]
             rows.append([file_id, idx, verb.token, " ".join(l.token for l in overt),
                          classify_overt(np, overt, config).value])
-    if _all_files_failed(files):
+    if _all_files_failed(files.files_processed, files.files_skipped):
         return EXIT_ALL_FILES_FAILED
     print(
         render_rows(
@@ -310,7 +308,7 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
             totals[key] += 1
             if not record.comma_delimited:
                 uncommaed[key] += 1
-    if _all_files_failed(files):
+    if _all_files_failed(files.files_processed, files.files_skipped):
         return EXIT_ALL_FILES_FAILED
     rows = []
     grand_total = sum(totals.values())
@@ -341,7 +339,7 @@ def cmd_verb(args: argparse.Namespace) -> int:
     profile = profile_verb_frames(
         (tree for _, _, tree in _sentences(args, files)), args.verb, inflections
     )
-    if _all_files_failed(files):
+    if _all_files_failed(files.files_processed, files.files_skipped):
         return EXIT_ALL_FILES_FAILED
     rows: list[list] = [[frame.value, profile.counts[frame]] for frame in FrameType]
     rows.append(["total", profile.total])

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from collections import Counter
 from pathlib import Path, PurePath
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .givenness import ClassifierConfig, DEFAULT_CONFIG, GivennessCategory, classify_overt
-from .queries import ClauseContext, GrammaticalPosition, walk_np_occurrences
 from .treebank import EMPTY_POS, Leaf, SlottedRecord, Tree, TreebankSyntaxError, parse_trees
 
-CellKey = tuple[GivennessCategory, GrammaticalPosition, ClauseContext]
+if TYPE_CHECKING:  # queries is imported where cells are made or counted
+    from .queries import ClauseContext, GrammaticalPosition
+    CellKey = tuple[GivennessCategory, GrammaticalPosition, ClauseContext]
 # (file_id, trees, reason): a skipped file has no trees and says why.
 FileResult = tuple[str, list[Tree] | None, str | None]
 
@@ -35,6 +36,7 @@ class CorpusSource(NamedTuple):
 
 
 def _zero_cells() -> dict[CellKey, int]:
+    from .queries import ClauseContext, GrammaticalPosition
     return {
         (cat, pos, ctx): 0
         for cat in GivennessCategory for pos in GrammaticalPosition for ctx in ClauseContext
@@ -89,21 +91,33 @@ def merge(x: AggregateCounts, y: AggregateCounts) -> AggregateCounts:
 
 
 def corpus_files(source: CorpusSource) -> list[Path]:
-    """All matching files under the root, lexicographic by relative path.
+    """All matching files under the root, lexicographic by relative path,
+    except those below a symlinked directory under the root.
 
     A pattern that is absolute or has a ``..`` component could reach files
-    outside the root: it raises ValueError before anything is listed.
+    outside the root, and one with no component or ending in ``**`` or ``/``
+    lists files on some Python versions only: each raises ValueError first.
     """
     pattern = PurePath(source.include_glob)
     if pattern.anchor or ".." in pattern.parts:
         raise ValueError(
             f"glob pattern {source.include_glob!r} must be relative to the corpus "
             "root, with no '..' component")
+    if not pattern.parts or pattern.parts[-1] == "**" or source.include_glob.endswith("/"):
+        raise ValueError(f"glob pattern {source.include_glob!r} must end in a file name")
     root = Path(source.root_path)
     if not root.is_dir():
         raise RootNotFound(f"corpus root {root} does not exist")
-    files = [p for p in root.rglob(source.include_glob) if p.is_file()]
-    return sorted(files, key=lambda p: p.relative_to(root).as_posix())
+    skip = len(root.parts)
+    linked: dict[tuple[str, ...], bool] = {}  # a directory's parts -> below a symlink
+    files = []
+    for path in root.rglob(source.include_glob):
+        dirs = path.parts[skip:-1]
+        if dirs not in linked:  # once per directory that holds a match, not per file
+            linked[dirs] = any(p.is_symlink() for p in path.parents[:len(dirs)])
+        if not linked[dirs] and path.is_file():
+            files.append(path)
+    return sorted(files, key=Path.as_posix)  # the root starts every path
 
 
 def _read_trees(path: Path) -> tuple[list[Tree] | None, str | None]:
@@ -121,9 +135,8 @@ def read_files(source: CorpusSource) -> Iterator[FileResult]:
     otherwise ``reason`` is None.  Nothing is printed or logged.
     Raises :class:`RootNotFound` when called, not when first iterated.
     """
-    root = Path(source.root_path)
-    file_ids = [path.relative_to(root).as_posix() for path in corpus_files(source)]
-    return ((file_id, *_read_trees(root / file_id)) for file_id in file_ids)
+    skip = len(Path(source.root_path).parts)
+    return (("/".join(path.parts[skip:]), *_read_trees(path)) for path in corpus_files(source))
 
 
 def parsed_files(
@@ -160,6 +173,7 @@ def aggregate(
     the leaves the sentence walk collected.  Counting a whole sentence's
     list of keys at once hashes each key once and never counts half a sentence.
     """
+    from .queries import walk_np_occurrences
     counts: Counter[CellKey] = Counter()
     sentences = 0
     for _, tree in stream:

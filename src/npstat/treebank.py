@@ -16,12 +16,14 @@ recursing.
 The parser leaves tokenizing to string methods: it spaces out each ``)`` and
 splits the text at each ``(``, so every chunk holds one opening's label, a
 preterminal's word and the ``)`` that follow.  Its loop turns once per ``(``.
+Labels are derived once per process: ``NodeLabel.from_string`` is cached.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 EMPTY_POS = "-NONE-"
@@ -62,6 +64,7 @@ class NodeLabel(NamedTuple):
     coindex: int | None = None
 
     @classmethod
+    @lru_cache(maxsize=4096)
     def from_string(cls, raw: str) -> "NodeLabel":
         gap = None
         base = raw
@@ -189,7 +192,7 @@ def parse_trees(text: str) -> list[Tree]:
     # groups.  Chunk 0, before any "(", must hold nothing.
     chunks = text.replace(")", " ) ").split("(")
     trees: list[Tree] = []
-    labels: dict[str, NodeLabel] = {}
+    labels: dict[str, NodeLabel] = {}  # per node, cheaper than from_string's cache
     # The innermost open group: the index of the chunk its "(" opens, its
     # label and its child nodes.  The label is None until the first token
     # after the "(", and stays None when that token is another "(".  Opening

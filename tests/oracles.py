@@ -12,11 +12,13 @@ composition that :func:`npstat.corpus.aggregate` fuses into one walk, kept as
 that walk's reference.
 """
 
+from __future__ import annotations
+
 import re
 from itertools import islice
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from npstat.corpus import AggregateCounts, CellKey
+from npstat.corpus import AggregateCounts
 from npstat.givenness import ClassifierConfig, classify_np
 from npstat.queries import VERB_TAGS, LateClosureMatch, extract_np_occurrences
 from npstat.treebank import (
@@ -29,6 +31,9 @@ from npstat.treebank import (
     UnbalancedBrackets,
     is_punctuation,
 )
+
+if TYPE_CHECKING:
+    from npstat.corpus import CellKey
 
 # One token per bracket and per word: a preterminal is four tokens.
 _ORACLE_TOKEN_RE = re.compile(r"[()]|[^()\s]+")

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -170,6 +171,59 @@ class TestFailurePaths:
         assert err == (f"error: glob pattern {pattern!r} must be relative to the corpus "
                        "root, with no '..' component\n")
 
+    @pytest.mark.parametrize("pattern", ["", ".", "./", "**", "sub/**", "**/", "*/", "sub/"])
+    @pytest.mark.parametrize("command", ["parse", "table1"])
+    def test_glob_without_file_name_exits_2_before_reading(self, capsys, monkeypatch,
+                                                           fixture_corpus, command, pattern):
+        # Each of these lists files on some supported Python versions and none on others.
+        def no_read(path, *args, **kwargs):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(Path, "read_text", no_read)
+        code, out, err = run(capsys, [*CORPUS_COMMANDS[command], *corpus_args(fixture_corpus),
+                                      "--glob", pattern])
+        assert (code, out) == (EXIT_MISSING_INPUT, "")
+        assert err == f"error: glob pattern {pattern!r} must end in a file name\n"
+
+    @pytest.mark.parametrize("pattern, listed", [
+        ("*", ["a.mrg", "bl.mrg", "sub/b.mrg", "sub/deep/c.mrg"]),
+        ("**/*.mrg", ["a.mrg", "bl.mrg", "sub/b.mrg", "sub/deep/c.mrg"]),
+        ("*/*.mrg", ["sub/b.mrg", "sub/deep/c.mrg"]),
+        ("*/*/*.mrg", ["sub/deep/c.mrg"]),
+        ("b.mrg", ["sub/b.mrg"]),
+        ("subl/*", []),
+    ], ids=["star", "any-depth", "one-level", "two-levels", "file-name", "through-the-link"])
+    def test_symlinked_directory_is_never_entered(self, capsys, fixture_corpus, tmp_path,
+                                                  pattern, listed):
+        # subl -> sub is a directory symlink, bl.mrg -> sub/b.mrg a file symlink.
+        root = tmp_path / "corpus"
+        (root / "sub" / "deep").mkdir(parents=True)
+        shutil.copy(fixture_corpus / "a.mrg", root / "a.mrg")
+        shutil.copy(fixture_corpus / "b.mrg", root / "sub" / "b.mrg")
+        shutil.copy(fixture_corpus / "c.mrg", root / "sub" / "deep" / "c.mrg")
+        try:
+            (root / "subl").symlink_to("sub", target_is_directory=True)
+            (root / "bl.mrg").symlink_to(Path("sub", "b.mrg"))
+        except (OSError, NotImplementedError) as err:
+            pytest.skip(f"cannot make a symlink here: {err}")
+        code, out, _ = run(capsys, ["parse", "--format", "records", "--corpus", str(root),
+                                    "--glob", pattern])
+        assert code == EXIT_OK
+        assert [record["file"] for record in parse_records(out)] == listed
+
+        def table1_total(corpus, glob):
+            code, out, _ = run(capsys, ["table1", "--format", "records", "--corpus",
+                                        str(corpus), "--glob", glob])
+            assert code == EXIT_OK
+            row, = (record for record in parse_records(out) if record["givenness"] == "total")
+            return Counter({key: n for key, n in row.items() if isinstance(n, int)})
+
+        # table1 counts each listed file once: the sum of their fixture originals.
+        original = {"a.mrg": "a.mrg", "bl.mrg": "b.mrg", "sub/b.mrg": "b.mrg",
+                    "sub/deep/c.mrg": "c.mrg"}
+        assert table1_total(root, pattern) == sum(
+            (table1_total(fixture_corpus, original[file_id]) for file_id in listed), Counter())
+
     @pytest.mark.parametrize("command", ["parse", "table1"])
     def test_glob_matching_no_file_warns(self, capsys, fixture_corpus, tmp_path, command):
         code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
@@ -300,6 +354,15 @@ class TestStartUp:
         assert code == expected
         assert not modules & {"npstat.queries", "npstat.corpus", "npstat.report",
                               "npstat.stats", "logging", "json", "decimal"}
+
+    @pytest.mark.parametrize("corpus, expected", [("fixture", EXIT_OK),
+                                                  ("broken", EXIT_ALL_FILES_FAILED)])
+    def test_parse_loads_no_query_layer(self, fixture_corpus, broken_dir, corpus, expected):
+        root = {"fixture": fixture_corpus, "broken": broken_dir}[corpus]
+        code, output, modules, _ = self.main_in_fresh_process(["parse", "--corpus", str(root)])
+        assert code == expected
+        assert output
+        assert "npstat.queries" not in modules
 
     @pytest.mark.parametrize("argv, unused", [
         (["table1", "--from-counts", *from_counts_args(BROWN_TABLE1)], set()),

@@ -1,6 +1,7 @@
 """Ingestion, aggregation and merge tests."""
 
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,6 +127,24 @@ class TestIngest:
         assert [p.name for p in files] == ["x.mrg", "z.mrg"]  # sub/x.mrg < z.mrg
         ids = [fid for fid, _ in ingest(CorpusSource(tmp_path))]
         assert ids == ["sub/x.mrg"] * 3 + ["z.mrg"] * 4
+
+    @pytest.mark.parametrize("given", ["dot", "dotdot", "absolute", "trailing-slash"])
+    def test_file_ids_are_relative_posix_paths(self, fixture_corpus, tmp_path, monkeypatch,
+                                               given):
+        root = tmp_path / "x"
+        # "sub-1" < "sub.x" < "sub/": ids sort as strings, not as path components.
+        for file_id in ["z.mrg", ".hidden.mrg", "sub/a.mrg", "sub/deep/b.mrg", "sub/.h/c.mrg",
+                        ".dot/d.mrg", "sub-1/e.mrg", "sub.x/f.mrg"]:
+            (root / file_id).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(fixture_corpus / "c.mrg", root / file_id)
+        expected = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+        assert len(expected) == 8
+        monkeypatch.chdir(root if given == "dot" else tmp_path)
+        source = CorpusSource(Path({"dot": ".", "dotdot": "x/../x", "absolute": str(root),
+                                    "trailing-slash": f"{root}/"}[given]))
+        assert [fid for fid, _, _ in read_files(source)] == expected
+        assert [p.relative_to(source.root_path).as_posix()
+                for p in corpus_files(source)] == expected
 
     def test_source_defaults(self, fixture_corpus):
         source = CorpusSource(fixture_corpus)

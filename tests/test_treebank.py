@@ -59,6 +59,33 @@ class TestLabels:
         assert tree.category == "NP"
         assert tree.label.function_tags == ("SBJ",)
 
+    def test_parses_share_one_label_object(self):
+        first = parse_trees("(NP-SBJ-7 (PRP it))")[0]
+        second = parse_trees("(S (NP-SBJ-7 (PRP they)) (VP (VBD left)))")[0]
+        assert second.children[0].label is first.label
+
+    def test_label_table_keeps_its_bound(self):
+        bound = NodeLabel.from_string.cache_info().maxsize
+        parse_trees(" ".join(f"(NP-{i} (PRP it))" for i in range(bound + 100)))
+        assert NodeLabel.from_string.cache_info().currsize == bound
+
+    def test_each_raw_label_is_derived_once_per_process(self, tmp_path, perfbench_gen):
+        perfbench_gen.generate("many-small", 101, tmp_path)
+        texts = [path.read_bytes().decode("utf-8", "replace")
+                 for path in sorted((tmp_path / "corpus").rglob("*.mrg"))]
+        assert len(texts) == 300
+        NodeLabel.from_string.cache_clear()
+        raw_labels = set()
+        for _ in range(2):
+            for text in texts:
+                try:
+                    trees = parse_trees(text)
+                except TreebankSyntaxError:
+                    continue
+                raw_labels |= {str(node.label) for tree in trees
+                               for node in tree.iter_nodes() if isinstance(node, Internal)}
+        assert NodeLabel.from_string.cache_info().misses == len(raw_labels)
+
 
 class TestParsing:
     def test_wrapped_and_unwrapped_agree(self):
