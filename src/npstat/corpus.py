@@ -16,8 +16,9 @@ from collections import Counter
 from pathlib import Path, PurePath
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-from .givenness import ClassifierConfig, DEFAULT_CONFIG, GivennessCategory, classify_overt
-from .treebank import EMPTY_POS, Leaf, SlottedRecord, Tree, TreebankSyntaxError, parse_trees
+from .givenness import (ClassifierConfig, DEFAULT_CONFIG, GivennessCategory, classify_overt,
+                        leading_overt)
+from .treebank import Leaf, SlottedRecord, Tree, TreebankSyntaxError, parse_trees
 
 if TYPE_CHECKING:  # queries is imported where cells are made or counted
     from .queries import ClauseContext, GrammaticalPosition
@@ -169,19 +170,22 @@ def aggregate(
 ) -> AggregateCounts:
     """Run extraction + classification over a stream and tally every cell.
 
-    One walk per sentence: the cascade classifies each NP from its slice of
-    the leaves the sentence walk collected.  Counting a whole sentence's
-    list of keys at once hashes each key once and never counts half a sentence.
+    One node-stack walk per sentence, which collects no leaves: the cascade
+    classifies each NP from its left edge, at most two leaves however large
+    the NP.  NPs are taken innermost first, so a scan takes a nested NP's
+    left edge from ``known`` and no node is scanned twice.  Counting a whole
+    sentence's list of keys at once hashes each key once and never counts
+    half a sentence.
     """
     from .queries import walk_np_occurrences
     counts: Counter[CellKey] = Counter()
     sentences = 0
     for _, tree in stream:
-        leaves: list[Leaf] = []
+        known: dict[Tree, list[Leaf]] = {}
         counts.update([
-            (classify_overt(node, [l for l in leaves[start:end] if l.pos != EMPTY_POS],
-                            config), position, context)
-            for node, position, context, start, end in walk_np_occurrences(tree, leaves)
+            (classify_overt(node, known.setdefault(node, leading_overt(node, known)), config),
+             position, context)
+            for node, position, context in reversed(walk_np_occurrences(tree))
         ])
         sentences += 1
     agg = AggregateCounts.from_cells(counts)

@@ -15,8 +15,10 @@ cascade, ordered specific to general:
 
 The classifier never consults discourse context; it is a surface heuristic
 over the NP's own leaves, so identical trees always classify identically.
-The cascade is :func:`classify_overt`, given the NP's overt leaves by a caller
-that already holds them; :func:`classify_np` collects them for one NP.
+The cascade is :func:`classify_overt`.  Of the NP's overt leaves it reads
+only the first two, which :func:`leading_overt` finds by a left-to-right scan
+that stops there, however large the NP; a caller that already holds the
+leaves may pass them all.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .treebank import (EMPTY_POS, Internal, Leaf, SlottedRecord, Tree, is_punctu
 
 
 class GivennessCategory(Enum):
+    # Members are singletons: a cell key hashes by identity, in C, not by name.
+    __hash__ = object.__hash__
     EMPTY_CATEGORY = "empty-category"
     PRONOUN = "pronoun"
     PROPER_NAME = "proper-name"
@@ -119,14 +123,34 @@ def classify_np(np: Tree, config: ClassifierConfig = DEFAULT_CONFIG) -> Givennes
     """Apply the rule cascade to one NP node; first matching rule wins."""
     if not (isinstance(np, Internal) and np.category == "NP"):
         raise NotAnNP(f"expected an internal NP node, got {np!r}")
-    return classify_overt(np, [l for l in np.leaves() if l.pos != EMPTY_POS], config)
+    return classify_overt(np, leading_overt(np), config)
+
+
+def leading_overt(np: Tree, known: dict[Tree, list[Leaf]] | None = None) -> list[Leaf]:
+    """The first two leaves other than ``-NONE-`` under ``np`` (fewer if it
+    has fewer), found left to right.  A node below ``np`` that ``known`` maps
+    to its own result is not scanned again."""
+    overt: list[Leaf] = []
+    stack = [np]
+    while stack and len(overt) < 2:
+        node = stack.pop()
+        if type(node) is Leaf:
+            if node.pos != EMPTY_POS:
+                overt.append(node)
+        elif known and node in known:
+            overt += known[node]
+        else:
+            stack.extend(reversed(node.children))  # type: ignore[attr-defined]
+    return overt[:2]
 
 
 def classify_overt(
     np: Internal, overt: list[Leaf], config: ClassifierConfig
 ) -> GivennessCategory:
     """The rule cascade, its only copy, over an NP node and its leaves other
-    than ``-NONE-`` in surface order; a walk that holds them passes them in."""
+    than ``-NONE-`` in surface order.  It reads only ``overt[:2]``, so
+    :func:`leading_overt` suffices, and a caller that holds them all may pass
+    them all."""
     if not overt:
         return GivennessCategory.EMPTY_CATEGORY
 

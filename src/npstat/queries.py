@@ -23,15 +23,15 @@ Four families of query live here:
 Empty elements (``-NONE-`` leaves) are transparent everywhere adjacency or
 surface order is involved.
 
-:func:`walk_sentence` is the sentence walk behind extraction and late
-closure, which filter its entries.  It collects the leaves and gives every
-internal node with its parent, child index, clause context and half-open leaf
-range, so neither query collects a subtree's leaves again.  Verb frames read
-only each internal node's children, so they scan a plain node stack; the
-adverbial survey only scans the root's children.  :func:`walk_np_occurrences`
-and :func:`walk_late_closure` hand the sentence's leaves to callers that
-classify each NP from them: :func:`npstat.corpus.aggregate` and the
-``late-closure`` command.
+:func:`walk_np_occurrences` is extraction's walk: a plain pre-order node
+stack that gives each occurrence with its position and context and collects
+no leaves, so :func:`npstat.corpus.aggregate` classifies each NP from its
+left edge.  :func:`walk_sentence` is the leaf walk behind late closure and NP
+spans: it collects the sentence's leaves and gives each NP and VP with its
+half-open leaf range, and :func:`walk_late_closure` hands those leaves to the
+``late-closure`` command.  Verb frames read only each internal node's
+children, so they scan a plain node stack too; the adverbial survey only scans
+the root's children.
 """
 
 from __future__ import annotations
@@ -57,11 +57,13 @@ ADVERBIAL_CATEGORIES = frozenset({"PP", "SBAR", "ADVP", "S"})
 
 
 class GrammaticalPosition(Enum):
+    __hash__ = object.__hash__  # see GivennessCategory
     SUBJECT = "subject"
     NON_SUBJECT = "non-subject"
 
 
 class ClauseContext(Enum):
+    __hash__ = object.__hash__  # see GivennessCategory
     MATRIX = "matrix"
     EMBEDDED_TC = "embedded-tc"
     EMBEDDED_RC = "embedded-rc"
@@ -108,20 +110,6 @@ class EmptyInflectionSet(ValueError):
     """The inflection set for a verb lemma is empty; lexicon is misconfigured."""
 
 
-def _position_in_parent(parent: Internal, child_index: int) -> GrammaticalPosition | None:
-    """Grammatical position of the NP at ``parent.children[child_index]``."""
-    cat = parent.label.category
-    if cat == "S":
-        later_vp = any(
-            type(sib) is Internal and sib.label.category == "VP"
-            for sib in parent.children[child_index + 1:]
-        )
-        return GrammaticalPosition.SUBJECT if later_vp else GrammaticalPosition.NON_SUBJECT
-    if cat == "VP":
-        return GrammaticalPosition.NON_SUBJECT
-    return None
-
-
 def _complementizer_slot(sbar: Internal, clause_index: int) -> Leaf | None:
     """Nearest leaf sibling preceding ``sbar.children[clause_index]``."""
     for child in reversed(sbar.children[:clause_index]):
@@ -153,56 +141,68 @@ def _embedded_context(
 
 
 def walk_sentence(tree: Tree, leaves: list[Leaf]) -> list[list]:
-    """The one sentence walk behind NP extraction and late closure.
+    """The leaf walk behind late closure and NP spans.
 
-    One ``[node, parent, index, context, start, end]`` entry per internal node,
-    in pre-order: ``node`` is ``parent.children[index]`` (the root's parent is
-    None), ``context`` is the clause context its NP children take, and
-    ``[start, end)`` is its leaf range.  The sentence's leaves are appended to
-    ``leaves``.
+    One ``[node, start, end]`` entry per NP and VP, in pre-order, where
+    ``[start, end)`` is the node's leaf range.  The sentence's leaves are
+    appended to ``leaves``.
     """
-    if type(tree) is not Internal:
-        leaves.extend(tree.leaves())
-        return []
     add_leaf = leaves.append
-    root = [tree, None, 0, ClauseContext.MATRIX, len(leaves), 0]
-    out = [root]
-    # One frame per node on the path from the root: the iterator over its
-    # children, its entry, and whether an S or SBAR lies on the path down to
-    # and including the node.  An entry's end is set when its frame pops.
-    stack = [(enumerate(tree.children), root, tree.label.category in ("S", "SBAR"))]
+    out = []
+    # One frame per node on the path from the root, below one that holds the
+    # root: the iterator over its children, and its entry (None unless it is
+    # an NP or a VP).  An entry's end is set when its frame pops.
+    stack = [(iter((tree,)), None)]
     while stack:
-        children, entry, under_clause = stack[-1]
-        for i, child in children:
+        children, entry = stack[-1]
+        for child in children:
             if type(child) is Leaf:
                 add_leaf(child)
                 continue
-            category = child.label.category
-            context = entry[3]
-            if category == "S" and under_clause:
-                context = _embedded_context(entry[0], entry[1], i)
-            child_entry = [child, entry[0], i, context, len(leaves), 0]
-            out.append(child_entry)
-            stack.append((enumerate(child.children), child_entry,
-                          under_clause or category in ("S", "SBAR")))
+            child_entry = [child, len(leaves), 0] if child.label.category in ("NP", "VP") else None
+            if child_entry:
+                out.append(child_entry)
+            stack.append((iter(child.children), child_entry))
             break
         else:
             stack.pop()
-            entry[5] = len(leaves)
+            if entry is not None:
+                entry[2] = len(leaves)
     return out
 
 
-def walk_np_occurrences(
-    tree: Tree, leaves: list[Leaf]
-) -> list[tuple[Internal, GrammaticalPosition, ClauseContext, int, int]]:
-    """:func:`extract_np_occurrences` over :func:`walk_sentence`: ``(node,
-    position, context, start, end)`` per occurrence, in pre-order."""
-    return [
-        (node, position, context, start, end)
-        for node, parent, i, context, start, end in walk_sentence(tree, leaves)
-        if node.label.category == "NP" and parent is not None
-        and (position := _position_in_parent(parent, i)) is not None
-    ]
+def walk_np_occurrences(tree: Tree) -> list[tuple[Internal, GrammaticalPosition, ClauseContext]]:
+    """:func:`extract_np_occurrences` as ``(node, position, context)`` triples,
+    in pre-order, from a plain node stack that collects no leaves."""
+    subject, non_subject = GrammaticalPosition.SUBJECT, GrammaticalPosition.NON_SUBJECT
+    out = []
+    # Per node: its parent, its position if it is an occurrence, the context
+    # its NP children take, and whether an S or SBAR lies above it.
+    stack = [(tree, None, None, ClauseContext.MATRIX, False)] if type(tree) is Internal else []
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, parent, position, context, under_clause = pop()
+        if position is not None:
+            out.append((node, position, context))
+        category = node.label.category
+        under_clause = under_clause or category in ("S", "SBAR")
+        # Children are pushed right to left; in an S, NPs left of a VP are subjects.
+        position = non_subject if category in ("S", "VP") else None
+        children = node.children
+        i = len(children)
+        for child in reversed(children):
+            i -= 1
+            if type(child) is Leaf:
+                continue
+            child_category = child.label.category
+            if child_category == "NP":
+                push((child, node, position, context, under_clause))
+                continue
+            if child_category == "VP" and category == "S":
+                position = subject
+            push((child, node, None, _embedded_context(node, parent, i)
+                  if child_category == "S" and under_clause else context, under_clause))
+    return out
 
 
 def extract_np_occurrences(
@@ -212,12 +212,14 @@ def extract_np_occurrences(
 
     NPs whose parent is neither an S nor a VP (e.g. NPs inside PPs or other
     NPs) are not occurrences of either kind and are omitted.  An NP gets the
-    context of its nearest S ancestor, or matrix when there is none.
+    context of its nearest S ancestor, or matrix when there is none.  Spans
+    come from :func:`walk_sentence`'s NP ranges, joined by node.
     """
+    ranges = {node: (start, end) for node, start, end in walk_sentence(tree, [])}
     return [
         NPOccurrence(node, position, context,
-                     SourceSpan(file_id, sentence_index, start, end))
-        for node, position, context, start, end in walk_np_occurrences(tree, [])
+                     SourceSpan(file_id, sentence_index, *ranges[node]))
+        for node, position, context in walk_np_occurrences(tree)
     ]
 
 
@@ -258,14 +260,13 @@ def walk_late_closure(
     from the verb through the NP."""
     np_starts: dict[int, list] = {}  # NPs by the position of their first overt leaf
     vps = []
-    for node, _, _, _, start, end in walk_sentence(tree, leaves):
-        category = node.label.category
-        if category == "NP":
-            first = next((j for j in range(start, end) if leaves[j].pos != EMPTY_POS), None)
-            if first is not None:
-                np_starts.setdefault(first, []).append((node, start, end))
-        elif category == "VP":
+    for node, start, end in walk_sentence(tree, leaves):
+        if node.label.category == "VP":
             vps.append((node, start, end))
+            continue
+        first = next((j for j in range(start, end) if leaves[j].pos != EMPTY_POS), None)
+        if first is not None:
+            np_starts.setdefault(first, []).append((node, start, end))
 
     matches = []
     for node, start, end in vps:
@@ -319,23 +320,13 @@ def survey_fronted_adverbials(
     """
     if not (isinstance(tree, Internal) and tree.category == "S"):
         return []
-    boundary = None
-    for i, child in enumerate(tree.children):
-        if isinstance(child, Internal) and child.category == "NP" \
-                and _position_in_parent(tree, i) is GrammaticalPosition.SUBJECT:
-            boundary = i
-            break
-    if boundary is None:
-        boundary = next(
-            (
-                i
-                for i, child in enumerate(tree.children)
-                if isinstance(child, Internal) and child.category == "VP"
-            ),
-            None,
-        )
-    if boundary is None:
+    categories = [child.category for child in tree.children]  # None for a leaf
+    if "VP" not in categories:
         return []
+    # The subject is the first NP with a VP among its later siblings; with no
+    # subject, the first VP ends the adjuncts.
+    last_vp = len(categories) - 1 - categories[::-1].index("VP")
+    boundary = next((i for i in range(last_vp) if categories[i] == "NP"), categories.index("VP"))
 
     # ``start`` counts the leaves of the children before ``child``; the overt
     # leaf after an adjunct comes from a lazy scan of its later siblings.

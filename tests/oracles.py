@@ -9,7 +9,7 @@ where the library splits the text at each ``(`` and reads one opening at a
 time, and is the reference for the parser's trees and errors.
 :func:`reference_aggregate_cells` is the other exception: it is the
 composition that :func:`npstat.corpus.aggregate` fuses into one walk, kept as
-that walk's reference.
+that walk's reference, with the cascade fed each NP's full overt leaf list.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
 from npstat.corpus import AggregateCounts
-from npstat.givenness import ClassifierConfig, classify_np
+from npstat.givenness import ClassifierConfig, classify_overt
 from npstat.queries import VERB_TAGS, LateClosureMatch, extract_np_occurrences
 from npstat.treebank import (
     EmptyConstituent,
@@ -352,11 +352,13 @@ def with_comma_after(node: Tree, target: Leaf) -> Tree:
 
 
 def reference_aggregate_cells(trees: list[Tree], config: ClassifierConfig) -> dict[CellKey, int]:
-    """The cells :func:`npstat.corpus.aggregate` must give for ``trees``:
-    :func:`classify_np`, which collects each NP's leaves again, on every
-    occurrence that :func:`extract_np_occurrences` finds."""
+    """The cells :func:`npstat.corpus.aggregate` must give for ``trees``: the
+    cascade over each NP's full list of overt leaves, from ``Tree.leaves``,
+    on every occurrence that :func:`extract_np_occurrences` finds.  It shares
+    no left-edge scan with ``aggregate`` or ``classify_np``."""
     agg = AggregateCounts()
     for tree in trees:
         for occ in extract_np_occurrences(tree):
-            agg.increment(classify_np(occ.node, config), occ.position, occ.context)
+            overt = [l for l in occ.node.leaves() if l.pos != "-NONE-"]
+            agg.increment(classify_overt(occ.node, overt, config), occ.position, occ.context)
     return agg.cells

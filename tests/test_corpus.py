@@ -1,5 +1,7 @@
 """Ingestion, aggregation and merge tests."""
 
+import copy
+import pickle
 import shutil
 from pathlib import Path
 
@@ -208,8 +210,9 @@ def corpus_trees(root) -> list:
 
 
 class TestAggregateReference:
-    """aggregate's one walk gives the cells of classify_np over
-    extract_np_occurrences."""
+    """aggregate's left-edge classification gives the cells of the cascade
+    over each NP's full overt leaf list, on every extract_np_occurrences
+    occurrence."""
 
     @staticmethod
     def check(trees, config):
@@ -235,6 +238,24 @@ class TestAggregateReference:
                       deep_clauses_trees):
             default, other = (reference_aggregate_cells(trees, c) for c in CONFIGS)
             assert default != other
+
+
+class TestCellKeys:
+    """Cell-key members hash by identity, and pickle and deepcopy keep them
+    singletons, so a copied table still merges with a live one."""
+
+    @pytest.mark.parametrize(
+        "member", [*GivennessCategory, *GrammaticalPosition, *ClauseContext], ids=str)
+    def test_identity_hash_and_singletons(self, member):
+        assert hash(member) == object.__hash__(member)
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert copy.deepcopy(member) is member
+
+    def test_copied_counts_merge_with_live_ones(self):
+        agg = random_aggregate(5)
+        for copied in (pickle.loads(pickle.dumps(agg)), copy.deepcopy(agg)):
+            assert copied == agg
+            assert merge(copied, agg).cells == {key: 2 * n for key, n in agg.cells.items()}
 
 
 class TestMerge:

@@ -1,6 +1,7 @@
 """Givenness classifier tests: rule cascade, hand-labeled fixture,
 configuration handling, determinism."""
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -12,8 +13,12 @@ from npstat.givenness import (
     GivennessCategory,
     NotAnNP,
     classify_np,
+    classify_overt,
+    leading_overt,
 )
-from npstat.treebank import Leaf, parse_trees
+from npstat.treebank import Internal, Leaf, parse_trees
+
+from treegen import random_trees
 
 EC = GivennessCategory.EMPTY_CATEGORY
 PRO = GivennessCategory.PRONOUN
@@ -184,3 +189,37 @@ class TestConfig:
         # Unspecified keys keep their defaults.
         assert config.pronoun_pos_tags == DEFAULT_CONFIG.pronoun_pos_tags
 
+
+
+class TestLeftEdge:
+    """The cascade reads only an NP's first two overt leaves, and
+    leading_overt finds them without collecting the rest."""
+
+    CONFIGS = (
+        DEFAULT_CONFIG,
+        ClassifierConfig(
+            pronoun_pos_tags=frozenset({"PRP"}),
+            definite_determiners=frozenset({"the", "his"}),
+            indefinite_determiners=frozenset({"a", "some", "this", "three"}),
+        ),
+    )
+
+    def test_first_two_overt_leaves_decide(self, smoke_corpus, deep_clauses_trees):
+        trees = [
+            tree
+            for path in sorted(smoke_corpus.rglob("*.mrg"))
+            for tree in parse_trees(path.read_text(encoding="utf-8"))
+        ]
+        trees += deep_clauses_trees + random_trees(seed=417, count=1000)
+        overt_counts: Counter = Counter()
+        for tree in trees:
+            for np in tree.iter_nodes():
+                if not (isinstance(np, Internal) and np.category == "NP"):
+                    continue
+                overt = [leaf for leaf in np.leaves() if leaf.pos != "-NONE-"]
+                assert leading_overt(np) == overt[:2]
+                for config in self.CONFIGS:
+                    assert classify_overt(np, overt[:2], config) \
+                        is classify_overt(np, overt, config)
+                overt_counts[min(len(overt), 3)] += 1
+        assert set(overt_counts) == {0, 1, 2, 3}, overt_counts

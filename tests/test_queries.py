@@ -18,10 +18,11 @@ from npstat.queries import (
     find_late_closure_configs,
     profile_verb_frames,
     survey_fronted_adverbials,
+    walk_np_occurrences,
     walk_sentence,
 )
 from npstat.report import parse_records
-from npstat.treebank import SourceSpan, Tree, parse_trees, serialize_tree
+from npstat.treebank import Internal, Leaf, SourceSpan, Tree, parse_trees, serialize_tree
 
 from oracles import (
     late_closure_match_is_sound,
@@ -218,6 +219,70 @@ def right_branching_chain(clauses: int) -> Tree:
     return tree
 
 
+def right_branching_np_chain(depth: int) -> Tree:
+    """One sentence whose object NP opens ``depth`` nested relative clauses.
+
+    Each level is ``(NP (NP (DT the) (NN man)) (SBAR (WHNP-1 (WP who)) (S
+    (NP-SBJ (-NONE- *T*-1)) (VP (VBD saw) ...``, so every level adds a
+    definite object NP whose leaves run to the end of the chain, and an empty
+    subject.
+    """
+    level = ("(NP (NP (DT the) (NN man)) (SBAR (WHNP-1 (WP who))"
+             " (S (NP-SBJ (-NONE- *T*-1)) (VP (VBD saw) ")
+    (tree,) = parse_trees("(S (NP-SBJ (PRP we)) (VP (VBD saw) " + level * depth
+                          + "(NP (PRP it))" + "))))" * depth + ") (. .))")
+    return tree
+
+
+def np_chain_cells(depth: int) -> dict:
+    """The non-zero cells of :func:`right_branching_np_chain`: the matrix
+    subject and object, then the relative clauses' objects and empty subjects,
+    and the innermost pronoun object."""
+    other = ClauseContext.EMBEDDED_OTHER
+    return {
+        (GivennessCategory.PRONOUN, SUBJ, ClauseContext.MATRIX): 1,
+        (GivennessCategory.DEFINITE, NONSUBJ, ClauseContext.MATRIX): 1,
+        (GivennessCategory.DEFINITE, NONSUBJ, other): depth - 1,
+        (GivennessCategory.EMPTY_CATEGORY, SUBJ, other): depth,
+        (GivennessCategory.PRONOUN, NONSUBJ, other): 1,
+    }
+
+
+def left_branching_np_chain(depth: int) -> Tree:
+    """One sentence whose subject NP holds a clause whose subject NP holds a
+    clause, ``depth`` levels down to ``(NP (PRP it))``: every NP's left edge
+    runs through every NP below it."""
+    (tree,) = parse_trees("(S " + "(NP (S " * depth + "(NP (PRP it))"
+                          + " (VP (VBD ran))))" * depth + " (VP (VBD ran)))")
+    return tree
+
+
+def left_np_chain_cells(depth: int) -> dict:
+    """The non-zero cells of :func:`left_branching_np_chain`: each NP that
+    holds a clause starts with "it ran", which no rule decides."""
+    other = ClauseContext.EMBEDDED_OTHER
+    return {
+        (GivennessCategory.NOT_CLASSIFIED, SUBJ, ClauseContext.MATRIX): 1,
+        (GivennessCategory.NOT_CLASSIFIED, SUBJ, other): depth - 1,
+        (GivennessCategory.PRONOUN, SUBJ, other): 1,
+    }
+
+
+def count_reads(monkeypatch) -> Counter:
+    """Reads of ``Leaf.pos`` and ``Internal.children`` per node, for every
+    node however it was made, until ``monkeypatch`` is undone."""
+    reads: Counter = Counter()
+    for cls, name in ((Leaf, "pos"), (Internal, "children")):
+        slot = cls.__dict__[name]
+
+        def read(node, slot=slot, cls=cls):
+            reads[node] += 1
+            return slot.__get__(node, cls)
+
+        monkeypatch.setattr(cls, name, property(read, slot.__set__))
+    return reads
+
+
 def check_against_oracles(tree: Tree, checked: Counter) -> None:
     """The sentence walk and every query on one sentence against the oracles:
     positions and contexts, every span, late-closure soundness and
@@ -227,15 +292,20 @@ def check_against_oracles(tree: Tree, checked: Counter) -> None:
     walked: list = []
     entries = walk_sentence(tree, walked)
     assert walked == leaves
-    # The oracle settles ranges in reverse pre-order.
-    assert [(id(e[0]), e[4], e[5]) for e in entries] == [
+    # The oracle settles ranges in reverse pre-order; the walk gives NPs and VPs.
+    nodes = {id(node): node for node in tree.iter_nodes()}
+    assert [(id(node), start, end) for node, start, end in entries] == [
         (node_id, *ranges[node_id]) for node_id in reversed(ranges)
+        if nodes[node_id].category in ("NP", "VP")
     ]
-    assert all(parent.children[i] is node for node, parent, i, *_ in entries[1:])
+    # Occurrences in pre-order, as the oracle finds them.
+    expected = oracle_occurrences(tree)
+    assert [(id(node), (position.value, context.value))
+            for node, position, context in walk_np_occurrences(tree)] == list(expected.items())
     occurrences = extract_np_occurrences(tree)
     actual = {id(o.node): (o.position.value, o.context.value) for o in occurrences}
     assert len(actual) == len(occurrences), "an NP was reported twice"
-    assert actual == oracle_occurrences(tree)
+    assert actual == expected
     for occ in occurrences:
         assert (occ.span.start, occ.span.end) == ranges[id(occ.node)]
         checked["occurrences"] += 1
@@ -299,32 +369,43 @@ class TestLeafSpans:
             calls += 1
             return collect(self)
 
-        chains = {depth: right_branching_chain(depth) for depth in (20, 2_000)}
-        for depth, tree in chains.items():
-            (tmp_path / str(depth)).mkdir()
-            (tmp_path / str(depth) / "chain.mrg").write_text(serialize_tree(tree) + "\n")
+        chains = {(make, depth): make(depth) for depth in (20, 2_000)
+                  for make in (right_branching_chain, right_branching_np_chain)}
+        for (make, depth), tree in chains.items():
+            (tmp_path / f"{make.__name__}-{depth}").mkdir()
+            (tmp_path / f"{make.__name__}-{depth}" / "chain.mrg").write_text(
+                serialize_tree(tree) + "\n")
         monkeypatch.setattr(Tree, "leaves", counting_leaves)
         counts = {}
         results = {}
-        for depth, tree in chains.items():
+        for (make, depth), tree in chains.items():
             calls = 0
-            results[depth] = (
+            results[make, depth] = (
                 find_late_closure_configs(tree),
                 extract_np_occurrences(tree),
                 survey_fronted_adverbials(tree),
                 aggregate([("chain", tree)]),  # table1's extract + classify path
-                main(["late-closure", "--corpus", str(tmp_path / str(depth)),
+                main(["late-closure", "--corpus", str(tmp_path / f"{make.__name__}-{depth}"),
                       "--format", "records"]),
             )
-            counts[depth] = calls
+            counts[make, depth] = calls
         monkeypatch.undo()
-        assert counts[2_000] == counts[20] <= 3
+        for make in (right_branching_chain, right_branching_np_chain):
+            assert counts[make, 2_000] == counts[make, 20] <= 3
+        # The NP chain has no verb-final VP, so no late-closure row.
         late_rows = parse_records(capsys.readouterr().out)
         assert [(r["verb"], r["np"], r["givenness"]) for r in late_rows] == [
             ("ended", "we", "pronoun"), ("ended", "the guests", "definite"),
         ] * 2
-        for depth, tree in chains.items():
-            matches, occurrences, adverbials, agg, code = results[depth]
+        for depth in (20, 2_000):
+            matches, occurrences, _, agg, code = results[right_branching_np_chain, depth]
+            assert (matches, code) == ([], 0)
+            assert len(occurrences) == 2 * depth + 2
+            assert {key: n for key, n in agg.cells.items() if n} == np_chain_cells(depth)
+        for (make, depth), tree in chains.items():
+            if make is not right_branching_chain:
+                continue
+            matches, occurrences, adverbials, agg, code = results[make, depth]
             assert code == 0
             pronoun = GivennessCategory.PRONOUN
             assert {key: n for key, n in agg.cells.items() if n} == {
@@ -354,6 +435,46 @@ class TestLeafSpans:
                 assert (occ.span.start, occ.span.end) == (
                     position[id(node_leaves[0])], position[id(node_leaves[-1])] + 1
                 )
+
+
+    @pytest.mark.parametrize("make, cells", [
+        (right_branching_np_chain, np_chain_cells),
+        (left_branching_np_chain, left_np_chain_cells),
+    ])
+    def test_np_classification_reads_a_bounded_left_edge(self, monkeypatch, capsys,
+                                                          tmp_path, make, cells):
+        # In the right chain each level's object NP holds every later level, so
+        # a per-NP copy of its leaves would read the innermost leaves once per
+        # level; in the left chain an NP's left edge runs through every NP
+        # below it, so a scan that went down again for each NP would read the
+        # deepest nodes once per level.
+        reads_at = {}
+        for depth in (50, 5_000):
+            tree = make(depth)
+            nodes = sum(1 for _ in tree.iter_nodes())
+            corpus = tmp_path / str(depth)
+            corpus.mkdir()
+            (corpus / "chain.mrg").write_text(serialize_tree(tree) + "\n")
+            with monkeypatch.context() as patch:
+                reads = count_reads(patch)
+                agg = aggregate([("chain", tree)])
+                in_memory = reads.copy()
+                reads.clear()
+                code = main(["table1", "--corpus", str(corpus), "--format", "records"])
+                from_disk = reads.copy()
+            assert {key: n for key, n in agg.cells.items() if n} == cells(depth)
+            assert code == 0
+            capsys.readouterr()
+            # Per path: the most reads of one leaf's tag, and reads per node.
+            reads_at[depth] = [
+                (max(n for node, n in path.items() if type(node) is Leaf),
+                 sum(path.values()) / nodes)
+                for path in (in_memory, from_disk)
+            ]
+        assert max(per_node for paths in reads_at.values() for _, per_node in paths) <= 3, \
+            reads_at
+        if make is right_branching_np_chain:
+            assert [most for most, _ in reads_at[5_000]] == [most for most, _ in reads_at[50]]
 
 
 class TestLateClosure:
