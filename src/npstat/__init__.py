@@ -48,7 +48,7 @@ _EXPORTS = {
     ),
     "corpus": (
         "AggregateCounts", "CorpusSource", "RootNotFound", "aggregate",
-        "aggregate_corpus", "corpus_files", "ingest", "merge", "read_files",
+        "aggregate_corpus", "corpus_files", "merge", "read_files",
     ),
     "report": (
         "ReportFormat", "Table1Block", "Table1Report", "Table1Row",

@@ -156,15 +156,6 @@ def parsed_files(
             yield file_id, trees
 
 
-def ingest(source: CorpusSource) -> Iterator[tuple[str, Tree]]:
-    """Open a corpus directory as a stream of (file_id, tree) pairs."""
-    return (
-        (file_id, tree)
-        for file_id, trees, _ in read_files(source) if trees is not None
-        for tree in trees
-    )
-
-
 def aggregate(
     stream: Iterable[tuple[str, Tree]], config: ClassifierConfig = DEFAULT_CONFIG
 ) -> AggregateCounts:

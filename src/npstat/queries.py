@@ -26,12 +26,12 @@ surface order is involved.
 :func:`walk_np_occurrences` is extraction's walk: a plain pre-order node
 stack that gives each occurrence with its position and context and collects
 no leaves, so :func:`npstat.corpus.aggregate` classifies each NP from its
-left edge.  :func:`walk_sentence` is the leaf walk behind late closure and NP
-spans: it collects the sentence's leaves and gives each NP and VP with its
-half-open leaf range, and :func:`walk_late_closure` hands those leaves to the
-``late-closure`` command.  Verb frames read only each internal node's
-children, so they scan a plain node stack too; the adverbial survey only scans
-the root's children.
+left edge.  :func:`walk_sentence` is the leaf walk behind NP spans.
+:func:`walk_late_closure` is a leaf walk of its own that settles each match
+as the leaves are read, reading each tag once, and hands the leaves it
+collects to the ``late-closure`` command.  Verb frames read only each
+internal node's children, so they scan a plain node stack too; the adverbial
+survey only scans the root's children.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .treebank import (
     EMPTY_POS,
+    PUNCTUATION_TAGS,
     Internal,
     Leaf,
     SourceSpan,
     Tree,
     is_empty_category,
-    is_punctuation,
 )
 
 VERB_TAGS = frozenset({"VB", "VBD", "VBG", "VBN", "VBP", "VBZ"})
@@ -141,9 +141,9 @@ def _embedded_context(
 
 
 def walk_sentence(tree: Tree, leaves: list[Leaf]) -> list[list]:
-    """The leaf walk behind late closure and NP spans.
+    """The leaf walk behind NP spans (:func:`extract_np_occurrences`).
 
-    One ``[node, start, end]`` entry per NP and VP, in pre-order, where
+    One ``[node, start, end]`` entry per NP, in pre-order, where
     ``[start, end)`` is the node's leaf range.  The sentence's leaves are
     appended to ``leaves``.
     """
@@ -151,7 +151,7 @@ def walk_sentence(tree: Tree, leaves: list[Leaf]) -> list[list]:
     out = []
     # One frame per node on the path from the root, below one that holds the
     # root: the iterator over its children, and its entry (None unless it is
-    # an NP or a VP).  An entry's end is set when its frame pops.
+    # an NP).  An entry's end is set when its frame pops.
     stack = [(iter((tree,)), None)]
     while stack:
         children, entry = stack[-1]
@@ -159,7 +159,7 @@ def walk_sentence(tree: Tree, leaves: list[Leaf]) -> list[list]:
             if type(child) is Leaf:
                 add_leaf(child)
                 continue
-            child_entry = [child, len(leaves), 0] if child.label.category in ("NP", "VP") else None
+            child_entry = [child, len(leaves), 0] if child.label.category == "NP" else None
             if child_entry:
                 out.append(child_entry)
             stack.append((iter(child.children), child_entry))
@@ -255,42 +255,61 @@ def crosscheck_subject_tags(occurrences: Iterable[NPOccurrence]) -> SubjectTagCr
 def walk_late_closure(
     tree: Tree, leaves: list[Leaf]
 ) -> list[tuple[Internal, Leaf, Internal, int, int]]:
-    """:func:`find_late_closure_configs` over :func:`walk_sentence`: ``(vp,
-    verb, np, start, end)`` per match, with ``[start, end)`` the leaf range
-    from the verb through the NP."""
-    np_starts: dict[int, list] = {}  # NPs by the position of their first overt leaf
-    vps = []
-    for node, start, end in walk_sentence(tree, leaves):
-        if node.label.category == "VP":
-            vps.append((node, start, end))
-            continue
-        first = next((j for j in range(start, end) if leaves[j].pos != EMPTY_POS), None)
-        if first is not None:
-            np_starts.setdefault(first, []).append((node, start, end))
+    """:func:`find_late_closure_configs` as ``(vp, verb, np, start, end)``
+    rows in VP pre-order, ``[start, end)`` running from the verb through the
+    NP, from one leaf walk that appends the sentence's leaves to ``leaves``.
 
-    matches = []
-    for node, start, end in vps:
-        i = next(
-            (
-                j
-                for j in range(end - 1, start - 1, -1)
-                if leaves[j].pos != EMPTY_POS
-                and not is_punctuation(leaves[j])
-            ),
-            None,
-        )
-        if i is None or leaves[i].pos not in VERB_TAGS:
-            continue
-        following = next(
-            (j for j in range(i + 1, len(leaves)) if leaves[j].pos != EMPTY_POS), None
-        )
-        if following is None or is_punctuation(leaves[following]):
-            continue
-        candidates = np_starts.get(following)
-        if candidates:
-            critical, _, np_end = max(candidates, key=lambda np: np[2] - np[1])
-            matches.append((node, leaves[i], critical, i, np_end))
-    return matches
+    A VP that pops while the last overt leaf so far is a verb inside it waits
+    for the next overt leaf: punctuation kills it, and otherwise it takes the
+    outermost open NP entered after the verb, the highest ancestor of that
+    leaf whose first overt leaf it is (an NP that closes first is no longer a
+    candidate).  The row is made when that NP closes.
+    """
+    add_leaf = leaves.append
+    rows = []  # one slot per VP, reserved as it is entered
+    waiting = []  # (slot, vp, verb position) of VPs that end in the last overt leaf
+    verb_at = -1  # position of the last overt leaf if it is a verb
+    candidate = None  # the candidate NP's frame
+    # Per node on the path from the root, below one that holds the root: the
+    # iterator over its children, the node, and its frame: for an NP the rows
+    # that wait for its end, for a VP its slot and its first leaf's position.
+    stack = [(iter((tree,)), tree, None)]
+    while stack:
+        children, node, frame = stack[-1]
+        for child in children:
+            if type(child) is Leaf:
+                add_leaf(child)
+                pos = child.pos
+                if pos == EMPTY_POS:
+                    continue
+                if waiting:
+                    if candidate is not None and pos not in PUNCTUATION_TAGS:
+                        candidate += waiting
+                    waiting = []
+                candidate = None
+                verb_at = len(leaves) - 1 if pos in VERB_TAGS else -1
+                continue
+            category = child.label.category
+            child_frame = None
+            if category == "NP":
+                child_frame = []
+                if candidate is None:
+                    candidate = child_frame
+            elif category == "VP":
+                child_frame = (len(rows), len(leaves))
+                rows.append(None)
+            stack.append((iter(child.children), child, child_frame))
+            break
+        else:
+            stack.pop()
+            if type(frame) is list:
+                if frame is candidate:
+                    candidate = None
+                for slot, vp, verb in frame:
+                    rows[slot] = (vp, leaves[verb], node, verb, len(leaves))
+            elif frame is not None and verb_at >= frame[1]:
+                waiting.append((frame[0], node, verb_at))
+    return [row for row in rows if row is not None]
 
 
 def find_late_closure_configs(

@@ -15,7 +15,6 @@ from npstat.corpus import (
     aggregate,
     aggregate_corpus,
     corpus_files,
-    ingest,
     merge,
     read_files,
 )
@@ -68,9 +67,15 @@ def random_aggregate(seed: int) -> AggregateCounts:
     return agg
 
 
+def sentence_pairs(source: CorpusSource) -> list:
+    """The corpus's parsed sentences as ``(file_id, tree)`` pairs, in order."""
+    return [(file_id, tree) for file_id, trees, _ in read_files(source) if trees is not None
+            for tree in trees]
+
+
 class TestIngest:
     def test_fixture_corpus_order_and_counts(self, fixture_corpus):
-        pairs = list(ingest(CorpusSource(fixture_corpus)))
+        pairs = sentence_pairs(CorpusSource(fixture_corpus))
         assert len(pairs) == 10
         assert [fid for fid, _ in pairs] == ["a.mrg"] * 4 + ["b.mrg"] * 3 + ["c.mrg"] * 3
         files = list(read_files(CorpusSource(fixture_corpus)))
@@ -81,16 +86,13 @@ class TestIngest:
 
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(RootNotFound):
-            ingest(CorpusSource(tmp_path / "nowhere"))
-        with pytest.raises(RootNotFound):
             read_files(CorpusSource(tmp_path / "nowhere"))
 
     def test_empty_directory_yields_empty_stream(self, tmp_path):
-        assert list(ingest(CorpusSource(tmp_path))) == []
         assert list(read_files(CorpusSource(tmp_path))) == []
 
     def test_glob_filters_files(self, fixture_corpus):
-        pairs = list(ingest(CorpusSource(fixture_corpus, include_glob="a.*")))
+        pairs = sentence_pairs(CorpusSource(fixture_corpus, include_glob="a.*"))
         assert len(pairs) == 4
         assert {fid for fid, _ in pairs} == {"a.mrg"}
 
@@ -98,7 +100,7 @@ class TestIngest:
         shutil.copy(fixture_corpus / "a.mrg", tmp_path / "a.mrg")
         shutil.copy(fixture_corpus / "c.mrg", tmp_path / "c.mrg")
         shutil.copy(broken_dir / "malformed.mrg", tmp_path / "b.mrg")
-        pairs = list(ingest(CorpusSource(tmp_path)))
+        pairs = sentence_pairs(CorpusSource(tmp_path))
         assert len(pairs) == 7  # the two good files' sentences
         files = list(read_files(CorpusSource(tmp_path)))
         assert [fid for fid, trees, _ in files if trees is None] == ["b.mrg"]
@@ -127,7 +129,7 @@ class TestIngest:
         shutil.copy(fixture_corpus / "c.mrg", tmp_path / "sub" / "x.mrg")
         files = corpus_files(CorpusSource(tmp_path))
         assert [p.name for p in files] == ["x.mrg", "z.mrg"]  # sub/x.mrg < z.mrg
-        ids = [fid for fid, _ in ingest(CorpusSource(tmp_path))]
+        ids = [fid for fid, _ in sentence_pairs(CorpusSource(tmp_path))]
         assert ids == ["sub/x.mrg"] * 3 + ["z.mrg"] * 4
 
     @pytest.mark.parametrize("given", ["dot", "dotdot", "absolute", "trailing-slash"])
@@ -164,7 +166,7 @@ class TestAggregate:
         assert agg.files_skipped == 0
 
     def test_complement_clause_cells(self, fixture_corpus):
-        agg = aggregate(ingest(CorpusSource(fixture_corpus)))
+        agg = aggregate(sentence_pairs(CorpusSource(fixture_corpus)))
         assert agg.cell(DEF, SUBJ, TC) == 1
         assert agg.cell(DEF, SUBJ, RC) == 1
         assert agg.cell(DEF, NONSUBJ, MATRIX) >= 1
@@ -175,7 +177,7 @@ class TestAggregate:
         assert agg.sentences_processed == 0
 
     def test_split_and_merge_equals_single_pass(self, fixture_corpus):
-        pairs = list(ingest(CorpusSource(fixture_corpus)))
+        pairs = sentence_pairs(CorpusSource(fixture_corpus))
         single = aggregate(pairs)
         first, second = aggregate(pairs[:5]), aggregate(pairs[5:])
         combined = merge(first, second)
@@ -183,7 +185,7 @@ class TestAggregate:
         assert combined.sentences_processed == single.sentences_processed
 
     def test_four_way_split_and_merge(self, fixture_corpus):
-        pairs = list(ingest(CorpusSource(fixture_corpus)))
+        pairs = sentence_pairs(CorpusSource(fixture_corpus))
         single = aggregate(pairs)
         combined = AggregateCounts()
         for start in range(0, 10, 3):
@@ -206,7 +208,7 @@ CONFIGS = (
 
 
 def corpus_trees(root) -> list:
-    return [tree for _, tree in ingest(CorpusSource(root))]
+    return [tree for _, tree in sentence_pairs(CorpusSource(root))]
 
 
 class TestAggregateReference:
@@ -293,7 +295,7 @@ class TestMerge:
 
 class TestAggregateCorpus:
     def test_matches_streaming_aggregation(self, fixture_corpus):
-        streamed = aggregate(ingest(CorpusSource(fixture_corpus)))
+        streamed = aggregate(sentence_pairs(CorpusSource(fixture_corpus)))
         sequential = aggregate_corpus(CorpusSource(fixture_corpus))
         assert sequential.cells == streamed.cells
         assert sequential.files_processed == 3

@@ -18,6 +18,7 @@ from npstat.queries import (
     find_late_closure_configs,
     profile_verb_frames,
     survey_fronted_adverbials,
+    walk_late_closure,
     walk_np_occurrences,
     walk_sentence,
 )
@@ -292,11 +293,11 @@ def check_against_oracles(tree: Tree, checked: Counter) -> None:
     walked: list = []
     entries = walk_sentence(tree, walked)
     assert walked == leaves
-    # The oracle settles ranges in reverse pre-order; the walk gives NPs and VPs.
+    # The oracle settles ranges in reverse pre-order; the walk gives NPs.
     nodes = {id(node): node for node in tree.iter_nodes()}
     assert [(id(node), start, end) for node, start, end in entries] == [
         (node_id, *ranges[node_id]) for node_id in reversed(ranges)
-        if nodes[node_id].category in ("NP", "VP")
+        if nodes[node_id].category == "NP"
     ]
     # Occurrences in pre-order, as the oracle finds them.
     expected = oracle_occurrences(tree)
@@ -476,6 +477,45 @@ class TestLeafSpans:
         if make is right_branching_np_chain:
             assert [most for most, _ in reads_at[5_000]] == [most for most, _ in reads_at[50]]
 
+    @pytest.mark.parametrize("make", [
+        right_branching_chain, right_branching_np_chain, left_branching_np_chain,
+    ])
+    def test_late_closure_reads_each_tag_once(self, monkeypatch, capsys, tmp_path, make):
+        # A walk that looked back from each VP for its last content leaf would
+        # read the innermost verb's tag once per enclosing VP, and one that
+        # looked forward from each NP for its first overt leaf would read the
+        # innermost leaves once per enclosing NP.
+        expected = [("ended", "we", "pronoun"), ("ended", "the guests", "definite")] \
+            if make is right_branching_chain else []
+        most = {}
+        for depth in (50, 5_000):
+            tree = make(depth)
+            nodes = sum(1 for _ in tree.iter_nodes())
+            corpus = tmp_path / str(depth)
+            corpus.mkdir()
+            (corpus / "chain.mrg").write_text(serialize_tree(tree) + "\n")
+            leaves: list = []
+            with monkeypatch.context() as patch:
+                reads = count_reads(patch)
+                matches = walk_late_closure(tree, leaves)
+                walked = reads.copy()
+                reads.clear()
+                code = main(["late-closure", "--corpus", str(corpus), "--format", "records"])
+                from_disk = reads.copy()
+            assert max(walked.values()) == 1
+            assert sum(from_disk.values()) / nodes <= 3
+            most[depth] = max(n for node, n in from_disk.items() if type(node) is Leaf)
+            assert leaves == tree.leaves()
+            assert [(verb.token, np.text()) for _, verb, np, _, _ in matches] \
+                == [(verb, np) for verb, np, _ in expected]
+            if depth == 50:  # the oracle is quadratic on the left chain
+                assert [(vp, verb, np) for vp, verb, np, _, _ in matches] \
+                    == oracle_late_closure(tree)
+            rows = parse_records(capsys.readouterr().out)
+            assert code == 0
+            assert [(r["verb"], r["np"], r["givenness"]) for r in rows] == expected
+        assert most[5_000] == most[50], most
+
 
 class TestLateClosure:
     def test_subordinate_final_verb_before_main_subject(self, fixture_corpus):
@@ -518,6 +558,42 @@ class TestLateClosure:
         )[0]
         matches = find_late_closure_configs(tree)
         assert [m.critical_np.text() for m in matches] == ["Smith and Jones"]
+
+    # Each edge of the walk's state: (verb, np, span start, span end) per row.
+    @pytest.mark.parametrize("text, rows", [
+        pytest.param("(S (SBAR (IN When) (S (NP-SBJ (PRP we)) (VP (VBD ate) (, ,))))"
+                     " (NP-SBJ (DT the) (NNS guests)) (VP (VBD left)) (. .))",
+                     [], id="vp-ends-in-comma"),
+        pytest.param("(S (SBAR (IN When) (S (NP-SBJ (PRP we)) (VP (VBD ate))))"
+                     " (NP (-NONE- *)) (NP-SBJ (DT the) (NNS guests)) (VP (VBD left)) (. .))",
+                     [("ate", "the guests", 2, 6)], id="empty-np-before-the-np"),
+        pytest.param("(S (SBAR (IN When) (S (NP-SBJ (PRP we)) (VP (MD would) (VP (VB eat)))))"
+                     " (NP-SBJ (PRP it)) (VP (VBD went)) (. .))",
+                     [("eat", "it", 3, 5)] * 2, id="nested-vps-one-verb"),
+        pytest.param("(S (NP-SBJ (PRP we)) (VP (VBD left) (NP (-NONE- *T*-1))))",
+                     [], id="verb-is-the-last-overt-leaf"),
+        pytest.param("(S (SBAR (IN When) (S (NP-SBJ (PRP we)) (VP (VBD ate))))"
+                     " (NP-SBJ (-NONE- *) (NP (DT the) (NNS guests)) (PP (IN from) (NP (NNP Ohio))))"
+                     " (VP (VBD left)) (. .))",
+                     [("ate", "the guests from Ohio", 2, 8)], id="np-opens-with-an-empty-leaf"),
+        pytest.param("(S (SBAR (IN When) (S (NP-SBJ (PRP we)) (VP (VBD ate))))"
+                     " (NP-SBJ (`` ``) (NNP Smith) ('' '')) (VP (VBD left)) (. .))",
+                     [], id="quote-after-the-verb"),
+    ])
+    def test_walk_edges_agree_with_oracles(self, text, rows):
+        (tree,) = parse_trees(text)
+        matches = find_late_closure_configs(tree)
+        assert [(m.vp_node, m.final_verb, m.critical_np) for m in matches] \
+            == oracle_late_closure(tree)
+        ranges = oracle_leaf_ranges(tree)
+        leaves = tree.leaves()
+        for match in matches:
+            assert leaves[match.span.start] is match.final_verb
+            assert match.span.end == ranges[id(match.critical_np)][1]
+        assert [(m.final_verb.token, m.critical_np.text(), m.span.start, m.span.end)
+                for m in matches] == rows
+        if len(matches) == 2:  # the outer VP first
+            assert matches[0].vp_node.children[-1] is matches[1].vp_node
 
     def test_unambiguous_sentences_have_no_matches(self, fixture_corpus):
         for name in ("a.mrg", "c.mrg"):
