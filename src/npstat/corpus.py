@@ -12,7 +12,10 @@ partition of the corpus combines to the same result.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
+from contextlib import suppress
+from fnmatch import fnmatchcase
 from pathlib import Path, PurePath
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -92,12 +95,9 @@ def merge(x: AggregateCounts, y: AggregateCounts) -> AggregateCounts:
 
 
 def corpus_files(source: CorpusSource) -> list[Path]:
-    """All matching files under the root, lexicographic by relative path,
-    except those below a symlinked directory under the root.
-
-    A pattern that is absolute or has a ``..`` component could reach files
-    outside the root, and one with no component or ending in ``**`` or ``/``
-    lists files on some Python versions only: each raises ValueError first.
+    """All files under the root whose path ends in a match of the pattern, sorted by
+    relative path, from one walk that never enters a directory symlink.  A pattern that
+    could reach outside the root, names no file or holds a partial ``**`` raises ValueError.
     """
     pattern = PurePath(source.include_glob)
     if pattern.anchor or ".." in pattern.parts:
@@ -109,15 +109,22 @@ def corpus_files(source: CorpusSource) -> list[Path]:
     root = Path(source.root_path)
     if not root.is_dir():
         raise RootNotFound(f"corpus root {root} does not exist")
-    skip = len(root.parts)
-    linked: dict[tuple[str, ...], bool] = {}  # a directory's parts -> below a symlink
-    files = []
-    for path in root.rglob(source.include_glob):
-        dirs = path.parts[skip:-1]
-        if dirs not in linked:  # once per directory that holds a match, not per file
-            linked[dirs] = any(p.is_symlink() for p in path.parents[:len(dirs)])
-        if not linked[dirs] and path.is_file():
-            files.append(path)
+    names = [part for part in pattern.parts if part != "**"]
+    if any("**" in name for name in names):
+        raise ValueError("Invalid pattern: '**' can only be an entire path component")
+    # An entry may match names[i] for i in reached; a '**' before it (free[i]) keeps i below.
+    free = [prev == "**" for prev, part in zip(("**", *pattern.parts), pattern.parts)
+            if part != "**"]
+    last, files, stack = len(names) - 1, [], [(str(root), {0})]
+    while stack:
+        directory, reached = stack.pop()
+        with suppress(OSError), os.scandir(directory) as entries:  # unreadable: no files
+            for entry in entries:
+                if entry.is_dir(follow_symlinks=False):
+                    stack.append((entry.path, {i for i in reached if free[i]} | {
+                        i + 1 for i in reached if i < last and fnmatchcase(entry.name, names[i])}))
+                elif last in reached and fnmatchcase(entry.name, names[last]) and entry.is_file():
+                    files.append(Path(entry.path))
     return sorted(files, key=Path.as_posix)  # the root starts every path
 
 

@@ -11,7 +11,6 @@ Significance is reported as a band against the df=1 critical values.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -76,12 +75,6 @@ class ChiSquareResult(NamedTuple):
     statistic: float
     degrees_of_freedom: int
     significance_band: SignificanceBand
-
-    def p_value(self) -> float:
-        """Exact upper-tail probability; valid for df=1 only."""
-        if self.degrees_of_freedom != 1:
-            raise ValueError("exact p-value implemented for df=1 only")
-        return math.erfc(math.sqrt(self.statistic / 2.0))
 
 
 def chi_square_2x2(table: ContingencyTable2x2) -> ChiSquareResult:

@@ -280,11 +280,15 @@ def oracle_late_closure(tree: Tree) -> list[tuple[Internal, Leaf, Internal]]:
         )
         if following is None or is_punctuation(following):
             continue
+        # Above the first ancestor that starts with an earlier overt leaf,
+        # every ancestor does too, so the climb stops there.
         nps = []
         node = following
         while id(node) in parent_of:
             node = parent_of[id(node)]
-            if node.category == "NP" and first_overt[id(node)] is following:
+            if first_overt[id(node)] is not following:
+                break
+            if node.category == "NP":
                 nps.append(node)
         if nps:
             triples.append((vp, verb, nps[-1]))

@@ -1,8 +1,10 @@
 """Ingestion, aggregation and merge tests."""
 
 import copy
+import os
 import pickle
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -149,6 +151,45 @@ class TestIngest:
         assert [fid for fid, _, _ in read_files(source)] == expected
         assert [p.relative_to(source.root_path).as_posix()
                 for p in corpus_files(source)] == expected
+
+    def test_walk_scans_each_real_directory_once(self, fixture_corpus, tmp_path, monkeypatch):
+        # The root holds a 25-level chain of real directories and two links to
+        # a 420-directory tree; a listing that entered the links would scan it.
+        big = tmp_path / "big"
+        for i in range(20):
+            for j in range(20):
+                (big / f"d{i}" / f"e{j}").mkdir(parents=True)
+        shutil.copy(fixture_corpus / "a.mrg", big / "d0" / "e0" / "a.mrg")
+        root = tmp_path / "root"
+        deep = root.joinpath(*(f"l{k}" for k in range(25)))
+        deep.mkdir(parents=True)
+        shutil.copy(fixture_corpus / "a.mrg", deep / "a.mrg")
+        try:
+            (root / "big").symlink_to(big, target_is_directory=True)
+            (root / "l0" / "big").symlink_to(big, target_is_directory=True)
+        except (OSError, NotImplementedError) as err:
+            pytest.skip(f"cannot make a symlink here: {err}")
+        scanned = []
+        scandir = os.scandir
+
+        def counted(path):
+            scanned.append(path)
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", counted)
+        for pattern, found in [("*", True), ("*/*/*/*.mrg", True), ("l0/**/l24/a.mrg", True),
+                               ("big/*/*/a.mrg", False), ("**/e0/*", False)]:
+            scanned.clear()
+            listed = corpus_files(CorpusSource(root, pattern))
+            assert len(scanned) == 26, pattern  # the root and l0 .. l24
+            assert listed == [deep / "a.mrg"] * found
+        # A set of pattern positions per directory does not backtrack; with 24
+        # '**' components, a backtracking match of this chain is exponential.
+        start = time.perf_counter()
+        for pattern in ["/".join(["**"] * 24 + ["a.mrg"]),
+                        "/".join(["l0", *["**"] * 12, "l12", *["**"] * 12, "*.mrg"])]:
+            assert corpus_files(CorpusSource(root, pattern)) == [deep / "a.mrg"]
+        assert time.perf_counter() - start < 5
 
     def test_source_defaults(self, fixture_corpus):
         source = CorpusSource(fixture_corpus)

@@ -508,9 +508,8 @@ class TestLeafSpans:
             assert leaves == tree.leaves()
             assert [(verb.token, np.text()) for _, verb, np, _, _ in matches] \
                 == [(verb, np) for verb, np, _ in expected]
-            if depth == 50:  # the oracle is quadratic on the left chain
-                assert [(vp, verb, np) for vp, verb, np, _, _ in matches] \
-                    == oracle_late_closure(tree)
+            assert [(vp, verb, np) for vp, verb, np, _, _ in matches] \
+                == oracle_late_closure(tree)
             rows = parse_records(capsys.readouterr().out)
             assert code == 0
             assert [(r["verb"], r["np"], r["givenness"]) for r in rows] == expected

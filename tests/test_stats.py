@@ -10,7 +10,6 @@ from npstat.corpus import AggregateCounts
 from npstat.givenness import GivennessCategory
 from npstat.queries import ClauseContext, GrammaticalPosition
 from npstat.stats import (
-    ChiSquareResult,
     ContingencyTable2x2,
     DegenerateMargin,
     SignificanceBand,
@@ -122,25 +121,6 @@ class TestChiSquareProperties:
         big = 10**9
         result = chi_square_2x2(ContingencyTable2x2(big, 1, 1, big))
         assert result.statistic > 0
-
-
-class TestPValue:
-    def test_matches_critical_values(self):
-        for band, threshold in ((SignificanceBand.P_LT_0_05, 3.841),
-                                (SignificanceBand.P_LT_0_01, 6.635),
-                                (SignificanceBand.P_LT_0_001, 10.828)):
-            nominal = float(band.value.split("<")[1])
-            result = ChiSquareResult(threshold, 1, band)
-            assert result.p_value() == pytest.approx(nominal, abs=5e-4)
-
-    def test_moderate_statistic(self):
-        # Upper-tail probability of 1.6 on one degree of freedom.
-        assert ChiSquareResult(1.6, 1, SignificanceBand.NOT_SIGNIFICANT).p_value() \
-            == pytest.approx(0.2059, abs=1e-3)
-
-    def test_df_other_than_one_rejected(self):
-        with pytest.raises(ValueError):
-            ChiSquareResult(5.0, 2, SignificanceBand.P_LT_0_05).p_value()
 
 
 class TestPercentages:
