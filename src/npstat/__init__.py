@@ -7,7 +7,8 @@ The package splits into six layers:
 * :mod:`npstat.queries`   — structural queries: subject/non-subject NPs,
   clause contexts, verb-final local ambiguities, fronted adverbials,
   verb complement frames;
-* :mod:`npstat.givenness` — six-way form-based NP classification;
+* :mod:`npstat.givenness` — six-way form-based NP classification, and the
+  grammatical position and clause context enums: the three axes of Table 1;
 * :mod:`npstat.stats`     — 2x2 Pearson chi-square and percentage helpers;
 * :mod:`npstat.corpus`    — directory ingestion and mergeable aggregation;
 * :mod:`npstat.report`    — text/TSV/JSON-records rendering and the
@@ -31,15 +32,15 @@ _EXPORTS = {
     ),
     "queries": (
         "ADVERBIAL_CATEGORIES", "VERB_TAGS", "AdverbialRecord",
-        "ClauseContext", "EmptyInflectionSet", "FrameType",
-        "GrammaticalPosition", "LateClosureMatch", "NPOccurrence",
-        "SubjectTagCrosscheck", "VerbFrameProfile", "crosscheck_subject_tags",
-        "extract_np_occurrences", "find_late_closure_configs",
-        "profile_verb_frames", "survey_fronted_adverbials",
+        "EmptyInflectionSet", "FrameType", "LateClosureMatch", "NPOccurrence",
+        "VerbFrameProfile", "extract_np_occurrences",
+        "find_late_closure_configs", "profile_verb_frames",
+        "survey_fronted_adverbials",
     ),
     "givenness": (
         "DEFAULT_CONFIG", "ClassifierConfig", "ClassifierConfigError",
-        "GivennessCategory", "NotAnNP", "classify_np",
+        "ClauseContext", "GivennessCategory", "GrammaticalPosition", "NotAnNP",
+        "classify_np",
     ),
     "stats": (
         "ChiSquareResult", "ContingencyTable2x2", "DegenerateMargin",

@@ -42,13 +42,13 @@ from .givenness import (
     DEFAULT_CONFIG,
     ClassifierConfig,
     ClassifierConfigError,
+    ClauseContext,
     classify_overt,
 )
 from .treebank import EMPTY_POS, ReportFormat
 
 if TYPE_CHECKING:
     from .corpus import AggregateCounts, CorpusSource, FileResult
-    from .queries import ClauseContext
     from .stats import ContingencyTable2x2
     from .treebank import Leaf, Tree
 
@@ -68,13 +68,13 @@ DEFAULT_VERB_LEXICON: dict[str, tuple[str, ...]] = {
     "disclose": ("disclose", "discloses", "disclosed", "disclosing"),
 }
 
-# --contexts token -> ClauseContext member name; "all" pools every context.
+# --contexts token -> the clause contexts it selects; "all" pools every context.
 _CONTEXT_TOKENS = {
-    "matrix": "MATRIX",
-    "tc": "EMBEDDED_TC",
-    "rc": "EMBEDDED_RC",
-    "other": "EMBEDDED_OTHER",
-    "all": None,
+    "matrix": (ClauseContext.MATRIX,),
+    "tc": (ClauseContext.EMBEDDED_TC,),
+    "rc": (ClauseContext.EMBEDDED_RC,),
+    "other": (ClauseContext.EMBEDDED_OTHER,),
+    "all": tuple(ClauseContext),
 }
 
 
@@ -87,16 +87,13 @@ class LexiconError(ValueError):
 
 
 def _context_set(text: str) -> frozenset[ClauseContext]:
-    from .queries import ClauseContext
-
     contexts: set[ClauseContext] = set()
     for token in text.replace(",", " ").split():
         if token not in _CONTEXT_TOKENS:
             raise argparse.ArgumentTypeError(
                 f"unknown context {token!r} (choose from {', '.join(_CONTEXT_TOKENS)})"
             )
-        name = _CONTEXT_TOKENS[token]
-        contexts.update(ClauseContext if name is None else (ClauseContext[name],))
+        contexts.update(_CONTEXT_TOKENS[token])
     if not contexts:
         raise argparse.ArgumentTypeError("at least one context is required")
     return frozenset(contexts)
@@ -286,14 +283,12 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
 
     columns = ("category", "fronted", "not_comma_delimited", "pct_not_delimited")
     if args.from_counts is not None:
-        if len(args.from_counts) != 2:
-            raise MissingInput("expected --from-counts NOT_DELIMITED TOTAL")
         not_delimited, total = args.from_counts
         if not_delimited < 0 or total < 0:
             raise ValueError("counts must be non-negative")
         if not_delimited > total:
             raise ValueError(f"NOT_DELIMITED ({not_delimited}) exceeds TOTAL ({total})")
-        rows =[["ALL", total, not_delimited, ratio_report(not_delimited, total)]]
+        rows = [["ALL", total, not_delimited, ratio_report(not_delimited, total)]]
         print(render_rows(columns, rows, args.format, "adverbial-row"))
         return EXIT_OK
     from .corpus import AggregateCounts

@@ -17,15 +17,13 @@ from collections import Counter
 from contextlib import suppress
 from fnmatch import fnmatchcase
 from pathlib import Path, PurePath
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .givenness import (ClassifierConfig, DEFAULT_CONFIG, GivennessCategory, classify_overt,
-                        leading_overt)
+from .givenness import (ClassifierConfig, ClauseContext, DEFAULT_CONFIG, GivennessCategory,
+                        GrammaticalPosition, classify_overt, leading_overt)
 from .treebank import Leaf, SlottedRecord, Tree, TreebankSyntaxError, parse_trees
 
-if TYPE_CHECKING:  # queries is imported where cells are made or counted
-    from .queries import ClauseContext, GrammaticalPosition
-    CellKey = tuple[GivennessCategory, GrammaticalPosition, ClauseContext]
+CellKey = tuple[GivennessCategory, GrammaticalPosition, ClauseContext]
 # (file_id, trees, reason): a skipped file has no trees and says why.
 FileResult = tuple[str, list[Tree] | None, str | None]
 
@@ -40,7 +38,6 @@ class CorpusSource(NamedTuple):
 
 
 def _zero_cells() -> dict[CellKey, int]:
-    from .queries import ClauseContext, GrammaticalPosition
     return {
         (cat, pos, ctx): 0
         for cat in GivennessCategory for pos in GrammaticalPosition for ctx in ClauseContext

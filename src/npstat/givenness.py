@@ -13,6 +13,11 @@ cascade, ordered specific to general:
 6. not-classified: everything else (bare plurals, mass nouns, quantified or
    coordinated NPs, ...).
 
+The module also defines the other two axes of Table 1,
+:class:`GrammaticalPosition` and :class:`ClauseContext`, so that the cell
+key of :class:`npstat.corpus.AggregateCounts` comes from one module; the
+structural queries that assign them live in :mod:`npstat.queries`.
+
 The classifier never consults discourse context; it is a surface heuristic
 over the NP's own leaves, so identical trees always classify identically.
 The cascade is :func:`classify_overt`.  Of the NP's overt leaves it reads
@@ -39,6 +44,20 @@ class GivennessCategory(Enum):
     DEFINITE = "definite"
     INDEFINITE = "indefinite"
     NOT_CLASSIFIED = "not-classified"
+
+
+class GrammaticalPosition(Enum):
+    __hash__ = object.__hash__  # see GivennessCategory
+    SUBJECT = "subject"
+    NON_SUBJECT = "non-subject"
+
+
+class ClauseContext(Enum):
+    __hash__ = object.__hash__  # see GivennessCategory
+    MATRIX = "matrix"
+    EMBEDDED_TC = "embedded-tc"
+    EMBEDDED_RC = "embedded-rc"
+    EMBEDDED_OTHER = "embedded-other"
 
 
 class NotAnNP(TypeError):

@@ -39,6 +39,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
+from .givenness import ClauseContext, GrammaticalPosition
 from .treebank import (
     EMPTY_POS,
     PUNCTUATION_TAGS,
@@ -54,20 +55,6 @@ VERB_TAGS = frozenset({"VB", "VBD", "VBG", "VBN", "VBP", "VBZ"})
 # Constituent categories counted as fronted adverbials; S covers fronted
 # participial clauses.
 ADVERBIAL_CATEGORIES = frozenset({"PP", "SBAR", "ADVP", "S"})
-
-
-class GrammaticalPosition(Enum):
-    __hash__ = object.__hash__  # see GivennessCategory
-    SUBJECT = "subject"
-    NON_SUBJECT = "non-subject"
-
-
-class ClauseContext(Enum):
-    __hash__ = object.__hash__  # see GivennessCategory
-    MATRIX = "matrix"
-    EMBEDDED_TC = "embedded-tc"
-    EMBEDDED_RC = "embedded-rc"
-    EMBEDDED_OTHER = "embedded-other"
 
 
 class NPOccurrence(NamedTuple):
@@ -221,35 +208,6 @@ def extract_np_occurrences(
                      SourceSpan(file_id, sentence_index, *ranges[node]))
         for node, position, context in walk_np_occurrences(tree)
     ]
-
-
-class SubjectTagCrosscheck(NamedTuple):
-    """Agreement between positional subjecthood and the SBJ function tag."""
-
-    agree: int
-    disagree: int
-
-    @property
-    def disagreement_rate(self) -> float:
-        total = self.agree + self.disagree
-        return self.disagree / total if total else 0.0
-
-
-def crosscheck_subject_tags(occurrences: Iterable[NPOccurrence]) -> SubjectTagCrosscheck:
-    """Compare positional subject status against the annotated SBJ tag.
-
-    Positional classification never consults function tags; this validation
-    signal quantifies how often the two disagree on a given corpus.
-    """
-    agree = disagree = 0
-    for occ in occurrences:
-        positional = occ.position is GrammaticalPosition.SUBJECT
-        tagged = "SBJ" in occ.node.label.function_tags
-        if positional == tagged:
-            agree += 1
-        else:
-            disagree += 1
-    return SubjectTagCrosscheck(agree=agree, disagree=disagree)
 
 
 def walk_late_closure(

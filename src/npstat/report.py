@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .givenness import GivennessCategory
+from .givenness import ClauseContext, GivennessCategory, GrammaticalPosition
 from .treebank import ReportFormat
 
 if TYPE_CHECKING:
@@ -102,16 +102,11 @@ TABLE1_COLUMNS = (
     "nonsubj_matrix",
 )
 
-# Per-category base cells accepted by from_counts, in feed order, as
-# (GrammaticalPosition, ClauseContext) member names: the query layer that
-# defines them is imported only when a table is built from a corpus.
-BASE_CELLS = (
-    ("SUBJECT", "EMBEDDED_TC"),
-    ("SUBJECT", "EMBEDDED_RC"),
-    ("SUBJECT", "MATRIX"),
-    ("NON_SUBJECT", "EMBEDDED_TC"),
-    ("NON_SUBJECT", "EMBEDDED_RC"),
-    ("NON_SUBJECT", "MATRIX"),
+# Per-category base cells accepted by from_counts, in feed order.
+BASE_CELLS = tuple(
+    (pos, ctx)
+    for pos in (GrammaticalPosition.SUBJECT, GrammaticalPosition.NON_SUBJECT)
+    for ctx in (ClauseContext.EMBEDDED_TC, ClauseContext.EMBEDDED_RC, ClauseContext.MATRIX)
 )
 
 
@@ -145,17 +140,12 @@ class Table1Block(NamedTuple):
     rows: dict[GivennessCategory, Table1Row]
 
     def total_row(self) -> tuple[int, ...]:
-        return tuple(
-            sum(row.rendered()[i] for row in self.rows.values()) for i in range(8)
-        )
+        return tuple(map(sum, zip(*(row.rendered() for row in self.rows.values()))))
 
     @classmethod
     def from_aggregate(cls, agg: AggregateCounts, label: str = "corpus") -> "Table1Block":
-        from .queries import ClauseContext, GrammaticalPosition
-
-        cells = [(GrammaticalPosition[pos], ClauseContext[ctx]) for pos, ctx in BASE_CELLS]
         rows = {
-            cat: Table1Row(*(agg.cell(cat, pos, ctx) for pos, ctx in cells))
+            cat: Table1Row(*(agg.cell(cat, pos, ctx) for pos, ctx in BASE_CELLS))
             for cat in GivennessCategory
         }
         return cls(label=label, rows=rows)

@@ -14,12 +14,11 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .givenness import GivennessCategory
+from .givenness import ClauseContext, GivennessCategory, GrammaticalPosition
 from .treebank import SlottedRecord
 
 if TYPE_CHECKING:
     from .corpus import AggregateCounts
-    from .queries import ClauseContext
 
 
 class DegenerateMargin(ValueError):
@@ -105,9 +104,6 @@ def build_pronoun_indefinite_table(
     four): a = pronoun subjects, b = pronoun non-subjects, c = indefinite
     subjects, d = indefinite non-subjects.
     """
-    # Imported here, so that the count-only modes never load the query layer.
-    from .queries import ClauseContext, GrammaticalPosition
-
     contexts = set(ClauseContext if context_filter is None else context_filter)
 
     def cell(category: GivennessCategory, position: GrammaticalPosition) -> int:

@@ -375,17 +375,18 @@ class TestStartUp:
         assert output
         assert "npstat.queries" not in modules
 
-    @pytest.mark.parametrize("argv, unused", [
-        (["table1", "--from-counts", *from_counts_args(BROWN_TABLE1)], set()),
-        (["chisq", "--cells", "1", "2", "3", "4"], {"npstat.queries"}),
-        (["adverbials", "--from-counts", "1", "2"], {"npstat.queries"}),
-    ], ids=["table1", "chisq", "adverbials"])
-    def test_count_only_modes_load_no_corpus_layer(self, argv, unused):
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--from-counts", *from_counts_args(BROWN_TABLE1)],
+        ["chisq", "--cells", "1", "2", "3", "4"],
+        ["chisq", "--cells", "1", "2", "3", "4", "--contexts", "tc"],
+        ["adverbials", "--from-counts", "1", "2"],
+    ], ids=["table1", "chisq", "chisq-contexts", "adverbials"])
+    def test_count_only_modes_load_no_corpus_layer(self, argv):
         # Text format, so neither is the records format's json needed.
         code, output, modules, _ = self.main_in_fresh_process(argv)
         assert code == EXIT_OK
         assert output
-        assert not modules & {"npstat.corpus", "logging", "json", *unused}
+        assert not modules & {"npstat.corpus", "npstat.queries", "logging", "json"}
 
     @pytest.mark.parametrize("skipping", [False, True], ids=["fixture", "one-skipped"])
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))

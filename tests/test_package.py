@@ -62,3 +62,24 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         npstat.no_such_name
     assert not hasattr(npstat, "no_such_name")
+
+
+def test_table1_axes_are_defined_in_givenness():
+    from npstat import givenness, queries
+
+    for name in ("ClauseContext", "GrammaticalPosition", "GivennessCategory"):
+        assert getattr(givenness, name).__module__ == "npstat.givenness"
+    assert queries.ClauseContext is givenness.ClauseContext
+    assert queries.GrammaticalPosition is givenness.GrammaticalPosition
+
+
+def test_readme_library_example_runs(capsys, fixture_corpus):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert 'CorpusSource("treebank/")' in code
+    exec(code.replace('"treebank/"', repr(str(fixture_corpus))), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "GrammaticalPosition.SUBJECT ClauseContext.MATRIX GivennessCategory.DEFINITE",
+        "8.0 p<0.01",
+    ]
