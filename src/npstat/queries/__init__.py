@@ -39,8 +39,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
-from .givenness import ClauseContext, GrammaticalPosition
-from .treebank import (
+from ..givenness import ClauseContext, GrammaticalPosition
+from ..treebank import (
     EMPTY_POS,
     PUNCTUATION_TAGS,
     Internal,
