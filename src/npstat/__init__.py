@@ -1,18 +1,21 @@
 """Structural NP queries, givenness classification and contingency statistics
 over bracketed constituency treebanks.
 
-The package splits into six layers:
+The package splits into seven layers:
 
 * :mod:`npstat.treebank`  — bracketed-tree parser, serializer;
-* :mod:`npstat.queries`   — structural queries: subject/non-subject NPs,
-  clause contexts, verb-final local ambiguities, fronted adverbials,
-  verb complement frames;
+* :mod:`npstat.queries`   — structural queries, one module per family:
+  subject/non-subject NPs and their clause contexts (``occurrences``),
+  verb-final local ambiguities (``late_closure``), fronted adverbials
+  (``adverbials``), verb complement frames (``frames``);
 * :mod:`npstat.givenness` — six-way form-based NP classification, and the
   grammatical position and clause context enums: the three axes of Table 1;
-* :mod:`npstat.stats`     — 2x2 Pearson chi-square and percentage helpers;
+* :mod:`npstat.stats`     — 2x2 Pearson chi-square;
 * :mod:`npstat.corpus`    — directory ingestion and mergeable aggregation;
-* :mod:`npstat.report`    — text/TSV/JSON-records rendering and the
-  frequency-table report; :mod:`npstat.cli` wires it all together.
+* :mod:`npstat.render`    — text/TSV/JSON-records row rendering and the
+  percentage helper;
+* :mod:`npstat.report`    — the frequency-table report; :mod:`npstat.cli`
+  wires it all together.
 
 Every name in ``__all__`` is re-exported here, but ``import npstat`` alone
 imports no submodule: a name's submodule is imported the first time the name
@@ -44,17 +47,16 @@ _EXPORTS = {
     ),
     "stats": (
         "ChiSquareResult", "ContingencyTable2x2", "DegenerateMargin",
-        "SignificanceBand", "ZeroDenominator",
-        "build_pronoun_indefinite_table", "chi_square_2x2", "ratio_report",
+        "SignificanceBand", "build_pronoun_indefinite_table", "chi_square_2x2",
     ),
     "corpus": (
         "AggregateCounts", "CorpusSource", "RootNotFound", "aggregate",
         "aggregate_corpus", "corpus_files", "merge", "read_files",
     ),
-    "report": (
-        "ReportFormat", "Table1Block", "Table1Report", "Table1Row",
-        "parse_records", "render_rows",
+    "render": (
+        "ZeroDenominator", "parse_records", "ratio_report", "render_rows",
     ),
+    "report": ("ReportFormat", "Table1Block", "Table1Report", "Table1Row"),
 }
 _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

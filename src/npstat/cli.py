@@ -173,7 +173,7 @@ def _sentences(
 # --- subcommand handlers -------------------------------------------------
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    from .report import render_rows
+    from .render import render_rows
 
     rows = [[file_id, 0, "skipped"] if trees is None else [file_id, len(trees), "ok"]
             for file_id, trees, _ in _read_corpus(_corpus_source(args))]
@@ -206,7 +206,7 @@ def _render_chisq(
     row_labels: tuple[str, str],
     col_labels: tuple[str, str],
 ) -> str:
-    from .report import render_rows
+    from .render import render_rows
     from .stats import chi_square_2x2
 
     result = chi_square_2x2(table)
@@ -251,7 +251,7 @@ def cmd_chisq(args: argparse.Namespace) -> int:
 def cmd_late_closure(args: argparse.Namespace) -> int:
     from .corpus import AggregateCounts
     from .queries import walk_late_closure
-    from .report import render_rows
+    from .render import render_rows
 
     config = _classifier(args)
     files = AggregateCounts()
@@ -278,8 +278,7 @@ def cmd_late_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_adverbials(args: argparse.Namespace) -> int:
-    from .report import render_rows
-    from .stats import ratio_report
+    from .render import ratio_report, render_rows
 
     columns = ("category", "fronted", "not_comma_delimited", "pct_not_delimited")
     if args.from_counts is not None:
@@ -322,7 +321,7 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
 def cmd_verb(args: argparse.Namespace) -> int:
     from .corpus import AggregateCounts
     from .queries import EmptyInflectionSet, FrameType, profile_verb_frames
-    from .report import render_rows
+    from .render import render_rows
 
     lexicon = _load_lexicon(args.lexicon) if args.lexicon else DEFAULT_VERB_LEXICON
     inflections = lexicon.get(args.verb, ())
@@ -468,11 +467,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         # exit cannot fail again, and exit as if killed by SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except _loaded("stats", "DegenerateMargin", "ZeroDenominator") as err:
+    except (*_loaded("stats", "DegenerateMargin"),
+            *_loaded("render", "ZeroDenominator")) as err:
         print(f"error: degenerate statistics input: {err}", file=sys.stderr)
         return EXIT_DEGENERATE_STATS
     except (ClassifierConfigError, LexiconError,
-            *_loaded("queries", "EmptyInflectionSet")) as err:
+            *_loaded("queries.frames", "EmptyInflectionSet")) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     # RootNotFound is a FileNotFoundError; ValueError covers bad explicit

@@ -1,14 +1,9 @@
-"""Tabular rendering shared by the command-line tools.
+"""The frequency-table report: givenness category x grammatical position x
+clause context, with its derived TC+RC and total rows, rendered in any of
+the three formats of :mod:`npstat.render`.
 
-Three output formats, selectable everywhere:
-
-* aligned text   — fixed-width columns for terminals,
-* tab-separated  — header line plus one row per line,
-* records        — line-delimited JSON objects with a ``record`` type field,
-  parseable back via :func:`parse_records` without loss.
-
-Also defines the frequency-table report (givenness category x grammatical
-position x clause context) with its derived TC+RC and total rows.
+:func:`render_rows`, :func:`parse_records` and ``Cell`` live in
+:mod:`npstat.render` and are importable from here too.
 """
 
 from __future__ import annotations
@@ -16,76 +11,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .givenness import ClauseContext, GivennessCategory, GrammaticalPosition
+from .render import Cell, parse_records, render_rows
 from .treebank import ReportFormat
 
 if TYPE_CHECKING:
     from .corpus import AggregateCounts
-
-Cell = object  # str | int | float in practice
-
-
-def _format_cell(value: Cell) -> str:
-    if isinstance(value, float):
-        return f"{value:g}"
-    return str(value)
-
-
-def render_rows(
-    columns: Sequence[str],
-    rows: Sequence[Sequence[Cell]],
-    fmt: ReportFormat,
-    record_type: str,
-) -> str:
-    """Render a header plus rows in the requested format.
-
-    ``record_type`` becomes the ``record`` field of every JSON line so mixed
-    streams remain self-describing.
-    """
-    for row in rows:
-        if len(row) != len(columns):
-            raise ValueError(
-                f"row has {len(row)} cells, expected {len(columns)}: {row!r}"
-            )
-    if fmt is ReportFormat.STRUCTURED_RECORDS:
-        import json
-
-        lines = [
-            json.dumps({"record": record_type, **dict(zip(columns, row))})
-            for row in rows
-        ]
-        return "\n".join(lines)
-    if fmt is ReportFormat.TAB_SEPARATED:
-        lines = ["\t".join(columns)]
-        lines += ["\t".join(_format_cell(c) for c in row) for row in rows]
-        return "\n".join(lines)
-    # Aligned text: numbers right-aligned, everything else left-aligned.
-    text_rows = [[_format_cell(c) for c in row] for row in rows]
-    widths = [
-        max([len(columns[i])] + [len(r[i]) for r in text_rows])
-        for i in range(len(columns))
-    ]
-    numeric = [
-        all(isinstance(row[i], (int, float)) for row in rows) if rows else False
-        for i in range(len(columns))
-    ]
-
-    def align(cells: Sequence[str]) -> str:
-        out = []
-        for i, cell in enumerate(cells):
-            out.append(cell.rjust(widths[i]) if numeric[i] else cell.ljust(widths[i]))
-        return "  ".join(out).rstrip()
-
-    lines = [align(columns), align(["-" * w for w in widths])]
-    lines += [align(r) for r in text_rows]
-    return "\n".join(lines)
-
-
-def parse_records(text: str) -> list[dict]:
-    """Inverse of the records format: one dict per non-blank line."""
-    import json
-
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
-
 
 # Frequency table: within each position group the TC and RC columns come
 # before their derived sum and the matrix column, and subjects precede

@@ -7,6 +7,10 @@ The statistic is the uncorrected Pearson form for a table (a, b / c, d):
 with the cross product computed in exact integer arithmetic, so corpus-scale
 cell counts cannot overflow.  No continuity correction is applied.
 Significance is reported as a band against the df=1 critical values.
+
+The percentage helper :func:`ratio_report` and its :class:`ZeroDenominator`
+live in :mod:`npstat.render`, with the row rendering that prints them, and
+are importable from here too.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .givenness import ClauseContext, GivennessCategory, GrammaticalPosition
+from .render import ZeroDenominator, ratio_report
 from .treebank import SlottedRecord
 
 if TYPE_CHECKING:
@@ -23,10 +28,6 @@ if TYPE_CHECKING:
 
 class DegenerateMargin(ValueError):
     """A row or column of the table sums to zero; the test is undefined."""
-
-
-class ZeroDenominator(ZeroDivisionError):
-    pass
 
 
 class SignificanceBand(Enum):
@@ -115,17 +116,3 @@ def build_pronoun_indefinite_table(
         c=cell(GivennessCategory.INDEFINITE, GrammaticalPosition.SUBJECT),
         d=cell(GivennessCategory.INDEFINITE, GrammaticalPosition.NON_SUBJECT),
     )
-
-
-def ratio_report(numerator: int, denominator: int) -> float:
-    """Percentage 100*numerator/denominator, rounded half-up to 2 decimals.
-
-    A tie rounds away from zero, and a negative share that rounds to zero
-    is ``-0.0``.  The rounding is exact: it is done on integers.
-    """
-    if denominator <= 0:
-        raise ZeroDenominator("denominator must be positive")
-    # Hundredths of a percent: floor(10000*|numerator|/denominator + 1/2).
-    hundredths = (20000 * abs(numerator) + denominator) // (2 * denominator)
-    share = hundredths / 100
-    return -share if numerator < 0 else share

@@ -363,8 +363,8 @@ class TestStartUp:
     def test_parser_paths_load_no_pipeline_layer(self, argv, expected):
         code, _, modules, _ = self.main_in_fresh_process(argv)
         assert code == expected
-        assert not modules & {"npstat.queries", "npstat.corpus", "npstat.report",
-                              "npstat.stats", "logging", "json", "decimal"}
+        assert not modules & {"npstat.queries", "npstat.corpus", "npstat.render",
+                              "npstat.report", "npstat.stats", "logging", "json", "decimal"}
 
     @pytest.mark.parametrize("corpus, expected", [("fixture", EXIT_OK),
                                                   ("broken", EXIT_ALL_FILES_FAILED)])
@@ -387,6 +387,22 @@ class TestStartUp:
         assert code == EXIT_OK
         assert output
         assert not modules & {"npstat.corpus", "npstat.queries", "logging", "json"}
+
+    @pytest.mark.parametrize("command, family, unused", [
+        ("table1", "occurrences", {"npstat.stats"}),
+        ("late-closure", "late_closure", {"npstat.report", "npstat.stats"}),
+        ("adverbials", "adverbials", {"npstat.report", "npstat.stats"}),
+        ("verb", "frames", {"npstat.report", "npstat.stats"}),
+    ])
+    def test_query_commands_load_only_their_family(self, fixture_corpus, command, family,
+                                                   unused):
+        code, output, modules, _ = self.main_in_fresh_process(
+            [*CORPUS_COMMANDS[command], "--corpus", str(fixture_corpus)])
+        assert code == EXIT_OK
+        assert output
+        assert {m for m in modules if m.startswith("npstat.queries.")} == {
+            f"npstat.queries.{family}"}
+        assert not modules & unused
 
     @pytest.mark.parametrize("skipping", [False, True], ids=["fixture", "one-skipped"])
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))

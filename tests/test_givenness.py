@@ -114,6 +114,12 @@ class TestRuleCascade:
     def test_bare_plural_falls_through(self):
         assert classify_string("(NP (NNS dogs))") is OTHER
 
+    def test_initial_np_is_genitive_only_if_it_ends_in_pos(self):
+        assert classify_string("(NP (NP (NNS books)) (PP (IN about) (NP (NNS ships))))") \
+            is OTHER
+        # An initial NP with no overt leaf ends in no POS either.
+        assert classify_string("(NP (NP (-NONE- *)) (DT a) (NN book))") is INDEF
+
     def test_rejects_non_np(self):
         with pytest.raises(NotAnNP):
             classify_np(parse_trees("(VP (VBD ran))")[0])
@@ -174,7 +180,13 @@ class TestConfig:
     def test_file_with_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "classifier.conf"
         path.write_text("definite_determiners = the\nmystery_key = x\n")
-        with pytest.raises(ClassifierConfigError):
+        with pytest.raises(ClassifierConfigError, match=r"\.conf:2: unknown key 'mystery_key'"):
+            ClassifierConfig.from_file(path)
+
+    def test_file_line_without_equals_names_its_line(self, tmp_path):
+        path = tmp_path / "classifier.conf"
+        path.write_text("# a comment\n\ndefinite_determiners the\n")
+        with pytest.raises(ClassifierConfigError, match=r"\.conf:3: expected 'key = items'"):
             ClassifierConfig.from_file(path)
 
     def test_file_comments_and_blanks_ignored(self, tmp_path):

@@ -58,6 +58,39 @@ def test_submodules_are_attributes():
     assert npstat.report.render_rows is npstat.render_rows
 
 
+def test_moved_names_are_the_same_objects_where_they_were():
+    assert npstat.parse_records is npstat.report.parse_records
+    assert npstat.ratio_report is npstat.stats.ratio_report
+    assert npstat.ZeroDenominator is npstat.stats.ZeroDenominator
+
+
+# The names npstat.queries defines or re-exports, each family's and the shared.
+QUERY_NAMES = [
+    "ADVERBIAL_CATEGORIES", "AdverbialRecord", "ClauseContext", "EmptyInflectionSet",
+    "FrameType", "GrammaticalPosition", "LateClosureMatch", "NPOccurrence", "VERB_TAGS",
+    "VerbFrameProfile", "extract_np_occurrences", "find_late_closure_configs",
+    "profile_verb_frames", "survey_fronted_adverbials", "walk_late_closure",
+    "walk_np_occurrences", "walk_sentence",
+]
+
+
+def test_queries_package_keeps_its_surface():
+    from npstat import queries
+
+    assert queries.__all__ == QUERY_NAMES
+    assert set(QUERY_NAMES) <= set(dir(queries))
+    wrong = [
+        name for name, family in queries._FAMILY_OF.items()
+        if getattr(queries, name)
+        is not getattr(importlib.import_module(f"npstat.queries.{family}"), name)
+    ]
+    assert wrong == []
+    assert sorted([*queries._FAMILY_OF, "VERB_TAGS", "ClauseContext",
+                   "GrammaticalPosition"]) == QUERY_NAMES
+    with pytest.raises(AttributeError, match="no_such_name"):
+        queries.no_such_name
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         npstat.no_such_name

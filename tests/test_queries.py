@@ -577,6 +577,11 @@ class TestLateClosure:
         pytest.param("(S (SBAR (IN When) (S (NP-SBJ (PRP we)) (VP (VBD ate))))"
                      " (NP-SBJ (`` ``) (NNP Smith) ('' '')) (VP (VBD left)) (. .))",
                      [], id="quote-after-the-verb"),
+        pytest.param("(S (S (VP (VBG Running) (NP (NN track)))) (NP-SBJ (PRP he))"
+                     " (VP (VBD left)) (. .))",
+                     [], id="vp-from-leaf-0-ends-in-a-noun"),
+        pytest.param("(S (S (VP (-NONE- *?*))) (NP-SBJ (PRP he)) (VP (VBD left)) (. .))",
+                     [], id="empty-vp-before-any-overt-leaf"),
     ])
     def test_walk_edges_agree_with_oracles(self, text, rows):
         (tree,) = parse_trees(text)
@@ -666,6 +671,24 @@ class TestFrontedAdverbials:
 
     def test_non_s_root_yields_nothing(self):
         assert survey_fronted_adverbials(parse_trees("(NP (DT the) (NN dog))")[0]) == []
+        # An inverted clause has a VP and a PP before its subject, and still
+        # yields nothing.
+        tree = parse_trees(
+            "(SINV (PP (IN Among) (NP (PRP them))) (VP (VBD was)) (NP-SBJ (NNP Smith)))"
+        )[0]
+        assert survey_fronted_adverbials(tree) == []
+
+    def test_only_adverbial_categories_count(self):
+        # A conjunction leaf and an interjection before the subject are not
+        # fronted adverbials; the PP after them is.
+        tree = parse_trees(
+            "(S (CC But) (INTJ (UH well)) (PP (IN in) (NP (NN town))) (, ,)"
+            " (NP-SBJ (PRP we)) (VP (VBD left)))"
+        )[0]
+        records = survey_fronted_adverbials(tree)
+        assert [(r.category, r.comma_delimited, r.span.start) for r in records] == [
+            ("PP", True, 2)
+        ]
 
     def test_vp_boundary_fallback_without_subject(self):
         tree = parse_trees("(S (PP (IN After) (NP (NN dark))) (VP (VBD rained)))")[0]
@@ -760,6 +783,19 @@ class TestVerbFrames:
         assert profile.counts[FrameType.NP_COMPLEMENT] == 1
         assert profile.counts[FrameType.THAT_CLAUSE] == 1
         assert profile.counts[FrameType.REDUCED_CLAUSE] == 1
+
+
+@pytest.mark.parametrize("query", [
+    extract_np_occurrences, find_late_closure_configs, survey_fronted_adverbials,
+])
+def test_library_queries_default_to_sentence_0_of_no_file(query):
+    (tree,) = parse_trees(
+        "(S (SBAR (IN When) (S (NP-SBJ (PRP we)) (VP (VBD ate))))"
+        " (NP-SBJ (DT the) (NNS guests)) (VP (VBD left)) (. .))"
+    )
+    found = query(tree)
+    assert found
+    assert {(r.span.file_id, r.span.sentence_index) for r in found} == {("", 0)}
 
 
 class TestSubjectTagCrosscheck:
