@@ -15,6 +15,9 @@ reads the corpus in one serial pass through :func:`npstat.corpus.read_files`;
 a file that cannot be read or fails to parse is skipped with one warning
 giving the reason (for a parse failure, the first defect in reading order), and
 a corpus in which no file matches ``--glob`` gets one warning too.
+Handlers return nothing: :func:`main` sets every exit code from the exception
+a command raises.  The reader raises :class:`EveryFileFailed` once it has read
+the last file, if files were listed and none parsed.
 Exit codes: 0 success, 1 every corpus file failed to parse (then only
 ``parse`` writes to stdout), 2 missing/unusable input, 3 degenerate statistics
 input, 4 configuration error (also a config or lexicon file that cannot be
@@ -86,6 +89,10 @@ class LexiconError(ValueError):
     """Malformed verb inflection lexicon file."""
 
 
+class EveryFileFailed(Exception):
+    """Corpus files were listed and none of them parsed."""
+
+
 def _context_set(text: str) -> frozenset[ClauseContext]:
     contexts: set[ClauseContext] = set()
     for token in text.replace(",", " ").split():
@@ -124,7 +131,7 @@ def _load_lexicon(path: str) -> dict[str, tuple[str, ...]]:
         content = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise LexiconError(f"cannot read lexicon {path}: {err}") from err
-    for lineno, raw_line in enumerate(content.splitlines(), start=1):
+    for lineno, raw_line in enumerate(content.split("\n"), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -135,69 +142,69 @@ def _load_lexicon(path: str) -> dict[str, tuple[str, ...]]:
     return lexicon
 
 
-def _all_files_failed(processed: int, skipped: int) -> bool:
-    """True, after telling the user, when no file parsed and some were skipped."""
-    if skipped > 0 and processed == 0:
-        print("error: every corpus file failed to parse", file=sys.stderr)
-        return True
-    return False
-
-
 def _read_corpus(source: CorpusSource) -> Iterator[FileResult]:
     """:func:`npstat.corpus.read_files`, telling the user which files were
-    skipped and why, or that no file matched."""
+    skipped and why, or that no file matched.  Once the stream is exhausted,
+    it raises :class:`EveryFileFailed` if files were listed and none parsed."""
     from .corpus import read_files
 
-    listed = False
+    listed = parsed = False
     for file_id, trees, reason in read_files(source):
         listed = True
-        if reason is not None:
+        if reason is None:
+            parsed = True
+        else:
             print(f"WARNING: skipping {file_id}: {reason}", file=sys.stderr)
         yield file_id, trees, reason
     if not listed:
         print(f"warning: no file under {source.root_path} matches --glob "
               f"{source.include_glob!r}", file=sys.stderr)
+    elif not parsed:
+        raise EveryFileFailed("every corpus file failed to parse")
 
 
-def _sentences(
-    args: argparse.Namespace, files: AggregateCounts
-) -> Iterator[tuple[str, int, Tree]]:
-    """Every (file_id, sentence index, tree) of the corpus, tallying ``files``."""
-    from .corpus import parsed_files
-
-    for file_id, trees in parsed_files(_read_corpus(_corpus_source(args)), files):
-        for idx, tree in enumerate(trees):
+def _sentences(source: CorpusSource) -> Iterator[tuple[str, int, Tree]]:
+    """Every (file_id, sentence index, tree) of the corpus files that parsed."""
+    for file_id, trees, _ in _read_corpus(source):
+        for idx, tree in enumerate(trees or ()):
             yield file_id, idx, tree
+
+
+def _aggregate(source: CorpusSource, config: ClassifierConfig) -> AggregateCounts:
+    """Table 1's cells over the corpus files that parsed."""
+    from .corpus import aggregate
+
+    return aggregate(((file_id, tree) for file_id, _, tree in _sentences(source)), config)
 
 
 # --- subcommand handlers -------------------------------------------------
 
-def cmd_parse(args: argparse.Namespace) -> int:
+def cmd_parse(args: argparse.Namespace) -> None:
     from .render import render_rows
 
-    rows = [[file_id, 0, "skipped"] if trees is None else [file_id, len(trees), "ok"]
-            for file_id, trees, _ in _read_corpus(_corpus_source(args))]
+    rows: list[list] = []
+    failed: EveryFileFailed | None = None
+    try:
+        for file_id, trees, _ in _read_corpus(_corpus_source(args)):
+            rows.append([file_id, 0, "skipped"] if trees is None
+                        else [file_id, len(trees), "ok"])
+    except EveryFileFailed as err:
+        failed = err  # the rows, which name every skipped file, still print
     print(render_rows(("file", "sentences", "status"), rows, args.format, "parse-file"))
-    skipped = sum(status == "skipped" for _, _, status in rows)
-    return EXIT_ALL_FILES_FAILED if _all_files_failed(len(rows) - skipped, skipped) else EXIT_OK
+    if failed:
+        raise failed
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
+def cmd_table1(args: argparse.Namespace) -> None:
     from .report import Table1Block, Table1Report
 
     if args.from_counts is not None:
         block = Table1Block.from_counts(args.from_counts)
     else:
-        from .corpus import aggregate_files
-
         source = _corpus_source(args)
-        agg = aggregate_files(_read_corpus(source), _classifier(args))
-        if _all_files_failed(agg.files_processed, agg.files_skipped):
-            return EXIT_ALL_FILES_FAILED
-        label = Path(source.root_path).name or "corpus"
-        block = Table1Block.from_aggregate(agg, label=label)
+        agg = _aggregate(source, _classifier(args))
+        block = Table1Block.from_aggregate(agg, label=source.root_path.name or "corpus")
     print(Table1Report(blocks=(block,)).render(args.format))
-    return EXIT_OK
 
 
 def _render_chisq(
@@ -227,7 +234,7 @@ def _render_chisq(
     return cells + joiner + verdict
 
 
-def cmd_chisq(args: argparse.Namespace) -> int:
+def cmd_chisq(args: argparse.Namespace) -> None:
     from .stats import ContingencyTable2x2, build_pronoun_indefinite_table
 
     if args.cells is not None:
@@ -235,28 +242,21 @@ def cmd_chisq(args: argparse.Namespace) -> int:
         table = ContingencyTable2x2(a, b, c, d)
         rendering = _render_chisq(table, args.format, ("row1", "row2"), ("col1", "col2"))
     else:
-        from .corpus import aggregate_files
-
-        agg = aggregate_files(_read_corpus(_corpus_source(args)), _classifier(args))
-        if _all_files_failed(agg.files_processed, agg.files_skipped):
-            return EXIT_ALL_FILES_FAILED
+        agg = _aggregate(_corpus_source(args), _classifier(args))
         table = build_pronoun_indefinite_table(agg, args.contexts)
         rendering = _render_chisq(
             table, args.format, ("pronoun", "indefinite"), ("subject", "non_subject")
         )
     print(rendering)
-    return EXIT_OK
 
 
-def cmd_late_closure(args: argparse.Namespace) -> int:
-    from .corpus import AggregateCounts
+def cmd_late_closure(args: argparse.Namespace) -> None:
     from .queries import walk_late_closure
     from .render import render_rows
 
     config = _classifier(args)
-    files = AggregateCounts()
     rows: list[list] = []
-    for file_id, idx, tree in _sentences(args, files):
+    for file_id, idx, tree in _sentences(_corpus_source(args)):
         leaves: list[Leaf] = []
         for _, verb, np, start, end in walk_late_closure(tree, leaves):
             # Only -NONE- leaves lie between the verb and the NP's first overt
@@ -264,8 +264,6 @@ def cmd_late_closure(args: argparse.Namespace) -> int:
             overt = [l for l in leaves[start + 1:end] if l.pos != EMPTY_POS]
             rows.append([file_id, idx, verb.token, " ".join(l.token for l in overt),
                          classify_overt(np, overt, config).value])
-    if _all_files_failed(files.files_processed, files.files_skipped):
-        return EXIT_ALL_FILES_FAILED
     print(
         render_rows(
             ("file", "sentence", "verb", "np", "givenness"),
@@ -274,10 +272,9 @@ def cmd_late_closure(args: argparse.Namespace) -> int:
             "late-closure-match",
         )
     )
-    return EXIT_OK
 
 
-def cmd_adverbials(args: argparse.Namespace) -> int:
+def cmd_adverbials(args: argparse.Namespace) -> None:
     from .render import ratio_report, render_rows
 
     columns = ("category", "fronted", "not_comma_delimited", "pct_not_delimited")
@@ -289,21 +286,17 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
             raise ValueError(f"NOT_DELIMITED ({not_delimited}) exceeds TOTAL ({total})")
         rows = [["ALL", total, not_delimited, ratio_report(not_delimited, total)]]
         print(render_rows(columns, rows, args.format, "adverbial-row"))
-        return EXIT_OK
-    from .corpus import AggregateCounts
+        return
     from .queries import survey_fronted_adverbials
 
-    files = AggregateCounts()
     totals: Counter[str] = Counter()
     uncommaed: Counter[str] = Counter()
-    for file_id, idx, tree in _sentences(args, files):
+    for file_id, idx, tree in _sentences(_corpus_source(args)):
         for record in survey_fronted_adverbials(tree, file_id, idx):
             key = record.category if record.category in ("SBAR", "PP") else "other"
             totals[key] += 1
             if not record.comma_delimited:
                 uncommaed[key] += 1
-    if _all_files_failed(files.files_processed, files.files_skipped):
-        return EXIT_ALL_FILES_FAILED
     rows = []
     grand_total = sum(totals.values())
     if grand_total:
@@ -315,11 +308,9 @@ def cmd_adverbials(args: argparse.Namespace) -> int:
                 rows.append([key, totals[key], uncommaed[key],
                              ratio_report(uncommaed[key], totals[key])])
     print(render_rows(columns, rows, args.format, "adverbial-row"))
-    return EXIT_OK
 
 
-def cmd_verb(args: argparse.Namespace) -> int:
-    from .corpus import AggregateCounts
+def cmd_verb(args: argparse.Namespace) -> None:
     from .queries import EmptyInflectionSet, FrameType, profile_verb_frames
     from .render import render_rows
 
@@ -329,16 +320,12 @@ def cmd_verb(args: argparse.Namespace) -> int:
         raise EmptyInflectionSet(
             f"no inflections configured for {args.verb!r}; add it to the lexicon"
         )
-    files = AggregateCounts()
     profile = profile_verb_frames(
-        (tree for _, _, tree in _sentences(args, files)), args.verb, inflections
+        (tree for _, _, tree in _sentences(_corpus_source(args))), args.verb, inflections
     )
-    if _all_files_failed(files.files_processed, files.files_skipped):
-        return EXIT_ALL_FILES_FAILED
     rows: list[list] = [[frame.value, profile.counts[frame]] for frame in FrameType]
     rows.append(["total", profile.total])
     print(render_rows(("frame", "count"), rows, args.format, "verb-frame"))
-    return EXIT_OK
 
 
 # --- parser construction -------------------------------------------------
@@ -455,11 +442,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     if isinstance(getattr(args, "format", None), str):
         args.format = ReportFormat(args.format)
     try:
-        if args.dump_default_config:
-            print(DEFAULT_CONFIG.dump())
-            code = EXIT_OK
-        else:
-            code = args.handler(args)
+        code = EXIT_OK
+        try:
+            if args.dump_default_config:
+                print(DEFAULT_CONFIG.dump())
+            else:
+                args.handler(args)
+        except EveryFileFailed as err:  # parse has printed its rows
+            print(f"error: {err}", file=sys.stderr)
+            code = EXIT_ALL_FILES_FAILED
         sys.stdout.flush()  # buffered output meets a closed pipe here
         return code
     except BrokenPipeError:

@@ -144,22 +144,6 @@ def read_files(source: CorpusSource) -> Iterator[FileResult]:
     return (("/".join(path.parts[skip:]), *_read_trees(path)) for path in corpus_files(source))
 
 
-def parsed_files(
-    files: Iterable[FileResult], counts: AggregateCounts
-) -> Iterator[tuple[str, list[Tree]]]:
-    """The files of a :func:`read_files` stream that parsed, tallied in ``counts``.
-
-    Each parsed file adds one to ``counts.files_processed``, each skipped one
-    to ``counts.files_skipped``.
-    """
-    for file_id, trees, _ in files:
-        if trees is None:
-            counts.files_skipped += 1
-        else:
-            counts.files_processed += 1
-            yield file_id, trees
-
-
 def aggregate(
     stream: Iterable[tuple[str, Tree]], config: ClassifierConfig = DEFAULT_CONFIG
 ) -> AggregateCounts:
@@ -188,17 +172,20 @@ def aggregate(
     return agg
 
 
-def aggregate_files(files: Iterable[FileResult], config: ClassifierConfig) -> AggregateCounts:
-    """Aggregate a :func:`read_files` stream, counting parsed and skipped files."""
-    counts = AggregateCounts()
-    return merge(counts, aggregate(
-        ((file_id, tree) for file_id, trees in parsed_files(files, counts) for tree in trees),
-        config,
-    ))
-
-
 def aggregate_corpus(
     source: CorpusSource, config: ClassifierConfig = DEFAULT_CONFIG
 ) -> AggregateCounts:
-    """Aggregate a whole corpus; a skipped file is counted, and nothing is printed."""
-    return aggregate_files(read_files(source), config)
+    """Aggregate a whole corpus, one file's trees at a time; a skipped file is
+    counted in ``files_skipped``, and nothing is printed."""
+    counts = AggregateCounts()
+
+    def parsed() -> Iterator[tuple[str, Tree]]:
+        for file_id, trees, _ in read_files(source):
+            if trees is None:
+                counts.files_skipped += 1
+            else:
+                counts.files_processed += 1
+                for tree in trees:
+                    yield file_id, tree
+
+    return merge(counts, aggregate(parsed(), config))

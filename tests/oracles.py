@@ -9,7 +9,7 @@ where the library splits the text at each ``(`` and reads one opening at a
 time, and is the reference for the parser's trees and errors.
 :func:`reference_aggregate_cells` is the other exception: it is the
 composition that :func:`npstat.corpus.aggregate` fuses into one walk, kept as
-that walk's reference, with the cascade fed each NP's full overt leaf list.
+that walk's reference, with each NP classified by :func:`oracle_givenness`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
 from npstat.corpus import AggregateCounts
-from npstat.givenness import ClassifierConfig, classify_overt
+from npstat.givenness import ClassifierConfig, GivennessCategory
 from npstat.queries import VERB_TAGS, LateClosureMatch, extract_np_occurrences
 from npstat.treebank import (
     EmptyConstituent,
@@ -34,6 +34,9 @@ from npstat.treebank import (
 
 if TYPE_CHECKING:
     from npstat.corpus import CellKey
+
+# The tags a head is never taken from, as the Penn Treebank tags punctuation.
+_PUNCTUATION_TAGS = {",", ".", ":", "``", "''", "-LRB-", "-RRB-", "$", "#"}
 
 # One token per bracket and per word: a preterminal is four tokens.
 _ORACLE_TOKEN_RE = re.compile(r"[()]|[^()\s]+")
@@ -355,14 +358,61 @@ def with_comma_after(node: Tree, target: Leaf) -> Tree:
     return Internal(label=node.label, children=tuple(children))
 
 
+def oracle_givenness(np: Internal, config: ClassifierConfig) -> tuple[str, str]:
+    """``(category value, rule)`` for one NP by the six rules of the
+    :mod:`npstat.givenness` docstring, the first that matches winning.
+
+    Overt leaves are those of ``np.leaves()`` other than ``-NONE-``.
+    1. empty-category: no overt leaf.
+    2. pronoun: exactly one overt leaf, tagged as a pronoun.
+    3. proper-name: the head, the rightmost direct child that is an overt
+       leaf and not punctuation, is tagged as a proper noun.
+    4. definite: the first overt leaf is a definite determiner (rule
+       ``determiner``) or is tagged ``PRP$`` (``possessive``), or the first
+       child is an NP whose last overt leaf is tagged ``POS`` (``genitive``).
+    5. indefinite: the first overt leaf is an indefinite determiner
+       (``determiner``) or is tagged ``CD`` (``number``).
+    6. not-classified.
+    Determiners compare lower-cased.
+    """
+    overt = [leaf for leaf in np.leaves() if leaf.pos != "-NONE-"]
+    if not overt:
+        return "empty-category", "empty"
+    if len(overt) == 1 and overt[0].pos in config.pronoun_pos_tags:
+        return "pronoun", "pronoun"
+    head = None
+    for child in reversed(np.children):
+        if isinstance(child, Leaf) and child.pos != "-NONE-" \
+                and child.pos not in _PUNCTUATION_TAGS:
+            head = child
+            break
+    if head is not None and head.pos in config.proper_pos_tags:
+        return "proper-name", "head"
+    word, tag = overt[0].token.lower(), overt[0].pos
+    if word in config.definite_determiners:
+        return "definite", "determiner"
+    if tag == "PRP$":
+        return "definite", "possessive"
+    first = np.children[0]
+    if isinstance(first, Internal) and first.category == "NP":
+        genitive = [leaf for leaf in first.leaves() if leaf.pos != "-NONE-"]
+        if genitive and genitive[-1].pos == "POS":
+            return "definite", "genitive"
+    if word in config.indefinite_determiners:
+        return "indefinite", "determiner"
+    if tag == "CD":
+        return "indefinite", "number"
+    return "not-classified", "rest"
+
+
 def reference_aggregate_cells(trees: list[Tree], config: ClassifierConfig) -> dict[CellKey, int]:
-    """The cells :func:`npstat.corpus.aggregate` must give for ``trees``: the
-    cascade over each NP's full list of overt leaves, from ``Tree.leaves``,
-    on every occurrence that :func:`extract_np_occurrences` finds.  It shares
-    no left-edge scan with ``aggregate`` or ``classify_np``."""
+    """The cells :func:`npstat.corpus.aggregate` must give for ``trees``:
+    :func:`oracle_givenness` on every occurrence that
+    :func:`extract_np_occurrences` finds.  It shares no left-edge scan and no
+    cascade with ``aggregate`` or ``classify_np``."""
     agg = AggregateCounts()
     for tree in trees:
         for occ in extract_np_occurrences(tree):
-            overt = [l for l in occ.node.leaves() if l.pos != "-NONE-"]
-            agg.increment(classify_overt(occ.node, overt, config), occ.position, occ.context)
+            category, _ = oracle_givenness(occ.node, config)
+            agg.increment(GivennessCategory(category), occ.position, occ.context)
     return agg.cells

@@ -97,14 +97,38 @@ CORPUS_COMMANDS = {
 
 
 class TestFailurePaths:
+    @staticmethod
+    def two_broken_files(broken_dir, root):
+        shutil.copy(broken_dir / "malformed.mrg", root / "a.mrg")
+        (root / "b.mrg").write_bytes(b"\xe9(S (NN x))\n")
+
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
     def test_total_failure_exits_one(self, capsys, broken_dir, tmp_path, command):
-        shutil.copy(broken_dir / "malformed.mrg", tmp_path / "only.mrg")
-        code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--corpus", str(tmp_path)])
+        # Exit 1 is decided after the last file, so both files are reported.
+        self.two_broken_files(broken_dir, tmp_path)
+        code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
+                                      "--corpus", str(tmp_path)])
         assert code == EXIT_ALL_FILES_FAILED
-        assert "failed to parse" in err
-        if command != "parse":
+        first, second, last = err.splitlines()
+        assert first == "WARNING: skipping a.mrg: unclosed '(' at offset 0"
+        assert second.startswith("WARNING: skipping b.mrg: 'utf-8' codec can't decode")
+        assert last == "error: every corpus file failed to parse"
+        if command == "parse":
+            assert parse_records(out) == [
+                {"record": "parse-file", "file": name, "sentences": 0, "status": "skipped"}
+                for name in ("a.mrg", "b.mrg")]
+        else:
             assert out == ""
+
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_good_file_after_failures_exits_zero(self, capsys, fixture_corpus, broken_dir,
+                                                 tmp_path, command):
+        self.two_broken_files(broken_dir, tmp_path)
+        shutil.copy(fixture_corpus / "a.mrg", tmp_path / "c.mrg")
+        code, _, err = run(capsys, [*CORPUS_COMMANDS[command], "--corpus", str(tmp_path)])
+        assert code == EXIT_OK
+        assert [line[:len("WARNING: skipping a.mrg")] for line in err.splitlines()] == [
+            "WARNING: skipping a.mrg", "WARNING: skipping b.mrg"]
 
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
     def test_lone_empty_file(self, capsys, tmp_path, command):
@@ -304,24 +328,38 @@ class TestFailurePaths:
         assert out == ""
         assert err == "error: internal error: RuntimeError: planted defect\n"
 
-    @pytest.mark.parametrize("command", ["parse", "table1"])
-    def test_closed_stdout_exits_141_quietly(self, fixture_corpus, command):
+    @staticmethod
+    def closed_stdout_child(argv):
+        """``python -m npstat.cli ARGV`` with stdout a pipe whose reader has
+        gone.  stdout is buffered, as when no ``PYTHONUNBUFFERED`` is set, so
+        the output first meets the closed pipe when ``main`` flushes it."""
         src = Path(npstat.__file__).resolve().parents[1]
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
-                                                           os.environ.get("PYTHONPATH")]))}
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src),
+                                                          os.environ.get("PYTHONPATH")]))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            child = subprocess.run(
-                [sys.executable, "-m", "npstat.cli", *CORPUS_COMMANDS[command],
-                 *corpus_args(fixture_corpus)],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
-            )
+            return subprocess.run([sys.executable, "-m", "npstat.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
         finally:
             os.close(write_end)
+
+    @pytest.mark.parametrize("command", ["parse", "table1"])
+    def test_closed_stdout_exits_141_quietly(self, fixture_corpus, command):
+        child = self.closed_stdout_child([*CORPUS_COMMANDS[command],
+                                          *corpus_args(fixture_corpus)])
         assert child.returncode == EXIT_BROKEN_PIPE == 141
         assert child.stderr == b""
+
+    def test_closed_stdout_after_total_failure_exits_141(self, broken_dir):
+        # parse prints its rows before exit 1, and the error line comes
+        # before the flush that meets the closed pipe.
+        child = self.closed_stdout_child(["parse", "--corpus", str(broken_dir)])
+        assert child.returncode == EXIT_BROKEN_PIPE
+        assert child.stderr == (b"WARNING: skipping malformed.mrg: unclosed '(' at offset 0\n"
+                                b"error: every corpus file failed to parse\n")
 
 
 class TestStartUp:
@@ -673,6 +711,15 @@ class TestTable1Command:
         assert code == EXIT_OK
         assert {r["corpus"] for r in parse_records(out)} == {"mycorp"}
 
+    def test_label_of_a_nameless_directory_is_corpus(self, capsys, monkeypatch,
+                                                     fixture_corpus, tmp_path):
+        target = tmp_path / "mycorp"
+        shutil.copytree(fixture_corpus, target)
+        monkeypatch.chdir(target)
+        code, out, _ = run(capsys, ["table1", "--corpus", ".", "--format", "records"])
+        assert code == EXIT_OK
+        assert {r["corpus"] for r in parse_records(out)} == {"corpus"}
+
     def test_text_format_has_header_and_total(self, capsys, fixture_corpus):
         code, out, _ = run(capsys, ["table1", *corpus_args(fixture_corpus)])
         assert code == EXIT_OK
@@ -769,6 +816,17 @@ CONFIG_OPTIONS = {
 
 
 class TestConfigFileErrors:
+    @pytest.mark.parametrize("option", sorted(CONFIG_OPTIONS))
+    def test_lines_end_only_at_newlines(self, capsys, fixture_corpus, tmp_path, option):
+        # A comment holding line boundaries of str.splitlines other than the
+        # newline (read_text turns a lone carriage return into one) is one line.
+        path = tmp_path / "config.cfg"
+        path.write_bytes("# a\x85b\x0cc\x1cd\u2028e\n\nno equals sign\n".encode())
+        code, out, err = run(capsys, [*CONFIG_OPTIONS[option], str(path),
+                                      *corpus_args(fixture_corpus)])
+        assert (code, out) == (EXIT_CONFIG_ERROR, "")
+        assert err.startswith(f"error: {path}:3: expected ")
+
     @pytest.mark.parametrize("problem", ["missing", "directory", "non-utf8"])
     @pytest.mark.parametrize("option", sorted(CONFIG_OPTIONS))
     def test_unreadable_config_exits_four(self, capsys, fixture_corpus, tmp_path,
@@ -881,6 +939,16 @@ class TestVerbCommand:
         assert code == EXIT_OK
         counts = {r["frame"]: r["count"] for r in parse_records(out)}
         assert counts["total"] == 3  # every fixture hit uses the 'disclosed' form
+
+    def test_form_feed_does_not_end_a_lexicon_line(self, capsys, fixture_corpus, tmp_path):
+        lexicon = tmp_path / "verbs.cfg"
+        lexicon.write_bytes(b"disclose = disclose\x0cdiscloses disclosed\n")
+        code, out, _ = run(capsys, ["verb", *corpus_args(fixture_corpus),
+                                    "--verb", "disclose", "--lexicon", str(lexicon),
+                                    "--format", "records"])
+        assert code == EXIT_OK
+        counts = {r["frame"]: r["count"] for r in parse_records(out)}
+        assert counts["total"] == 3
 
     def test_unconfigured_lemma_exits_four(self, capsys, fixture_corpus):
         code, _, err = run(capsys, ["verb", *corpus_args(fixture_corpus),

@@ -1,10 +1,12 @@
 """Givenness classifier tests: rule cascade, hand-labeled fixture,
 configuration handling, determinism."""
 
+import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npstat.givenness import (
     DEFAULT_CONFIG,
@@ -16,8 +18,9 @@ from npstat.givenness import (
     classify_overt,
     leading_overt,
 )
-from npstat.treebank import Internal, Leaf, parse_trees
+from npstat.treebank import Internal, Leaf, NodeLabel, parse_trees
 
+from oracles import oracle_givenness
 from treegen import random_trees
 
 EC = GivennessCategory.EMPTY_CATEGORY
@@ -235,3 +238,79 @@ class TestLeftEdge:
                         is classify_overt(np, overt, config)
                 overt_counts[min(len(overt), 3)] += 1
         assert set(overt_counts) == {0, 1, 2, 3}, overt_counts
+
+
+# Leaves from which random NPs reach every rule of the cascade, under the
+# default configuration and under OTHER_CONFIG.
+NP_LEAVES = (
+    ("-NONE-", "*"), ("-NONE-", "*T*-1"), (",", ","), (".", "."), (":", ";"),
+    ("``", "``"), ("''", "''"), ("-LRB-", "-LRB-"), ("-RRB-", "-RRB-"), ("$", "$"),
+    ("#", "#"), ("PRP", "it"), ("PRP", "They"), ("PRP$", "his"), ("PRP$", "its"),
+    ("NNP", "Smith"), ("NNPS", "Americans"), ("DT", "the"), ("DT", "The"),
+    ("DT", "this"), ("IN", "that"), ("DT", "a"), ("DT", "An"), ("DT", "some"),
+    ("DT", "all"), ("CD", "three"), ("CD", "42"), ("NN", "dog"), ("NNS", "dogs"),
+    ("JJ", "old"), ("CC", "and"), ("POS", "'s"),
+)
+# Moves NPs between rules: PRP$ is no pronoun tag and "his" is a determiner,
+# NNPS heads no proper name, and "this" and "three" are indefinite.
+OTHER_CONFIG = ClassifierConfig(
+    pronoun_pos_tags=frozenset({"PRP"}),
+    proper_pos_tags=frozenset({"NNP"}),
+    definite_determiners=frozenset({"the", "his"}),
+    indefinite_determiners=frozenset({"a", "some", "this", "three"}),
+)
+# Every (category, rule) pair that oracle_givenness returns.
+EVERY_RULE = {
+    ("empty-category", "empty"), ("pronoun", "pronoun"), ("proper-name", "head"),
+    ("definite", "determiner"), ("definite", "possessive"), ("definite", "genitive"),
+    ("indefinite", "determiner"), ("indefinite", "number"), ("not-classified", "rest"),
+}
+
+
+def random_np(rng: random.Random, depth: int = 0) -> Internal:
+    """An NP of one to four children: leaves, nested NPs and PPs, sometimes
+    all empty, and sometimes led by a genitive NP (one that ends in ``POS``,
+    perhaps followed by an empty element)."""
+    if rng.random() < 0.05:
+        return Internal(NodeLabel("NP"), (Leaf("-NONE-", "*"),) * rng.randrange(1, 3))
+    children: list = []
+    for _ in range(rng.randrange(1, 5)):
+        roll = rng.random()
+        if depth < 2 and roll < 0.15:
+            children.append(random_np(rng, depth + 1))
+        elif depth < 2 and roll < 0.2:
+            children.append(Internal(NodeLabel("PP"),
+                                     (Leaf("IN", "of"), random_np(rng, depth + 1))))
+        else:
+            children.append(Leaf(*rng.choice(NP_LEAVES)))
+    if depth < 2 and rng.random() < 0.2:
+        tail = (Leaf("POS", "'s"),) + (Leaf("-NONE-", "*"),) * rng.randrange(2)
+        children.insert(0, Internal(NodeLabel("NP"),
+                                    random_np(rng, depth + 1).children + tail))
+    return Internal(NodeLabel.from_string(rng.choice(("NP", "NP-SBJ"))), tuple(children))
+
+
+class TestOracleAgreement:
+    """classify_np agrees with oracle_givenness, which restates the six rules
+    of the module docstring over each NP's full leaf list."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           config=st.sampled_from((DEFAULT_CONFIG, OTHER_CONFIG)))
+    def test_random_nps(self, seed, config):
+        rng = random.Random(seed)
+        for _ in range(40):
+            np = random_np(rng)
+            assert classify_np(np, config).value == oracle_givenness(np, config)[0]
+
+    @pytest.mark.parametrize("config", [DEFAULT_CONFIG, OTHER_CONFIG],
+                             ids=["default", "other"])
+    def test_every_rule_is_reached(self, config):
+        rng = random.Random(22)
+        rules: Counter = Counter()
+        for _ in range(2000):
+            np = random_np(rng)
+            category, rule = oracle_givenness(np, config)
+            assert classify_np(np, config).value == category
+            rules[category, rule] += 1
+        assert set(rules) == EVERY_RULE, rules
