@@ -28,8 +28,8 @@ from importlib import import_module
 # Submodule -> the names it exports; each is imported on first access.
 _EXPORTS = {
     "treebank": (
-        "EMPTY_POS", "PUNCTUATION_TAGS", "EmptyConstituent", "Internal",
-        "Leaf", "NodeLabel", "SourceSpan", "Tree", "TreebankSyntaxError",
+        "EMPTY_POS", "PUNCTUATION_TAGS", "EmptyConstituent", "InputError",
+        "Internal", "Leaf", "NodeLabel", "SourceSpan", "Tree", "TreebankSyntaxError",
         "UnbalancedBrackets", "is_empty_category", "is_punctuation",
         "parse_trees", "serialize_tree",
     ),

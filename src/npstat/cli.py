@@ -19,11 +19,13 @@ Handlers return nothing: :func:`main` sets every exit code from the exception
 a command raises.  The reader raises :class:`EveryFileFailed` once it has read
 the last file, if files were listed and none parsed.
 Exit codes: 0 success, 1 every corpus file failed to parse (then only
-``parse`` writes to stdout), 2 missing/unusable input, 3 degenerate statistics
-input, 4 configuration error (also a config or lexicon file that cannot be
-read or decoded), 70 internal error (a defect in npstat itself), 141 stdout
-was closed before the output was written (e.g. piped into ``head``); nothing
-is printed on stderr then.
+``parse`` writes to stdout), 2 missing/unusable input (a usage error or an
+:class:`~npstat.treebank.InputError`), 3 degenerate statistics input, 4
+configuration error (also a config or lexicon file that cannot be read or
+decoded, or a lemma it lacks), 70 any other exception, ``ValueError`` included:
+a defect in npstat itself, 141 stdout was closed before the output was written
+(e.g. piped into ``head``): no error line then, though skip warnings and exit
+1's line may be on stderr already.  :func:`run` escapes what stdout cannot encode.
 
 Each command is a fresh process, so start-up is paid on every run.  This module
 imports at the top only what building the argument parser and
@@ -47,8 +49,9 @@ from .givenness import (
     ClassifierConfigError,
     ClauseContext,
     classify_overt,
+    read_key_items,
 )
-from .treebank import EMPTY_POS, ReportFormat
+from .treebank import EMPTY_POS, InputError, ReportFormat
 
 if TYPE_CHECKING:
     from .corpus import AggregateCounts, CorpusSource, FileResult
@@ -81,12 +84,8 @@ _CONTEXT_TOKENS = {
 }
 
 
-class MissingInput(Exception):
-    """No usable corpus/counts input for the requested command."""
-
-
 class LexiconError(ValueError):
-    """Malformed verb inflection lexicon file."""
+    """A verb lexicon that cannot be read or used, or lacks the lemma asked for."""
 
 
 class EveryFileFailed(Exception):
@@ -111,7 +110,7 @@ def _corpus_source(args: argparse.Namespace) -> CorpusSource:
 
     root = args.corpus or os.environ.get(CORPUS_ENV_VAR)
     if not root:
-        raise MissingInput(
+        raise InputError(
             f"no corpus directory: pass --corpus DIR or set ${CORPUS_ENV_VAR}"
         )
     return CorpusSource(root_path=Path(root), include_glob=args.glob)
@@ -122,24 +121,6 @@ def _classifier(args: argparse.Namespace) -> ClassifierConfig:
     if path:
         return ClassifierConfig.from_file(path)
     return DEFAULT_CONFIG
-
-
-def _load_lexicon(path: str) -> dict[str, tuple[str, ...]]:
-    """Read ``lemma = form1 form2 ...`` lines; ``#`` starts a comment."""
-    lexicon: dict[str, tuple[str, ...]] = {}
-    try:
-        content = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
-        raise LexiconError(f"cannot read lexicon {path}: {err}") from err
-    for lineno, raw_line in enumerate(content.split("\n"), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise LexiconError(f"{path}:{lineno}: expected 'lemma = forms...'")
-        lemma, _, forms = line.partition("=")
-        lexicon[lemma.strip()] = tuple(forms.split())
-    return lexicon
 
 
 def _read_corpus(source: CorpusSource) -> Iterator[FileResult]:
@@ -281,9 +262,9 @@ def cmd_adverbials(args: argparse.Namespace) -> None:
     if args.from_counts is not None:
         not_delimited, total = args.from_counts
         if not_delimited < 0 or total < 0:
-            raise ValueError("counts must be non-negative")
+            raise InputError("counts must be non-negative")
         if not_delimited > total:
-            raise ValueError(f"NOT_DELIMITED ({not_delimited}) exceeds TOTAL ({total})")
+            raise InputError(f"NOT_DELIMITED ({not_delimited}) exceeds TOTAL ({total})")
         rows = [["ALL", total, not_delimited, ratio_report(not_delimited, total)]]
         print(render_rows(columns, rows, args.format, "adverbial-row"))
         return
@@ -311,13 +292,16 @@ def cmd_adverbials(args: argparse.Namespace) -> None:
 
 
 def cmd_verb(args: argparse.Namespace) -> None:
-    from .queries import EmptyInflectionSet, FrameType, profile_verb_frames
+    from .queries import FrameType, profile_verb_frames
     from .render import render_rows
 
-    lexicon = _load_lexicon(args.lexicon) if args.lexicon else DEFAULT_VERB_LEXICON
+    lexicon = DEFAULT_VERB_LEXICON
+    if args.lexicon:
+        lexicon = {lemma: tuple(forms) for _, lemma, forms in read_key_items(
+            args.lexicon, "lexicon", "lemma = forms...", LexiconError)}
     inflections = lexicon.get(args.verb, ())
     if not inflections:
-        raise EmptyInflectionSet(
+        raise LexiconError(
             f"no inflections configured for {args.verb!r}; add it to the lexicon"
         )
     profile = profile_verb_frames(
@@ -462,13 +446,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             *_loaded("render", "ZeroDenominator")) as err:
         print(f"error: degenerate statistics input: {err}", file=sys.stderr)
         return EXIT_DEGENERATE_STATS
-    except (ClassifierConfigError, LexiconError,
-            *_loaded("queries.frames", "EmptyInflectionSet")) as err:
+    except (ClassifierConfigError, LexiconError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    # RootNotFound is a FileNotFoundError; ValueError covers bad explicit
-    # counts, malformed cells, ...
-    except (MissingInput, FileNotFoundError, ValueError) as err:
+    except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except Exception as err:  # a defect in npstat, not in its input
@@ -485,6 +466,12 @@ def run() -> None:
     # exit; freezing moves what is left out of the exit sweep.  ``main`` keeps
     # the caller's GC state, so tests and library callers are unaffected.
     gc.disable()
+    # Where stdout would fail on a character its encoding cannot hold, write an
+    # escape instead, as on stderr.  Python's surrogateescape, which writes an
+    # undecodable file-name byte back as it was, stays; stdout is None if the
+    # command starts with file descriptor 1 closed.
+    if getattr(sys.stdout, "errors", None) == "strict":
+        sys.stdout.reconfigure(errors="backslashreplace")
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -21,15 +21,15 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .givenness import (ClassifierConfig, ClauseContext, DEFAULT_CONFIG, GivennessCategory,
                         GrammaticalPosition, classify_overt, leading_overt)
-from .treebank import Leaf, SlottedRecord, Tree, TreebankSyntaxError, parse_trees
+from .treebank import InputError, Leaf, SlottedRecord, Tree, TreebankSyntaxError, parse_trees
 
 CellKey = tuple[GivennessCategory, GrammaticalPosition, ClauseContext]
 # (file_id, trees, reason): a skipped file has no trees and says why.
 FileResult = tuple[str, list[Tree] | None, str | None]
 
 
-class RootNotFound(FileNotFoundError):
-    pass
+class RootNotFound(FileNotFoundError, InputError):
+    """The corpus root is not a directory."""
 
 
 class CorpusSource(NamedTuple):
@@ -94,21 +94,21 @@ def merge(x: AggregateCounts, y: AggregateCounts) -> AggregateCounts:
 def corpus_files(source: CorpusSource) -> list[Path]:
     """All files under the root whose path ends in a match of the pattern, sorted by
     relative path, from one walk that never enters a directory symlink.  A pattern that
-    could reach outside the root, names no file or holds a partial ``**`` raises ValueError.
+    could reach outside the root, names no file or holds a partial ``**`` raises InputError.
     """
     pattern = PurePath(source.include_glob)
     if pattern.anchor or ".." in pattern.parts:
-        raise ValueError(
+        raise InputError(
             f"glob pattern {source.include_glob!r} must be relative to the corpus "
             "root, with no '..' component")
     if not pattern.parts or pattern.parts[-1] == "**" or source.include_glob.endswith("/"):
-        raise ValueError(f"glob pattern {source.include_glob!r} must end in a file name")
+        raise InputError(f"glob pattern {source.include_glob!r} must end in a file name")
     root = Path(source.root_path)
     if not root.is_dir():
         raise RootNotFound(f"corpus root {root} does not exist")
     names = [part for part in pattern.parts if part != "**"]
     if any("**" in name for name in names):
-        raise ValueError("Invalid pattern: '**' can only be an entire path component")
+        raise InputError("Invalid pattern: '**' can only be an entire path component")
     # An entry may match names[i] for i in reached; a '**' before it (free[i]) keeps i below.
     free = [prev == "**" for prev, part in zip(("**", *pattern.parts), pattern.parts)
             if part != "**"]

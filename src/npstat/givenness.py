@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 from .treebank import (EMPTY_POS, Internal, Leaf, SlottedRecord, Tree, is_punctuation,
                        last_overt_leaf)
@@ -66,6 +67,27 @@ class NotAnNP(TypeError):
 
 class ClassifierConfigError(ValueError):
     """Invalid classifier configuration (overlapping determiner sets, bad file)."""
+
+
+def read_key_items(
+    path, noun: str, shape: str, error: type[ValueError]
+) -> Iterator[tuple[int, str, list[str]]]:
+    """``(lineno, key, items)`` for each ``key = item item ...`` line of a UTF-8
+    config file.  Lines end only at ``\\n``, ``#`` starts a comment and blank
+    lines are skipped.  An unreadable file or a line without ``=`` raises
+    ``error``, naming the file ``noun`` and the expected line ``shape``."""
+    try:
+        content = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise error(f"cannot read {noun} {path}: {err}") from err
+    for lineno, raw in enumerate(content.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{lineno}: expected '{shape}', got {line!r}")
+        key, _, items = line.partition("=")
+        yield lineno, key.strip(), items.split()
 
 
 DEFAULT_PRONOUN_POS_TAGS = frozenset({"PRP", "PRP$"})
@@ -108,23 +130,12 @@ class ClassifierConfig(SlottedRecord):
 
         Unknown keys are rejected; omitted keys keep their defaults.
         """
-        try:
-            content = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as err:
-            raise ClassifierConfigError(f"cannot read classifier config {path}: {err}") from err
         values = {}
-        for lineno, raw in enumerate(content.split("\n"), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ClassifierConfigError(
-                    f"{path}:{lineno}: expected 'key = items', got {line!r}")
-            key, _, items = line.partition("=")
-            key = key.strip()
+        for lineno, key, items in read_key_items(path, "classifier config", "key = items",
+                                                 ClassifierConfigError):
             if key not in cls._fields:
                 raise ClassifierConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = frozenset(items.split())
+            values[key] = frozenset(items)
         return cls(**values)
 
     def dump(self) -> str:

@@ -20,10 +20,7 @@ from __future__ import annotations
 from importlib import import_module
 
 from ..givenness import ClauseContext, GrammaticalPosition
-
-# The treebank names the queries are written in, importable from here too.
-from ..treebank import (EMPTY_POS, PUNCTUATION_TAGS, Internal, Leaf, SourceSpan, Tree,
-                        is_empty_category)
+from ..treebank import EMPTY_POS, Internal, Leaf
 
 VERB_TAGS = frozenset({"VB", "VBD", "VBG", "VBN", "VBP", "VBZ"})
 
@@ -49,16 +46,15 @@ _FAMILY_OF = {name: family for family, names in _FAMILIES.items() for name in na
 __all__ = sorted(["VERB_TAGS", "ClauseContext", "GrammaticalPosition", *_FAMILY_OF])
 
 
-def _complementizer_slot(sbar: Internal, clause_index: int) -> Leaf | None:
-    """Nearest leaf sibling preceding ``sbar.children[clause_index]``."""
+def _complement_kind(sbar: Internal, clause_index: int) -> str | None:
+    """"that" if the nearest leaf sibling before ``sbar.children[clause_index]``
+    is an overt *that*, "reduced" if it is an empty complementizer, else None."""
     for child in reversed(sbar.children[:clause_index]):
         if isinstance(child, Leaf):
-            return child
+            if child.pos == "IN" and child.token.lower() == "that":
+                return "that"
+            return "reduced" if child.pos == EMPTY_POS else None
     return None
-
-
-def _is_overt_that(leaf: Leaf | None) -> bool:
-    return leaf is not None and leaf.pos == "IN" and leaf.token.lower() == "that"
 
 
 def __getattr__(name: str):

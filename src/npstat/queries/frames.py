@@ -9,8 +9,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
-from ..treebank import EMPTY_POS, Internal, Leaf, Tree, is_empty_category
-from . import VERB_TAGS, _complementizer_slot, _is_overt_that
+from ..treebank import Internal, Leaf, Tree, is_empty_category
+from . import VERB_TAGS, _complement_kind
 
 
 class FrameType(Enum):
@@ -43,14 +43,7 @@ def _sbar_kind(sbar: Internal) -> str | None:
         ),
         None,
     )
-    if clause_index is None:
-        return None
-    comp = _complementizer_slot(sbar, clause_index)
-    if _is_overt_that(comp):
-        return "that"
-    if comp is not None and comp.pos == EMPTY_POS:
-        return "reduced"
-    return None
+    return None if clause_index is None else _complement_kind(sbar, clause_index)
 
 
 def _frame_of(parent: Internal, verb_index: int) -> FrameType:

@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..givenness import ClauseContext, GrammaticalPosition
-from ..treebank import EMPTY_POS, Internal, Leaf, SourceSpan, Tree
-from . import _complementizer_slot, _is_overt_that
+from ..treebank import Internal, Leaf, SourceSpan, Tree
+from . import _complement_kind
 
 
 class NPOccurrence(NamedTuple):
@@ -39,11 +39,9 @@ def _embedded_context(
     category = parent.label.category
     if category == "SBAR" and grandparent is not None \
             and grandparent.label.category == "VP":
-        comp = _complementizer_slot(parent, clause_index)
-        if _is_overt_that(comp):
-            return ClauseContext.EMBEDDED_TC
-        if comp is not None and comp.pos == EMPTY_POS:
-            return ClauseContext.EMBEDDED_RC
+        kind = _complement_kind(parent, clause_index)
+        if kind:
+            return ClauseContext.EMBEDDED_TC if kind == "that" else ClauseContext.EMBEDDED_RC
     if category == "VP":
         return ClauseContext.EMBEDDED_RC
     return ClauseContext.EMBEDDED_OTHER

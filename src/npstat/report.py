@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .givenness import ClauseContext, GivennessCategory, GrammaticalPosition
 from .render import Cell, parse_records, render_rows
-from .treebank import ReportFormat
+from .treebank import InputError, ReportFormat
 
 if TYPE_CHECKING:
     from .corpus import AggregateCounts
@@ -87,9 +87,9 @@ class Table1Block(NamedTuple):
         nonsubj TC, nonsubj RC, nonsubj matrix.  TC+RC and totals are derived.
         """
         if len(values) != 36:
-            raise ValueError(f"expected 36 counts (6 categories x 6 cells), got {len(values)}")
+            raise InputError(f"expected 36 counts (6 categories x 6 cells), got {len(values)}")
         if any(v < 0 for v in values):
-            raise ValueError("counts must be non-negative")
+            raise InputError("counts must be non-negative")
         rows = {}
         for i, cat in enumerate(GivennessCategory):
             rows[cat] = Table1Row(*values[6 * i: 6 * i + 6])

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .givenness import ClauseContext, GivennessCategory, GrammaticalPosition
 from .render import ZeroDenominator, ratio_report
-from .treebank import SlottedRecord
+from .treebank import InputError, SlottedRecord
 
 if TYPE_CHECKING:
     from .corpus import AggregateCounts
@@ -57,7 +57,7 @@ class ContingencyTable2x2(SlottedRecord):
     def __init__(self, a: int, b: int, c: int, d: int) -> None:
         for cell in (a, b, c, d):
             if cell < 0:
-                raise ValueError("cell counts must be non-negative")
+                raise InputError("cell counts must be non-negative")
         self.a = a
         self.b = b
         self.c = c

@@ -40,6 +40,11 @@ class TreebankSyntaxError(ValueError):
         self.position = position
 
 
+class InputError(ValueError):
+    """Missing or unusable input, such as no corpus root or a negative count;
+    the command line exits 2 on it, and on no other exception."""
+
+
 class UnbalancedBrackets(TreebankSyntaxError):
     pass
 

@@ -1,6 +1,7 @@
 """End-to-end command-line tests driving ``npstat.cli.main``."""
 
 import gc
+import importlib
 import io
 import json
 import os
@@ -93,6 +94,22 @@ CORPUS_COMMANDS = {
     "late-closure": ["late-closure"],
     "adverbials": ["adverbials"],
     "verb": ["verb", "--verb", "disclose"],
+}
+
+
+# The functions each corpus command calls once its files are read, as
+# (module, name); a command looks each up there when it runs.
+SEAMS_AFTER_READING = {
+    "parse": [("npstat.render", "render_rows")],
+    "table1": [("npstat.queries", "walk_np_occurrences"), ("npstat.corpus", "classify_overt"),
+               ("npstat.report", "render_rows")],
+    "chisq": [("npstat.queries", "walk_np_occurrences"), ("npstat.corpus", "classify_overt"),
+              ("npstat.render", "render_rows")],
+    "late-closure": [("npstat.queries", "walk_late_closure"), ("npstat.cli", "classify_overt"),
+                     ("npstat.render", "render_rows")],
+    "adverbials": [("npstat.queries", "survey_fronted_adverbials"),
+                   ("npstat.render", "render_rows")],
+    "verb": [("npstat.queries", "profile_verb_frames"), ("npstat.render", "render_rows")],
 }
 
 
@@ -313,6 +330,25 @@ class TestFailurePaths:
             assert parse_records(out)[-1] == {"record": "parse-file", "file": "deep.mrg",
                                               "sentences": 1, "status": "ok"}
 
+    @pytest.mark.parametrize("defect", [ValueError, UnicodeError, KeyError, IndexError,
+                                        TypeError, AttributeError, FileNotFoundError],
+                             ids=lambda defect: defect.__name__)
+    @pytest.mark.parametrize("command, module, name", [
+        (command, module, name)
+        for command, seams in SEAMS_AFTER_READING.items() for module, name in seams
+    ], ids=lambda value: value.removeprefix("npstat."))
+    def test_defect_after_reading_exits_70(self, capsys, monkeypatch, fixture_corpus,
+                                           command, module, name, defect):
+        # Only InputError is input's fault; whatever else a command raises,
+        # even a ValueError or a FileNotFoundError, is a defect in npstat.
+        def planted(*args, **kwargs):
+            raise defect("planted defect")
+
+        monkeypatch.setattr(importlib.import_module(module), name, planted)
+        code, out, err = run(capsys, [*CORPUS_COMMANDS[command], *corpus_args(fixture_corpus)])
+        assert (code, out) == (EXIT_INTERNAL_ERROR, "")
+        assert err == f"error: internal error: {defect.__name__}: {defect('planted defect')}\n"
+
     def test_internal_error_exits_70(self, capsys, monkeypatch, fixture_corpus):
         calls = []
 
@@ -329,20 +365,24 @@ class TestFailurePaths:
         assert err == "error: internal error: RuntimeError: planted defect\n"
 
     @staticmethod
-    def closed_stdout_child(argv):
-        """``python -m npstat.cli ARGV`` with stdout a pipe whose reader has
-        gone.  stdout is buffered, as when no ``PYTHONUNBUFFERED`` is set, so
-        the output first meets the closed pipe when ``main`` flushes it."""
+    def cli_child(argv, stdout, **env_vars):
+        """``python -m npstat.cli ARGV`` in the caller's environment plus
+        ``env_vars``.  stdout is buffered, as when no ``PYTHONUNBUFFERED`` is
+        set, so the output first meets stdout when ``main`` flushes it."""
         src = Path(npstat.__file__).resolve().parents[1]
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src),
                                                           os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "npstat.cli", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, env={**env, **env_vars}, timeout=60)
+
+    @classmethod
+    def closed_stdout_child(cls, argv):
+        """:meth:`cli_child` with stdout a pipe whose reader has gone."""
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            return subprocess.run([sys.executable, "-m", "npstat.cli", *argv],
-                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
-                                  timeout=60)
+            return cls.cli_child(argv, write_end)
         finally:
             os.close(write_end)
 
@@ -360,6 +400,34 @@ class TestFailurePaths:
         assert child.returncode == EXIT_BROKEN_PIPE
         assert child.stderr == (b"WARNING: skipping malformed.mrg: unclosed '(' at offset 0\n"
                                 b"error: every corpus file failed to parse\n")
+
+    def test_unencodable_output_is_escaped(self, tmp_path):
+        # The command writes what stdout's encoding cannot hold as a backslash
+        # escape; main() alone would leave a caller's stdout as it is.
+        (tmp_path / "cafe.mrg").write_text(
+            "(S (SBAR (IN While) (S (NP-SBJ (PRP he)) (VP (VBD ate))))"
+            " (NP-SBJ (NNP Caf\u00e9)) (VP (VBD closed)))\n", encoding="utf-8")
+        child = self.cli_child(["late-closure", "--corpus", str(tmp_path)], subprocess.PIPE,
+                               PYTHONIOENCODING="ascii")
+        assert (child.returncode, child.stderr) == (EXIT_OK, b"")
+        assert child.stdout.splitlines()[-1].split() == [
+            b"cafe.mrg", b"0", b"ate", b"Caf\\xe9", b"proper-name"]
+
+    @pytest.mark.parametrize("errors, written", [("strict", rb"x\udcff.mrg"),
+                                                 ("surrogateescape", b"x\xff.mrg")])
+    def test_undecodable_file_name_is_written(self, fixture_corpus, tmp_path, errors,
+                                              written):
+        # A file-name byte that is not UTF-8 is escaped where stdout would fail
+        # on it, and written back as it was where stdout uses surrogateescape.
+        try:
+            (tmp_path / os.fsdecode(b"x\xff.mrg")).write_bytes(
+                (fixture_corpus / "a.mrg").read_bytes())
+        except (OSError, UnicodeError) as err:
+            pytest.skip(f"cannot give a file that name here: {err}")
+        child = self.cli_child(["parse", "--corpus", str(tmp_path)], subprocess.PIPE,
+                               PYTHONIOENCODING=f"utf-8:{errors}")
+        assert (child.returncode, child.stderr) == (EXIT_OK, b"")
+        assert child.stdout.splitlines()[-1].split() == [written, b"4", b"ok"]
 
 
 class TestStartUp:
@@ -963,6 +1031,8 @@ class TestVerbCommand:
                                     "--verb", "disclose", "--lexicon", str(lexicon)])
         assert code == EXIT_CONFIG_ERROR
         assert "lemma = forms" in err
+        assert err == (f"error: {lexicon}:1: expected 'lemma = forms...', "
+                       "got 'no equals sign here'\n")
 
 
 class TestPlumbing:

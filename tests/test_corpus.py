@@ -22,6 +22,7 @@ from npstat.corpus import (
 )
 from npstat.givenness import DEFAULT_CONFIG, ClassifierConfig, GivennessCategory
 from npstat.queries import ClauseContext, GrammaticalPosition
+from npstat.treebank import InputError
 
 from oracles import reference_aggregate_cells
 from treegen import random_trees
@@ -87,8 +88,11 @@ class TestIngest:
         assert sum(len(trees) for _, trees, _ in files) == 10
 
     def test_missing_root_raises(self, tmp_path):
-        with pytest.raises(RootNotFound):
+        with pytest.raises(RootNotFound) as raised:
             read_files(CorpusSource(tmp_path / "nowhere"))
+        # The command line exits 2 on it; a caller may catch either base.
+        assert isinstance(raised.value, InputError)
+        assert isinstance(raised.value, FileNotFoundError)
 
     def test_empty_directory_yields_empty_stream(self, tmp_path):
         assert list(read_files(CorpusSource(tmp_path))) == []
