@@ -28,8 +28,9 @@ from importlib import import_module
 # Submodule -> the names it exports; each is imported on first access.
 _EXPORTS = {
     "treebank": (
-        "EMPTY_POS", "PUNCTUATION_TAGS", "EmptyConstituent", "InputError",
-        "Internal", "Leaf", "NodeLabel", "SourceSpan", "Tree", "TreebankSyntaxError",
+        "EMPTY_POS", "PUNCTUATION_TAGS", "ConfigError", "DegenerateInput",
+        "EmptyConstituent", "InputError", "Internal", "Leaf", "NodeLabel",
+        "ReportFormat", "SourceSpan", "Tree", "TreebankSyntaxError",
         "UnbalancedBrackets", "is_empty_category", "is_punctuation",
         "parse_trees", "serialize_tree",
     ),
@@ -56,7 +57,7 @@ _EXPORTS = {
     "render": (
         "ZeroDenominator", "parse_records", "ratio_report", "render_rows",
     ),
-    "report": ("ReportFormat", "Table1Block", "Table1Report", "Table1Row"),
+    "report": ("Table1Block", "Table1Report", "Table1Row"),
 }
 _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

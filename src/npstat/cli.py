@@ -20,12 +20,14 @@ a command raises.  The reader raises :class:`EveryFileFailed` once it has read
 the last file, if files were listed and none parsed.
 Exit codes: 0 success, 1 every corpus file failed to parse (then only
 ``parse`` writes to stdout), 2 missing/unusable input (a usage error or an
-:class:`~npstat.treebank.InputError`), 3 degenerate statistics input, 4
-configuration error (also a config or lexicon file that cannot be read or
-decoded, or a lemma it lacks), 70 any other exception, ``ValueError`` included:
-a defect in npstat itself, 141 stdout was closed before the output was written
-(e.g. piped into ``head``): no error line then, though skip warnings and exit
-1's line may be on stderr already.  :func:`run` escapes what stdout cannot encode.
+:class:`~npstat.treebank.InputError`), 3 degenerate statistics input (a
+``DegenerateInput``), 4 configuration error (a ``ConfigError``: also a config or
+lexicon file that cannot be read or decoded, or a lemma it lacks, which ``verb``
+checks after the corpus), 70 any other exception, ``ValueError`` included: a
+defect in npstat itself, 141 stdout was closed before the output was written
+(e.g. piped into ``head``, or fd 1 closed at start): no error line then, though
+skip warnings and exit 1's line may be on stderr already.  :func:`run` escapes
+what stdout cannot encode.
 
 Each command is a fresh process, so start-up is paid on every run.  This module
 imports at the top only what building the argument parser and
@@ -46,12 +48,11 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from .givenness import (
     DEFAULT_CONFIG,
     ClassifierConfig,
-    ClassifierConfigError,
     ClauseContext,
     classify_overt,
     read_key_items,
 )
-from .treebank import EMPTY_POS, InputError, ReportFormat
+from .treebank import EMPTY_POS, ConfigError, DegenerateInput, InputError, ReportFormat
 
 if TYPE_CHECKING:
     from .corpus import AggregateCounts, CorpusSource, FileResult
@@ -82,10 +83,6 @@ _CONTEXT_TOKENS = {
     "other": (ClauseContext.EMBEDDED_OTHER,),
     "all": tuple(ClauseContext),
 }
-
-
-class LexiconError(ValueError):
-    """A verb lexicon that cannot be read or used, or lacks the lemma asked for."""
 
 
 class EveryFileFailed(Exception):
@@ -298,14 +295,11 @@ def cmd_verb(args: argparse.Namespace) -> None:
     lexicon = DEFAULT_VERB_LEXICON
     if args.lexicon:
         lexicon = {lemma: tuple(forms) for _, lemma, forms in read_key_items(
-            args.lexicon, "lexicon", "lemma = forms...", LexiconError)}
-    inflections = lexicon.get(args.verb, ())
-    if not inflections:
-        raise LexiconError(
-            f"no inflections configured for {args.verb!r}; add it to the lexicon"
-        )
+            args.lexicon, "lexicon", "lemma = forms...", ConfigError)}
+    # The corpus is checked first, then the lemma, before any file is read.
     profile = profile_verb_frames(
-        (tree for _, _, tree in _sentences(_corpus_source(args))), args.verb, inflections
+        (tree for _, _, tree in _sentences(_corpus_source(args))), args.verb,
+        lexicon.get(args.verb, ()),
     )
     rows: list[list] = [[frame.value, profile.counts[frame]] for frame in FrameType]
     rows.append(["total", profile.total])
@@ -401,13 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _loaded(module: str, *names: str) -> tuple[type[Exception], ...]:
-    """The named exception classes of an npstat module, or none if the module
-    was never imported: then nothing can have raised them."""
-    loaded = sys.modules.get(f"{__package__}.{module}")
-    return tuple(getattr(loaded, name) for name in names) if loaded else ()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -435,6 +422,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         except EveryFileFailed as err:  # parse has printed its rows
             print(f"error: {err}", file=sys.stderr)
             code = EXIT_ALL_FILES_FAILED
+        if sys.stdout is None:  # started with fd 1 closed: print wrote nothing
+            return EXIT_BROKEN_PIPE
         sys.stdout.flush()  # buffered output meets a closed pipe here
         return code
     except BrokenPipeError:
@@ -442,11 +431,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # exit cannot fail again, and exit as if killed by SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (*_loaded("stats", "DegenerateMargin"),
-            *_loaded("render", "ZeroDenominator")) as err:
+    except DegenerateInput as err:
         print(f"error: degenerate statistics input: {err}", file=sys.stderr)
         return EXIT_DEGENERATE_STATS
-    except (ClassifierConfigError, LexiconError) as err:
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except InputError as err:

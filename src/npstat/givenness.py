@@ -32,8 +32,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
-from .treebank import (EMPTY_POS, Internal, Leaf, SlottedRecord, Tree, is_punctuation,
-                       last_overt_leaf)
+from .treebank import (EMPTY_POS, ConfigError, Internal, Leaf, SlottedRecord, Tree,
+                       is_punctuation, last_overt_leaf)
 
 
 class GivennessCategory(Enum):
@@ -65,12 +65,12 @@ class NotAnNP(TypeError):
     """classify_np was handed a node that is not an internal NP."""
 
 
-class ClassifierConfigError(ValueError):
+class ClassifierConfigError(ConfigError):
     """Invalid classifier configuration (overlapping determiner sets, bad file)."""
 
 
 def read_key_items(
-    path, noun: str, shape: str, error: type[ValueError]
+    path, noun: str, shape: str, error: type[ConfigError]
 ) -> Iterator[tuple[int, str, list[str]]]:
     """``(lineno, key, items)`` for each ``key = item item ...`` line of a UTF-8
     config file.  Lines end only at ``\\n``, ``#`` starts a comment and blank

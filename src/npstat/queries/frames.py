@@ -9,7 +9,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
-from ..treebank import Internal, Leaf, Tree, is_empty_category
+from ..treebank import ConfigError, Internal, Leaf, Tree, is_empty_category
 from . import VERB_TAGS, _complement_kind
 
 
@@ -29,7 +29,7 @@ class VerbFrameProfile(NamedTuple):
         return sum(self.counts.values())
 
 
-class EmptyInflectionSet(ValueError):
+class EmptyInflectionSet(ConfigError):
     """The inflection set for a verb lemma is empty; lexicon is misconfigured."""
 
 
@@ -68,7 +68,7 @@ def profile_verb_frames(
     """
     forms = {f.lower() for f in inflections}
     if not forms:
-        raise EmptyInflectionSet(f"no inflections configured for {lemma!r}")
+        raise EmptyInflectionSet(f"no inflections configured for {lemma!r}; add it to the lexicon")
     counts = {frame: 0 for frame in FrameType}
     for tree in trees:
         stack = [tree] if type(tree) is Internal else []

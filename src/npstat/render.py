@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .treebank import ReportFormat
+from .treebank import DegenerateInput, ReportFormat
 
 Cell = object  # str | int | float in practice
 
@@ -84,7 +84,7 @@ def parse_records(text: str) -> list[dict]:
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
-class ZeroDenominator(ZeroDivisionError):
+class ZeroDenominator(ZeroDivisionError, DegenerateInput):
     pass
 
 

@@ -20,13 +20,13 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .givenness import ClauseContext, GivennessCategory, GrammaticalPosition
 from .render import ZeroDenominator, ratio_report
-from .treebank import InputError, SlottedRecord
+from .treebank import DegenerateInput, InputError, SlottedRecord
 
 if TYPE_CHECKING:
     from .corpus import AggregateCounts
 
 
-class DegenerateMargin(ValueError):
+class DegenerateMargin(DegenerateInput):
     """A row or column of the table sums to zero; the test is undefined."""
 
 

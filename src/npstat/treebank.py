@@ -45,6 +45,14 @@ class InputError(ValueError):
     the command line exits 2 on it, and on no other exception."""
 
 
+class DegenerateInput(ValueError):
+    """Statistics input that leaves the statistic undefined; the command line exits 3."""
+
+
+class ConfigError(ValueError):
+    """A classifier config or verb lexicon that cannot be used; the command line exits 4."""
+
+
 class UnbalancedBrackets(TreebankSyntaxError):
     pass
 

@@ -331,7 +331,8 @@ class TestFailurePaths:
                                               "sentences": 1, "status": "ok"}
 
     @pytest.mark.parametrize("defect", [ValueError, UnicodeError, KeyError, IndexError,
-                                        TypeError, AttributeError, FileNotFoundError],
+                                        TypeError, AttributeError, FileNotFoundError,
+                                        ZeroDivisionError],
                              ids=lambda defect: defect.__name__)
     @pytest.mark.parametrize("command, module, name", [
         (command, module, name)
@@ -339,8 +340,9 @@ class TestFailurePaths:
     ], ids=lambda value: value.removeprefix("npstat."))
     def test_defect_after_reading_exits_70(self, capsys, monkeypatch, fixture_corpus,
                                            command, module, name, defect):
-        # Only InputError is input's fault; whatever else a command raises,
-        # even a ValueError or a FileNotFoundError, is a defect in npstat.
+        # Only the documented exit classes are input's fault; whatever else a
+        # command raises, even a ValueError, a FileNotFoundError or a
+        # ZeroDivisionError that is no ZeroDenominator, is a defect in npstat.
         def planted(*args, **kwargs):
             raise defect("planted defect")
 
@@ -365,16 +367,18 @@ class TestFailurePaths:
         assert err == "error: internal error: RuntimeError: planted defect\n"
 
     @staticmethod
-    def cli_child(argv, stdout, **env_vars):
+    def cli_child(argv, stdout, *, launcher=(), **env_vars):
         """``python -m npstat.cli ARGV`` in the caller's environment plus
-        ``env_vars``.  stdout is buffered, as when no ``PYTHONUNBUFFERED`` is
-        set, so the output first meets stdout when ``main`` flushes it."""
+        ``env_vars``, started through the ``launcher`` command if one is given.
+        stdout is buffered, as when no ``PYTHONUNBUFFERED`` is set, so the
+        output first meets stdout when ``main`` flushes it."""
         src = Path(npstat.__file__).resolve().parents[1]
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src),
                                                           os.environ.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "npstat.cli", *argv], stdout=stdout,
-                              stderr=subprocess.PIPE, env={**env, **env_vars}, timeout=60)
+        return subprocess.run([*launcher, sys.executable, "-m", "npstat.cli", *argv],
+                              stdout=stdout, stderr=subprocess.PIPE, env={**env, **env_vars},
+                              timeout=60)
 
     @classmethod
     def closed_stdout_child(cls, argv):
@@ -400,6 +404,34 @@ class TestFailurePaths:
         assert child.returncode == EXIT_BROKEN_PIPE
         assert child.stderr == (b"WARNING: skipping malformed.mrg: unclosed '(' at offset 0\n"
                                 b"error: every corpus file failed to parse\n")
+
+    @staticmethod
+    def one_good_one_broken(fixture_corpus, broken_dir, root):
+        shutil.copy(fixture_corpus / "a.mrg", root / "a.mrg")
+        shutil.copy(broken_dir / "malformed.mrg", root / "b.mrg")
+        return ["--corpus", str(root)]
+
+    @pytest.mark.parametrize("command", ["--dump-default-config", "table1"])
+    def test_closed_fd1_exits_141_quietly(self, fixture_corpus, broken_dir, tmp_path,
+                                          command):
+        # A shell's ">&-" starts the command with file descriptor 1 closed, so
+        # Python's sys.stdout is None; the skip warnings still reach stderr.
+        if command == "--dump-default-config":
+            argv, warnings = [command], b""
+        else:
+            argv = [command, *self.one_good_one_broken(fixture_corpus, broken_dir, tmp_path)]
+            warnings = b"WARNING: skipping b.mrg: unclosed '(' at offset 0\n"
+        child = self.cli_child(argv, subprocess.DEVNULL,
+                               launcher=["sh", "-c", 'exec "$@" >&-', "sh"])
+        assert (child.returncode, child.stderr) == (EXIT_BROKEN_PIPE, warnings)
+
+    def test_main_without_stdout_exits_141(self, capsys, monkeypatch, fixture_corpus,
+                                           broken_dir, tmp_path):
+        argv = ["table1", *self.one_good_one_broken(fixture_corpus, broken_dir, tmp_path)]
+        monkeypatch.setattr(sys, "stdout", None)
+        code, _, err = run(capsys, argv)
+        assert (code, err) == (EXIT_BROKEN_PIPE,
+                               "WARNING: skipping b.mrg: unclosed '(' at offset 0\n")
 
     def test_unencodable_output_is_escaped(self, tmp_path):
         # The command writes what stdout's encoding cannot hold as a backslash
@@ -1018,11 +1050,25 @@ class TestVerbCommand:
         counts = {r["frame"]: r["count"] for r in parse_records(out)}
         assert counts["total"] == 3
 
-    def test_unconfigured_lemma_exits_four(self, capsys, fixture_corpus):
-        code, _, err = run(capsys, ["verb", *corpus_args(fixture_corpus),
-                                    "--verb", "defenestrate"])
-        assert code == EXIT_CONFIG_ERROR
-        assert "defenestrate" in err
+    def test_unconfigured_lemma_exits_four(self, capsys, monkeypatch, fixture_corpus):
+        # The lemma is rejected before any corpus file is read.
+        def no_read(path, *args, **kwargs):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(Path, "read_text", no_read)
+        code, out, err = run(capsys, ["verb", *corpus_args(fixture_corpus),
+                                      "--verb", "defenestrate"])
+        assert (code, out) == (EXIT_CONFIG_ERROR, "")
+        assert err == ("error: no inflections configured for 'defenestrate'; "
+                       "add it to the lexicon\n")
+
+    def test_unconfigured_lemma_without_corpus_exits_two(self, capsys, monkeypatch):
+        # As for table1 and a bad --classifier-config, the missing corpus is
+        # reported before the lemma the lexicon lacks.
+        monkeypatch.delenv(CORPUS_ENV_VAR, raising=False)
+        code, out, err = run(capsys, ["verb", "--verb", "defenestrate"])
+        assert (code, out) == (EXIT_MISSING_INPUT, "")
+        assert err == f"error: no corpus directory: pass --corpus DIR or set ${CORPUS_ENV_VAR}\n"
 
     def test_malformed_lexicon_exits_four(self, capsys, fixture_corpus, tmp_path):
         lexicon = tmp_path / "verbs.cfg"

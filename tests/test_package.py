@@ -11,20 +11,65 @@ import pytest
 import npstat
 
 
-def test_import_loads_no_submodule():
+def npstat_modules_around(name):
+    """The npstat modules loaded in a new ``python -S`` after ``import npstat``,
+    and then after looking ``name`` up on the package."""
     src = Path(npstat.__file__).resolve().parents[1]
     probe = (
         "import sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "import npstat\n"
         "print(*sorted(m for m in sys.modules if m.startswith('npstat')))\n"
-        "npstat.parse_trees\n"
+        f"npstat.{name}\n"
         "print(*sorted(m for m in sys.modules if m.startswith('npstat')))\n"
     )
     child = subprocess.run([sys.executable, "-S", "-c", probe],
                            capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines() == ["npstat", "npstat npstat.treebank"]
+    return child.stdout.splitlines()
+
+
+def test_import_loads_no_submodule():
+    assert npstat_modules_around("parse_trees") == ["npstat", "npstat npstat.treebank"]
+
+
+@pytest.mark.parametrize("name", ["ReportFormat", "InputError", "DegenerateInput",
+                                  "ConfigError"])
+def test_treebank_names_load_only_treebank(name):
+    # ReportFormat lives in treebank so that --format need not load the report
+    # layer; npstat.report re-exports it.
+    assert npstat_modules_around(name) == ["npstat", "npstat npstat.treebank"]
+
+
+# The one base class of each of exits 2, 3 and 4.
+EXIT_BASES = ["InputError", "DegenerateInput", "ConfigError"]
+
+# Each documented exit code's classes: (name, its treebank base, the builtin
+# base a library caller may catch it by).
+EXIT_CLASSES = [
+    ("RootNotFound", "InputError", FileNotFoundError),
+    ("DegenerateMargin", "DegenerateInput", ValueError),
+    ("ZeroDenominator", "DegenerateInput", ZeroDivisionError),
+    ("ClassifierConfigError", "ConfigError", ValueError),
+    ("EmptyInflectionSet", "ConfigError", ValueError),
+]
+
+
+@pytest.mark.parametrize("name, base, builtin", EXIT_CLASSES,
+                         ids=[name for name, _, _ in EXIT_CLASSES])
+def test_exit_classes_derive_from_their_treebank_base(name, base, builtin):
+    error = getattr(npstat, name)("x")
+    assert isinstance(error, builtin)
+    assert [other for other in EXIT_BASES if isinstance(error, getattr(npstat, other))] == [
+        base]
+
+
+def test_exit_bases_are_distinct_value_errors():
+    for base in [getattr(npstat, name) for name in EXIT_BASES]:
+        assert base.__module__ == "npstat.treebank"
+        assert base.__bases__ == (ValueError,)
+    # A bare ZeroDivisionError is a defect, not degenerate input.
+    assert not issubclass(ZeroDivisionError, npstat.DegenerateInput)
 
 
 def test_every_export_is_its_submodules_object():
@@ -62,6 +107,7 @@ def test_moved_names_are_the_same_objects_where_they_were():
     assert npstat.parse_records is npstat.report.parse_records
     assert npstat.ratio_report is npstat.stats.ratio_report
     assert npstat.ZeroDenominator is npstat.stats.ZeroDenominator
+    assert npstat.ReportFormat is npstat.report.ReportFormat
 
 
 # The names npstat.queries defines or re-exports, each family's and the shared.
