@@ -1,9 +1,10 @@
 """Structural NP queries, givenness classification and contingency statistics
 over bracketed constituency treebanks.
 
-The package splits into seven layers:
+The package splits into nine layers:
 
-* :mod:`npstat.treebank`  — bracketed-tree parser, serializer;
+* :mod:`npstat.treebank`  — tree nodes and labels, and the exit-code classes;
+* :mod:`npstat.brackets`  — bracketed-text parser and serializer;
 * :mod:`npstat.queries`   — structural queries, one module per family:
   subject/non-subject NPs and their clause contexts (``occurrences``),
   verb-final local ambiguities (``late_closure``), fronted adverbials
@@ -14,8 +15,9 @@ The package splits into seven layers:
 * :mod:`npstat.corpus`    — directory ingestion and mergeable aggregation;
 * :mod:`npstat.render`    — text/TSV/JSON-records row rendering and the
   percentage helper;
-* :mod:`npstat.report`    — the frequency-table report; :mod:`npstat.cli`
-  wires it all together.
+* :mod:`npstat.report`    — the frequency-table report;
+* :mod:`npstat.cli`       — the ``npstat`` command; :mod:`npstat.commands`
+  holds its subcommand handlers, which wire the layers together.
 
 Every name in ``__all__`` is re-exported here, but ``import npstat`` alone
 imports no submodule: a name's submodule is imported the first time the name
@@ -29,9 +31,11 @@ from importlib import import_module
 _EXPORTS = {
     "treebank": (
         "EMPTY_POS", "PUNCTUATION_TAGS", "ConfigError", "DegenerateInput",
-        "EmptyConstituent", "InputError", "Internal", "Leaf", "NodeLabel",
-        "ReportFormat", "SourceSpan", "Tree", "TreebankSyntaxError",
-        "UnbalancedBrackets", "is_empty_category", "is_punctuation",
+        "InputError", "Internal", "Leaf", "NodeLabel", "ReportFormat",
+        "SourceSpan", "Tree", "is_empty_category", "is_punctuation",
+    ),
+    "brackets": (
+        "EmptyConstituent", "TreebankSyntaxError", "UnbalancedBrackets",
         "parse_trees", "serialize_tree",
     ),
     "queries": (

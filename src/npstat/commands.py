@@ -1,0 +1,225 @@
+"""Subcommand handlers of the ``npstat`` command and the corpus reading they
+share.  :func:`npstat.cli.main` imports this module only to run a subcommand,
+whose handler is named after it (``cmd_late_closure`` for ``late-closure``),
+and each handler imports the layers it runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from collections import Counter
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterator
+
+from .cli import CORPUS_ENV_VAR, DEFAULT_VERB_LEXICON, EveryFileFailed
+from .givenness import DEFAULT_CONFIG, ClassifierConfig, classify_overt, read_key_items
+from .treebank import EMPTY_POS, ConfigError, InputError, ReportFormat
+
+if TYPE_CHECKING:
+    from .corpus import AggregateCounts, CorpusSource, FileResult
+    from .stats import ContingencyTable2x2
+    from .treebank import Leaf, Tree
+
+
+def _corpus_source(args: argparse.Namespace) -> CorpusSource:
+    from .corpus import CorpusSource
+
+    root = args.corpus or os.environ.get(CORPUS_ENV_VAR)
+    if not root:
+        raise InputError(
+            f"no corpus directory: pass --corpus DIR or set ${CORPUS_ENV_VAR}"
+        )
+    return CorpusSource(root_path=Path(root), include_glob=args.glob)
+
+
+def _classifier(args: argparse.Namespace) -> ClassifierConfig:
+    path = getattr(args, "classifier_config", None)
+    if path:
+        return ClassifierConfig.from_file(path)
+    return DEFAULT_CONFIG
+
+
+def _read_corpus(source: CorpusSource) -> Iterator[FileResult]:
+    """:func:`npstat.corpus.read_files`, telling the user which files were
+    skipped and why, or that no file matched.  Once the stream is exhausted,
+    it raises :class:`EveryFileFailed` if files were listed and none parsed."""
+    from .corpus import read_files
+
+    listed = parsed = False
+    for file_id, trees, reason in read_files(source):
+        listed = True
+        if reason is None:
+            parsed = True
+        else:
+            print(f"WARNING: skipping {file_id}: {reason}", file=sys.stderr)
+        yield file_id, trees, reason
+    if not listed:
+        print(f"warning: no file under {source.root_path} matches --glob "
+              f"{source.include_glob!r}", file=sys.stderr)
+    elif not parsed:
+        raise EveryFileFailed("every corpus file failed to parse")
+
+
+def _sentences(source: CorpusSource) -> Iterator[tuple[str, int, Tree]]:
+    """Every (file_id, sentence index, tree) of the corpus files that parsed."""
+    for file_id, trees, _ in _read_corpus(source):
+        for idx, tree in enumerate(trees or ()):
+            yield file_id, idx, tree
+
+
+def _aggregate(source: CorpusSource, config: ClassifierConfig) -> AggregateCounts:
+    """Table 1's cells over the corpus files that parsed."""
+    from .corpus import aggregate
+
+    return aggregate(((file_id, tree) for file_id, _, tree in _sentences(source)), config)
+
+
+def cmd_parse(args: argparse.Namespace) -> None:
+    from .render import render_rows
+
+    rows: list[list] = []
+    failed: EveryFileFailed | None = None
+    try:
+        for file_id, trees, _ in _read_corpus(_corpus_source(args)):
+            rows.append([file_id, 0, "skipped"] if trees is None
+                        else [file_id, len(trees), "ok"])
+    except EveryFileFailed as err:
+        failed = err  # the rows, which name every skipped file, still print
+    print(render_rows(("file", "sentences", "status"), rows, args.format, "parse-file"))
+    if failed:
+        raise failed
+
+
+def cmd_table1(args: argparse.Namespace) -> None:
+    from .report import Table1Block, Table1Report
+
+    if args.from_counts is not None:
+        block = Table1Block.from_counts(args.from_counts)
+    else:
+        source = _corpus_source(args)
+        agg = _aggregate(source, _classifier(args))
+        block = Table1Block.from_aggregate(agg, label=source.root_path.name or "corpus")
+    print(Table1Report(blocks=(block,)).render(args.format))
+
+
+def _render_chisq(
+    table: ContingencyTable2x2,
+    fmt: ReportFormat,
+    row_labels: tuple[str, str],
+    col_labels: tuple[str, str],
+) -> str:
+    from .render import render_rows
+    from .stats import chi_square_2x2
+
+    result = chi_square_2x2(table)
+    cells = render_rows(
+        ("row", *col_labels),
+        [[row_labels[0], table.a, table.b], [row_labels[1], table.c, table.d]],
+        fmt,
+        "chisq-cell-row",
+    )
+    verdict = render_rows(
+        ("statistic", "df", "significance"),
+        [[round(result.statistic, 4), result.degrees_of_freedom,
+          result.significance_band.value]],
+        fmt,
+        "chisq-result",
+    )
+    joiner = "\n" if fmt is ReportFormat.STRUCTURED_RECORDS else "\n\n"
+    return cells + joiner + verdict
+
+
+def cmd_chisq(args: argparse.Namespace) -> None:
+    from .stats import ContingencyTable2x2, build_pronoun_indefinite_table
+
+    if args.cells is not None:
+        a, b, c, d = args.cells
+        table = ContingencyTable2x2(a, b, c, d)
+        rendering = _render_chisq(table, args.format, ("row1", "row2"), ("col1", "col2"))
+    else:
+        agg = _aggregate(_corpus_source(args), _classifier(args))
+        table = build_pronoun_indefinite_table(agg, args.contexts)
+        rendering = _render_chisq(
+            table, args.format, ("pronoun", "indefinite"), ("subject", "non_subject")
+        )
+    print(rendering)
+
+
+def cmd_late_closure(args: argparse.Namespace) -> None:
+    from .queries import walk_late_closure
+    from .render import render_rows
+
+    config = _classifier(args)
+    rows: list[list] = []
+    for file_id, idx, tree in _sentences(_corpus_source(args)):
+        leaves: list[Leaf] = []
+        for _, verb, np, start, end in walk_late_closure(tree, leaves):
+            # Only -NONE- leaves lie between the verb and the NP's first overt
+            # leaf, so these are exactly the NP's overt leaves.
+            overt = [l for l in leaves[start + 1:end] if l.pos != EMPTY_POS]
+            rows.append([file_id, idx, verb.token, " ".join(l.token for l in overt),
+                         classify_overt(np, overt, config).value])
+    print(
+        render_rows(
+            ("file", "sentence", "verb", "np", "givenness"),
+            rows,
+            args.format,
+            "late-closure-match",
+        )
+    )
+
+
+def cmd_adverbials(args: argparse.Namespace) -> None:
+    from .render import ratio_report, render_rows
+
+    columns = ("category", "fronted", "not_comma_delimited", "pct_not_delimited")
+    if args.from_counts is not None:
+        not_delimited, total = args.from_counts
+        if not_delimited < 0 or total < 0:
+            raise InputError("counts must be non-negative")
+        if not_delimited > total:
+            raise InputError(f"NOT_DELIMITED ({not_delimited}) exceeds TOTAL ({total})")
+        rows = [["ALL", total, not_delimited, ratio_report(not_delimited, total)]]
+        print(render_rows(columns, rows, args.format, "adverbial-row"))
+        return
+    from .queries import survey_fronted_adverbials
+
+    totals: Counter[str] = Counter()
+    uncommaed: Counter[str] = Counter()
+    for file_id, idx, tree in _sentences(_corpus_source(args)):
+        for record in survey_fronted_adverbials(tree, file_id, idx):
+            key = record.category if record.category in ("SBAR", "PP") else "other"
+            totals[key] += 1
+            if not record.comma_delimited:
+                uncommaed[key] += 1
+    rows = []
+    grand_total = sum(totals.values())
+    if grand_total:
+        grand_uncommaed = sum(uncommaed.values())
+        rows.append(["ALL", grand_total, grand_uncommaed,
+                     ratio_report(grand_uncommaed, grand_total)])
+        for key in ("SBAR", "PP", "other"):
+            if totals[key]:
+                rows.append([key, totals[key], uncommaed[key],
+                             ratio_report(uncommaed[key], totals[key])])
+    print(render_rows(columns, rows, args.format, "adverbial-row"))
+
+
+def cmd_verb(args: argparse.Namespace) -> None:
+    from .queries import FrameType, profile_verb_frames
+    from .render import render_rows
+
+    lexicon = DEFAULT_VERB_LEXICON
+    if args.lexicon:
+        lexicon = {lemma: tuple(forms) for _, lemma, forms in read_key_items(
+            args.lexicon, "lexicon", "lemma = forms...", ConfigError)}
+    # The corpus is checked first, then the lemma, before any file is read.
+    profile = profile_verb_frames(
+        (tree for _, _, tree in _sentences(_corpus_source(args))), args.verb,
+        lexicon.get(args.verb, ()),
+    )
+    rows: list[list] = [[frame.value, profile.counts[frame]] for frame in FrameType]
+    rows.append(["total", profile.total])
+    print(render_rows(("frame", "count"), rows, args.format, "verb-frame"))

@@ -21,7 +21,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .givenness import (ClassifierConfig, ClauseContext, DEFAULT_CONFIG, GivennessCategory,
                         GrammaticalPosition, classify_overt, leading_overt)
-from .treebank import InputError, Leaf, SlottedRecord, Tree, TreebankSyntaxError, parse_trees
+from .brackets import TreebankSyntaxError, parse_trees
+from .treebank import InputError, Leaf, SlottedRecord, Tree
 
 CellKey = tuple[GivennessCategory, GrammaticalPosition, ClauseContext]
 # (file_id, trees, reason): a skipped file has no trees and says why.

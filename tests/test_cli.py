@@ -38,6 +38,7 @@ from refvalues import (
     BROWN_TOTAL_ROW,
     CHI_SQUARE_CASES,
     CHI_SQUARE_TOLERANCE,
+    PERCENTAGE_CASES,
     WSJ_TOTAL_ROW,
     from_counts_args,
 )
@@ -105,7 +106,8 @@ SEAMS_AFTER_READING = {
                ("npstat.report", "render_rows")],
     "chisq": [("npstat.queries", "walk_np_occurrences"), ("npstat.corpus", "classify_overt"),
               ("npstat.render", "render_rows")],
-    "late-closure": [("npstat.queries", "walk_late_closure"), ("npstat.cli", "classify_overt"),
+    "late-closure": [("npstat.queries", "walk_late_closure"),
+                     ("npstat.commands", "classify_overt"),
                      ("npstat.render", "render_rows")],
     "adverbials": [("npstat.queries", "survey_fronted_adverbials"),
                    ("npstat.render", "render_rows")],
@@ -484,6 +486,28 @@ class TestStartUp:
         code, *modules = last.split()
         return int(code), output, set(modules), child.stderr
 
+    def module_in_fresh_process(self, argv):
+        """:meth:`main_in_fresh_process` for ``python -m npstat.cli ARGV``,
+        which runs ``cli.py`` as ``__main__``, plus the ``__name__`` of the
+        module bound as ``npstat.cli`` when the command has exited."""
+        src = Path(npstat.__file__).resolve().parents[1]
+        probe = (
+            "import runpy, sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "try:\n"
+            "    runpy.run_module('npstat.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "cli_name = getattr(sys.modules.get('npstat.cli'), '__name__', None)\n"
+            "print(code, cli_name, *sorted(sys.modules))\n"
+        )
+        child = subprocess.run([sys.executable, "-S", "-c", probe, *argv],
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        *output, last = child.stdout.splitlines()
+        code, cli_name, *modules = last.split()
+        return int(code), output, set(modules), child.stderr, cli_name
+
     def test_cli_imports_neither_dataclasses_nor_inspect(self):
         code, output, modules, _ = self.main_in_fresh_process(["--dump-default-config"])
         assert code == EXIT_OK
@@ -501,8 +525,52 @@ class TestStartUp:
     def test_parser_paths_load_no_pipeline_layer(self, argv, expected):
         code, _, modules, _ = self.main_in_fresh_process(argv)
         assert code == expected
-        assert not modules & {"npstat.queries", "npstat.corpus", "npstat.render",
-                              "npstat.report", "npstat.stats", "logging", "json", "decimal"}
+        assert not modules & {"npstat.commands", "npstat.brackets", "npstat.queries",
+                              "npstat.corpus", "npstat.render", "npstat.report",
+                              "npstat.stats", "logging", "json", "decimal"}
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--dump-default-config"], EXIT_OK),
+        (["--help"], EXIT_OK),
+        (["--no-such-flag"], EXIT_MISSING_INPUT),
+    ], ids=["dump-default-config", "help", "usage-error"])
+    def test_module_launch_parser_paths_load_no_handler_or_parser(self, argv, expected):
+        # The benchmark and the CI start the command as python -m npstat.cli.
+        code, output, modules, _, _ = self.module_in_fresh_process(argv)
+        assert code == expected
+        assert bool(output) == (code == EXIT_OK)
+        assert not modules & {"npstat.commands", "npstat.brackets"}
+
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_module_launch_runs_cli_once(self, fixture_corpus, command):
+        # The handlers import from npstat.cli.  Unless run() binds the running
+        # __main__ under that name, the import compiles and runs cli.py again,
+        # and main() would not catch the second copy's EveryFileFailed.  runpy
+        # puts the caller's __main__ back on the way out, so the module that
+        # ran as __main__ is told by its name.
+        code, output, modules, err, cli_name = self.module_in_fresh_process(
+            [*CORPUS_COMMANDS[command], "--corpus", str(fixture_corpus)])
+        assert (code, err) == (EXIT_OK, "")
+        assert output
+        assert "npstat.commands" in modules
+        assert cli_name == "__main__"
+
+    @pytest.mark.parametrize("argv, expected", [
+        *[(["chisq", "--cells", *map(str, cells)], statistic)
+          for cells, statistic in CHI_SQUARE_CASES.values()],
+        *[(["adverbials", "--from-counts", str(part), str(whole)], pct)
+          for (part, whole), pct in PERCENTAGE_CASES.items()],
+    ], ids=[*CHI_SQUARE_CASES, *(f"{part}-of-{whole}" for part, whole in PERCENTAGE_CASES)])
+    def test_paper_statistics_come_from_counts_without_the_parser(self, argv, expected):
+        code, output, modules, err, _ = self.module_in_fresh_process(argv)
+        assert (code, err) == (EXIT_OK, "")
+        # The last text row ends in the percentage, or starts with the statistic.
+        if argv[0] == "chisq":
+            assert float(output[-1].split()[0]) == pytest.approx(expected,
+                                                                 abs=CHI_SQUARE_TOLERANCE)
+        else:
+            assert float(output[-1].split()[-1]) == expected
+        assert not modules & {"npstat.brackets", "npstat.corpus"}
 
     @pytest.mark.parametrize("corpus, expected", [("fixture", EXIT_OK),
                                                   ("broken", EXIT_ALL_FILES_FAILED)])
@@ -524,10 +592,12 @@ class TestStartUp:
         code, output, modules, _ = self.main_in_fresh_process(argv)
         assert code == EXIT_OK
         assert output
-        assert not modules & {"npstat.corpus", "npstat.queries", "logging", "json"}
+        assert not modules & {"npstat.corpus", "npstat.brackets", "npstat.queries",
+                              "logging", "json"}
 
     @pytest.mark.parametrize("command, family, unused", [
         ("table1", "occurrences", {"npstat.stats"}),
+        ("chisq", "occurrences", {"npstat.report"}),
         ("late-closure", "late_closure", {"npstat.report", "npstat.stats"}),
         ("adverbials", "adverbials", {"npstat.report", "npstat.stats"}),
         ("verb", "frames", {"npstat.report", "npstat.stats"}),

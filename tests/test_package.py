@@ -30,7 +30,8 @@ def npstat_modules_around(name):
 
 
 def test_import_loads_no_submodule():
-    assert npstat_modules_around("parse_trees") == ["npstat", "npstat npstat.treebank"]
+    assert npstat_modules_around("parse_trees") == [
+        "npstat", "npstat npstat.brackets npstat.treebank"]
 
 
 @pytest.mark.parametrize("name", ["ReportFormat", "InputError", "DegenerateInput",
@@ -108,6 +109,20 @@ def test_moved_names_are_the_same_objects_where_they_were():
     assert npstat.ratio_report is npstat.stats.ratio_report
     assert npstat.ZeroDenominator is npstat.stats.ZeroDenominator
     assert npstat.ReportFormat is npstat.report.ReportFormat
+
+
+@pytest.mark.parametrize("name", npstat._EXPORTS["brackets"])
+def test_treebank_serves_the_bracketed_text_names(name):
+    # The parser and serializer live in npstat.brackets; npstat.treebank
+    # imports it on the first lookup of one of its names, so imports such as
+    # perfbench/traced.py's "from npstat.treebank import parse_trees" still work.
+    brackets = importlib.import_module("npstat.brackets")
+    assert getattr(npstat.treebank, name) is getattr(brackets, name) is getattr(npstat, name)
+
+
+def test_treebank_serves_no_other_name():
+    with pytest.raises(AttributeError, match="has no attribute 'walk_sentence'"):
+        npstat.treebank.walk_sentence
 
 
 # The names npstat.queries defines or re-exports, each family's and the shared.
