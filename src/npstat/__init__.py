@@ -32,7 +32,7 @@ _EXPORTS = {
     "treebank": (
         "EMPTY_POS", "PUNCTUATION_TAGS", "ConfigError", "DegenerateInput",
         "InputError", "Internal", "Leaf", "NodeLabel", "ReportFormat",
-        "SourceSpan", "Tree", "is_empty_category", "is_punctuation",
+        "SourceSpan", "Tree", "is_empty_category",
     ),
     "brackets": (
         "EmptyConstituent", "TreebankSyntaxError", "UnbalancedBrackets",

@@ -73,13 +73,6 @@ class AggregateCounts(SlottedRecord):
     def total(self) -> int:
         return sum(self.cells.values())
 
-    @classmethod
-    def from_cells(cls, cells: dict[CellKey, int]) -> "AggregateCounts":
-        agg = cls()
-        for key, value in cells.items():
-            agg.cells[key] += value
-        return agg
-
 
 def merge(x: AggregateCounts, y: AggregateCounts) -> AggregateCounts:
     """Cell-wise and counter-wise sum; identity element is AggregateCounts()."""
@@ -106,7 +99,7 @@ def corpus_files(source: CorpusSource) -> list[Path]:
         raise InputError(f"glob pattern {source.include_glob!r} must end in a file name")
     root = Path(source.root_path)
     if not root.is_dir():
-        raise RootNotFound(f"corpus root {root} does not exist")
+        raise RootNotFound(f"corpus root {root} is not a directory")
     names = [part for part in pattern.parts if part != "**"]
     if any("**" in name for name in names):
         raise InputError("Invalid pattern: '**' can only be an entire path component")
@@ -168,9 +161,9 @@ def aggregate(
             for node, position, context in reversed(walk_np_occurrences(tree))
         ])
         sentences += 1
-    agg = AggregateCounts.from_cells(counts)
-    agg.sentences_processed = sentences
-    return agg
+    cells = _zero_cells()
+    cells.update(counts)
+    return AggregateCounts(cells, sentences_processed=sentences)
 
 
 def aggregate_corpus(
@@ -178,15 +171,18 @@ def aggregate_corpus(
 ) -> AggregateCounts:
     """Aggregate a whole corpus, one file's trees at a time; a skipped file is
     counted in ``files_skipped``, and nothing is printed."""
-    counts = AggregateCounts()
+    processed = skipped = 0
 
     def parsed() -> Iterator[tuple[str, Tree]]:
+        nonlocal processed, skipped
         for file_id, trees, _ in read_files(source):
             if trees is None:
-                counts.files_skipped += 1
+                skipped += 1
             else:
-                counts.files_processed += 1
+                processed += 1
                 for tree in trees:
                     yield file_id, tree
 
-    return merge(counts, aggregate(parsed(), config))
+    agg = aggregate(parsed(), config)
+    agg.files_processed, agg.files_skipped = processed, skipped
+    return agg

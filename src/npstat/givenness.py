@@ -32,8 +32,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
-from .treebank import (EMPTY_POS, ConfigError, Internal, Leaf, SlottedRecord, Tree,
-                       is_punctuation, last_overt_leaf)
+from .treebank import (EMPTY_POS, PUNCTUATION_TAGS, ConfigError, Internal, Leaf,
+                       SlottedRecord, Tree, last_overt_leaf)
 
 
 class GivennessCategory(Enum):
@@ -73,11 +73,12 @@ def read_key_items(
     path, noun: str, shape: str, error: type[ConfigError]
 ) -> Iterator[tuple[int, str, list[str]]]:
     """``(lineno, key, items)`` for each ``key = item item ...`` line of a UTF-8
-    config file.  Lines end only at ``\\n``, ``#`` starts a comment and blank
-    lines are skipped.  An unreadable file or a line without ``=`` raises
-    ``error``, naming the file ``noun`` and the expected line ``shape``."""
+    config file; a leading byte-order mark is dropped.  Lines end only at
+    ``\\n``, ``#`` starts a comment and blank lines are skipped.  An unreadable
+    file or a line without ``=`` raises ``error``, naming the file ``noun`` and
+    the expected line ``shape``."""
     try:
-        content = Path(path).read_text(encoding="utf-8")
+        content = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         raise error(f"cannot read {noun} {path}: {err}") from err
     for lineno, raw in enumerate(content.split("\n"), 1):
@@ -194,7 +195,7 @@ def classify_overt(
             for child in reversed(np.children)
             if type(child) is Leaf
             and child.pos != EMPTY_POS
-            and not is_punctuation(child)
+            and child.pos not in PUNCTUATION_TAGS
         ),
         None,
     )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from importlib import import_module
 
-from ..givenness import ClauseContext, GrammaticalPosition
 from ..treebank import EMPTY_POS, Internal, Leaf
 
 VERB_TAGS = frozenset({"VB", "VBD", "VBG", "VBN", "VBP", "VBZ"})
@@ -42,7 +41,7 @@ _FAMILIES = {
 }
 _FAMILY_OF = {name: family for family, names in _FAMILIES.items() for name in names}
 
-__all__ = sorted(["VERB_TAGS", "ClauseContext", "GrammaticalPosition", *_FAMILY_OF])
+__all__ = sorted(["VERB_TAGS", *_FAMILY_OF])
 
 
 def _complement_kind(sbar: Internal, clause_index: int) -> str | None:

@@ -1,9 +1,6 @@
 """The frequency-table report: givenness category x grammatical position x
 clause context, with its derived TC+RC and total rows, rendered in any of
 the three formats of :mod:`npstat.render`.
-
-:func:`render_rows`, :func:`parse_records` and ``Cell`` live in
-:mod:`npstat.render` and are importable from here too.
 """
 
 from __future__ import annotations
@@ -11,7 +8,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .givenness import ClauseContext, GivennessCategory, GrammaticalPosition
-from .render import Cell, parse_records, render_rows
+from .render import Cell, render_rows
 from .treebank import InputError, ReportFormat
 
 if TYPE_CHECKING:

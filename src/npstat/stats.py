@@ -7,10 +7,6 @@ The statistic is the uncorrected Pearson form for a table (a, b / c, d):
 with the cross product computed in exact integer arithmetic, so corpus-scale
 cell counts cannot overflow.  No continuity correction is applied.
 Significance is reported as a band against the df=1 critical values.
-
-The percentage helper :func:`ratio_report` and its :class:`ZeroDenominator`
-live in :mod:`npstat.render`, with the row rendering that prints them, and
-are importable from here too.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .givenness import ClauseContext, GivennessCategory, GrammaticalPosition
-from .render import ZeroDenominator, ratio_report
 from .treebank import DegenerateInput, InputError, SlottedRecord
 
 if TYPE_CHECKING:

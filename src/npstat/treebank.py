@@ -160,11 +160,6 @@ class Internal(Tree):
         return self.label.category
 
 
-def is_punctuation(leaf: Leaf) -> bool:
-    """True if the leaf's POS tag is a punctuation tag."""
-    return leaf.pos in PUNCTUATION_TAGS
-
-
 def last_overt_leaf(node: Tree) -> Leaf | None:
     """The rightmost non-``-NONE-`` leaf under ``node``, found right to left."""
     stack = [node]

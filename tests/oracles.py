@@ -26,10 +26,10 @@ from npstat.treebank import (
     Internal,
     Leaf,
     NodeLabel,
+    PUNCTUATION_TAGS,
     Tree,
     TreebankSyntaxError,
     UnbalancedBrackets,
-    is_punctuation,
 )
 
 if TYPE_CHECKING:
@@ -225,7 +225,7 @@ def late_closure_match_is_sound(tree: Tree, match: LateClosureMatch) -> bool:
         return False
     vp_content = [
         l for l in match.vp_node.leaves()
-        if l.pos != "-NONE-" and not is_punctuation(l)
+        if l.pos != "-NONE-" and l.pos not in PUNCTUATION_TAGS
     ]
     if not vp_content or vp_content[-1] is not match.final_verb:
         return False
@@ -234,7 +234,7 @@ def late_closure_match_is_sound(tree: Tree, match: LateClosureMatch) -> bool:
     following = next(
         (l for l in leaves[verb_at + 1:] if l.pos != "-NONE-"), None
     )
-    if following is None or is_punctuation(following):
+    if following is None or following.pos in PUNCTUATION_TAGS:
         return False
     np_first_overt = next(
         (l for l in match.critical_np.leaves() if l.pos != "-NONE-"), None
@@ -262,7 +262,7 @@ def oracle_late_closure(tree: Tree) -> list[tuple[Internal, Leaf, Internal]]:
         if isinstance(node, Leaf):
             overt = node.pos != "-NONE-"
             first_overt[id(node)] = node if overt else None
-            last_content[id(node)] = node if overt and not is_punctuation(node) else None
+            last_content[id(node)] = node if overt and node.pos not in PUNCTUATION_TAGS else None
         else:
             firsts = [first_overt[id(c)] for c in node.children]
             lasts = [last_content[id(c)] for c in node.children]
@@ -281,7 +281,7 @@ def oracle_late_closure(tree: Tree) -> list[tuple[Internal, Leaf, Internal]]:
              if leaves[k].pos != "-NONE-"),
             None,
         )
-        if following is None or is_punctuation(following):
+        if following is None or following.pos in PUNCTUATION_TAGS:
             continue
         # Above the first ancestor that starts with an earlier overt leaf,
         # every ancestor does too, so the climb stops there.

@@ -16,13 +16,9 @@ from npstat.cli import main
 from npstat.corpus import AggregateCounts, CorpusSource, aggregate, merge, read_files
 from npstat.givenness import classify_np
 from npstat.queries import extract_np_occurrences, find_late_closure_configs
-from npstat.report import ReportFormat, Table1Block, Table1Report, parse_records
-from npstat.stats import (
-    ContingencyTable2x2,
-    build_pronoun_indefinite_table,
-    chi_square_2x2,
-    ratio_report,
-)
+from npstat.render import parse_records, ratio_report
+from npstat.report import ReportFormat, Table1Block, Table1Report
+from npstat.stats import ContingencyTable2x2, build_pronoun_indefinite_table, chi_square_2x2
 from npstat.treebank import parse_trees, serialize_tree
 
 from oracles import late_closure_match_is_sound, oracle_occurrences, with_comma_after

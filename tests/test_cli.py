@@ -31,7 +31,7 @@ from npstat.cli import (
 )
 from npstat import corpus
 from npstat.givenness import DEFAULT_CONFIG, ClassifierConfig, classify_overt
-from npstat.report import parse_records
+from npstat.render import parse_records
 
 from refvalues import (
     BROWN_TABLE1,
@@ -912,6 +912,12 @@ class TestTable1Command:
         code, _, _ = run(capsys, ["table1", "--from-counts", "1", "2", "3"])
         assert code == EXIT_MISSING_INPUT
 
+    def test_negative_count_is_usage_error(self, capsys):
+        counts = from_counts_args(BROWN_TABLE1)
+        code, out, err = run(capsys, ["table1", "--from-counts", "-1", *counts[1:]])
+        assert (code, out) == (EXIT_MISSING_INPUT, "")
+        assert err == "error: counts must be non-negative\n"
+
 
 class TestChisqCommand:
     @pytest.mark.parametrize("name", sorted(CHI_SQUARE_CASES))
@@ -978,10 +984,22 @@ class TestChisqCommand:
                                   "--contexts", "bogus"])
         assert code == EXIT_MISSING_INPUT
 
+    def test_empty_context_list_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["chisq", "--cells", "1", "2", "3", "4",
+                                      "--contexts", ","])
+        assert (code, out) == (EXIT_MISSING_INPUT, "")
+        assert err.endswith("error: argument --contexts: at least one context is required\n")
+
 
 CONFIG_OPTIONS = {
     "classifier-config": ["table1", "--classifier-config"],
     "lexicon": ["verb", "--verb", "disclose", "--lexicon"],
+}
+
+# A valid file for each option.
+CONFIG_CONTENTS = {
+    "classifier-config": "pronoun_pos_tags = PRP\n",
+    "lexicon": "disclose = disclose discloses disclosed\n",
 }
 
 
@@ -996,6 +1014,19 @@ class TestConfigFileErrors:
                                       *corpus_args(fixture_corpus)])
         assert (code, out) == (EXIT_CONFIG_ERROR, "")
         assert err.startswith(f"error: {path}:3: expected ")
+
+    @pytest.mark.parametrize("option", sorted(CONFIG_OPTIONS))
+    def test_byte_order_mark_is_dropped(self, capsys, fixture_corpus, tmp_path, option):
+        results = []
+        for name, bom in [("plain.cfg", ""), ("bom.cfg", "\ufeff")]:
+            path = tmp_path / name
+            path.write_text(bom + CONFIG_CONTENTS[option], encoding="utf-8")
+            results.append(run(capsys, [*CONFIG_OPTIONS[option], str(path),
+                                        *corpus_args(fixture_corpus)]))
+        plain, with_bom = results
+        assert plain[0] == EXIT_OK
+        assert plain[1]
+        assert with_bom == plain
 
     @pytest.mark.parametrize("problem", ["missing", "directory", "non-utf8"])
     @pytest.mark.parametrize("option", sorted(CONFIG_OPTIONS))
@@ -1180,6 +1211,12 @@ class TestPlumbing:
         code, _, err = run(capsys, ["parse", "--corpus", str(tmp_path / "nope")])
         assert code == EXIT_MISSING_INPUT
         assert "nope" in err
+
+    def test_file_as_corpus_exits_two(self, capsys, fixture_corpus):
+        root = fixture_corpus / "a.mrg"
+        code, out, err = run(capsys, ["parse", "--corpus", str(root)])
+        assert (code, out) == (EXIT_MISSING_INPUT, "")
+        assert err == f"error: corpus root {root} is not a directory\n"
 
     def test_dump_default_config_round_trips(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["--dump-default-config"])

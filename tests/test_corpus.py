@@ -20,8 +20,8 @@ from npstat.corpus import (
     merge,
     read_files,
 )
-from npstat.givenness import DEFAULT_CONFIG, ClassifierConfig, GivennessCategory
-from npstat.queries import ClauseContext, GrammaticalPosition
+from npstat.givenness import (DEFAULT_CONFIG, ClassifierConfig, ClauseContext,
+                              GivennessCategory, GrammaticalPosition)
 from npstat.treebank import InputError
 
 from oracles import reference_aggregate_cells
@@ -331,11 +331,6 @@ class TestMerge:
         merged = merge(x, y)
         for key in merged.cells:
             assert merged.cells[key] == x.cells[key] + y.cells[key]
-
-    def test_from_cells_constructor(self):
-        agg = AggregateCounts.from_cells({(DEF, SUBJ, MATRIX): 7})
-        assert agg.cell(DEF, SUBJ, MATRIX) == 7
-        assert agg.total() == 7
 
 
 class TestAggregateCorpus:

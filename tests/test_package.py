@@ -104,10 +104,24 @@ def test_submodules_are_attributes():
     assert npstat.report.render_rows is npstat.render_rows
 
 
+def test_aliases_of_moved_names_are_gone():
+    # Each name has one home module, and the package serves it from there.
+    aliases = {"report": ["parse_records"], "stats": ["ratio_report", "ZeroDenominator"],
+               "queries": ["ClauseContext", "GrammaticalPosition"]}
+    for module, names in aliases.items():
+        for name in names:
+            assert not hasattr(importlib.import_module(f"npstat.{module}"), name), name
+    for name in ("parse_records", "ratio_report", "ZeroDenominator"):
+        assert getattr(npstat, name) is getattr(npstat.render, name)
+    for name in ("ClauseContext", "GrammaticalPosition"):
+        assert getattr(npstat, name) is getattr(npstat.givenness, name)
+    for module in (npstat, npstat.treebank):
+        with pytest.raises(AttributeError):
+            module.is_punctuation
+    assert not hasattr(npstat.AggregateCounts, "from_cells")
+
+
 def test_moved_names_are_the_same_objects_where_they_were():
-    assert npstat.parse_records is npstat.report.parse_records
-    assert npstat.ratio_report is npstat.stats.ratio_report
-    assert npstat.ZeroDenominator is npstat.stats.ZeroDenominator
     assert npstat.ReportFormat is npstat.report.ReportFormat
 
 
@@ -125,10 +139,10 @@ def test_treebank_serves_no_other_name():
         npstat.treebank.walk_sentence
 
 
-# The names npstat.queries defines or re-exports, each family's and the shared.
+# The names npstat.queries defines, each family's and the shared.
 QUERY_NAMES = [
-    "ADVERBIAL_CATEGORIES", "AdverbialRecord", "ClauseContext", "EmptyInflectionSet",
-    "FrameType", "GrammaticalPosition", "LateClosureMatch", "NPOccurrence", "VERB_TAGS",
+    "ADVERBIAL_CATEGORIES", "AdverbialRecord", "EmptyInflectionSet", "FrameType",
+    "LateClosureMatch", "NPOccurrence", "VERB_TAGS",
     "VerbFrameProfile", "extract_np_occurrences", "find_late_closure_configs",
     "profile_verb_frames", "survey_fronted_adverbials", "walk_late_closure",
     "walk_np_occurrences", "walk_sentence",
@@ -146,8 +160,7 @@ def test_queries_package_keeps_its_surface():
         is not getattr(importlib.import_module(f"npstat.queries.{family}"), name)
     ]
     assert wrong == []
-    assert sorted([*queries._FAMILY_OF, "VERB_TAGS", "ClauseContext",
-                   "GrammaticalPosition"]) == QUERY_NAMES
+    assert sorted([*queries._FAMILY_OF, "VERB_TAGS"]) == QUERY_NAMES
     with pytest.raises(AttributeError, match="no_such_name"):
         queries.no_such_name
 
@@ -159,12 +172,10 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_table1_axes_are_defined_in_givenness():
-    from npstat import givenness, queries
+    from npstat import givenness
 
     for name in ("ClauseContext", "GrammaticalPosition", "GivennessCategory"):
         assert getattr(givenness, name).__module__ == "npstat.givenness"
-    assert queries.ClauseContext is givenness.ClauseContext
-    assert queries.GrammaticalPosition is givenness.GrammaticalPosition
 
 
 def test_readme_library_example_runs(capsys, fixture_corpus):

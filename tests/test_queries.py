@@ -7,12 +7,10 @@ import pytest
 
 from npstat.cli import main
 from npstat.corpus import aggregate
-from npstat.givenness import GivennessCategory
+from npstat.givenness import ClauseContext, GivennessCategory, GrammaticalPosition
 from npstat.queries import (
-    ClauseContext,
     EmptyInflectionSet,
     FrameType,
-    GrammaticalPosition,
     extract_np_occurrences,
     find_late_closure_configs,
     profile_verb_frames,
@@ -21,7 +19,7 @@ from npstat.queries import (
     walk_np_occurrences,
     walk_sentence,
 )
-from npstat.report import parse_records
+from npstat.render import parse_records
 from npstat.treebank import Internal, Leaf, SourceSpan, Tree, parse_trees, serialize_tree
 
 from oracles import (

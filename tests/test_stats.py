@@ -7,16 +7,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from npstat.corpus import AggregateCounts
-from npstat.givenness import GivennessCategory
-from npstat.queries import ClauseContext, GrammaticalPosition
+from npstat.givenness import ClauseContext, GivennessCategory, GrammaticalPosition
+from npstat.render import ZeroDenominator, ratio_report
 from npstat.stats import (
     ContingencyTable2x2,
     DegenerateMargin,
     SignificanceBand,
-    ZeroDenominator,
     build_pronoun_indefinite_table,
     chi_square_2x2,
-    ratio_report,
 )
 
 from refvalues import (

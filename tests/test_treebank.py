@@ -6,19 +6,19 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from npstat.givenness import NotAnNP, classify_np
-from npstat.queries import ClauseContext, GrammaticalPosition, NPOccurrence
+from npstat.givenness import ClauseContext, GrammaticalPosition, NotAnNP, classify_np
+from npstat.queries import NPOccurrence
 from npstat.treebank import (
     EmptyConstituent,
     Internal,
     Leaf,
     NodeLabel,
+    PUNCTUATION_TAGS,
     SourceSpan,
     Tree,
     TreebankSyntaxError,
     UnbalancedBrackets,
     is_empty_category,
-    is_punctuation,
     parse_trees,
     serialize_tree,
 )
@@ -135,6 +135,11 @@ class TestParsing:
     def test_label_without_children(self):
         with pytest.raises(EmptyConstituent):
             parse_trees("(S)")
+
+    def test_constituent_without_label(self):
+        with pytest.raises(EmptyConstituent) as exc:
+            parse_trees("(S ( (NN a) b))")
+        assert str(exc.value) == "constituent has no label at offset 3"
 
     def test_stray_word_between_trees(self):
         with pytest.raises(TreebankSyntaxError):
@@ -314,10 +319,10 @@ class TestRoundTrip:
 
 class TestPredicatesAndSpans:
     def test_punctuation_tags(self):
-        assert is_punctuation(Leaf(",", ","))
-        assert is_punctuation(Leaf("``", "``"))
-        assert not is_punctuation(Leaf("NN", "dog"))
-        assert is_punctuation(Leaf("$", "$"))
+        assert "," in PUNCTUATION_TAGS
+        assert "``" in PUNCTUATION_TAGS
+        assert "NN" not in PUNCTUATION_TAGS
+        assert "$" in PUNCTUATION_TAGS
 
     def test_empty_category_detection(self):
         assert is_empty_category(parse_trees("(NP (-NONE- *))")[0])
