@@ -1,9 +1,11 @@
 """Structural NP queries, givenness classification and contingency statistics
 over bracketed constituency treebanks.
 
-The package splits into nine layers:
+The package splits into eleven layers:
 
-* :mod:`npstat.treebank`  — tree nodes and labels, and the exit-code classes;
+* :mod:`npstat.base`      — the exit-code classes and the output formats, which
+  every run loads;
+* :mod:`npstat.treebank`  — tree nodes and labels;
 * :mod:`npstat.brackets`  — bracketed-text parser and serializer;
 * :mod:`npstat.queries`   — structural queries, one module per family:
   subject/non-subject NPs and their clause contexts (``occurrences``),
@@ -11,6 +13,7 @@ The package splits into nine layers:
   (``adverbials``), verb complement frames (``frames``);
 * :mod:`npstat.givenness` — six-way form-based NP classification, and the
   grammatical position and clause context enums: the three axes of Table 1;
+* :mod:`npstat.cascade`   — the classifier's rule cascade over tree nodes;
 * :mod:`npstat.stats`     — 2x2 Pearson chi-square;
 * :mod:`npstat.corpus`    — directory ingestion and mergeable aggregation;
 * :mod:`npstat.render`    — text/TSV/JSON-records row rendering and the
@@ -29,9 +32,9 @@ from importlib import import_module
 
 # Submodule -> the names it exports; each is imported on first access.
 _EXPORTS = {
+    "base": ("ConfigError", "DegenerateInput", "InputError", "ReportFormat"),
     "treebank": (
-        "EMPTY_POS", "PUNCTUATION_TAGS", "ConfigError", "DegenerateInput",
-        "InputError", "Internal", "Leaf", "NodeLabel", "ReportFormat",
+        "EMPTY_POS", "PUNCTUATION_TAGS", "Internal", "Leaf", "NodeLabel",
         "SourceSpan", "Tree", "is_empty_category",
     ),
     "brackets": (

@@ -20,7 +20,7 @@ a command raises.  The reader raises :class:`EveryFileFailed` once it has read
 the last file, if files were listed and none parsed.
 Exit codes: 0 success, 1 every corpus file failed to parse (then only
 ``parse`` writes to stdout), 2 missing/unusable input (a usage error or an
-:class:`~npstat.treebank.InputError`), 3 degenerate statistics input (a
+:class:`~npstat.base.InputError`), 3 degenerate statistics input (a
 ``DegenerateInput``), 4 configuration error (a ``ConfigError``: also a config or
 lexicon file that cannot be read or decoded, or a lemma it lacks, which ``verb``
 checks after the corpus), 70 any other exception, ``ValueError`` included: a
@@ -31,10 +31,10 @@ what stdout cannot encode.
 
 Each command is a fresh process, so start-up is paid on every run.  This module
 imports at the top only what building the argument parser and
-``--dump-default-config`` need (:mod:`npstat.givenness` and
-:mod:`npstat.treebank`).  The subcommand handlers are in
-:mod:`npstat.commands`, which :func:`main` imports only when it runs a
-subcommand, and each handler imports the layers it runs.
+``--dump-default-config`` need (:mod:`npstat.givenness` and :mod:`npstat.base`,
+which load neither the node model nor the classifier's rule cascade).  The
+subcommand handlers are in :mod:`npstat.commands`, which :func:`main` imports
+only when it runs a subcommand, and each handler imports the layers it runs.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ import argparse
 import gc
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
+from .base import ConfigError, DegenerateInput, InputError, ReportFormat
 from .givenness import DEFAULT_CONFIG, ClauseContext
-from .treebank import ConfigError, DegenerateInput, InputError, ReportFormat
 
 CORPUS_ENV_VAR = "NPSTAT_CORPUS"
 

@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from .cli import CORPUS_ENV_VAR, DEFAULT_VERB_LEXICON, EveryFileFailed
-from .givenness import DEFAULT_CONFIG, ClassifierConfig, classify_overt, read_key_items
-from .treebank import EMPTY_POS, ConfigError, InputError, ReportFormat
+from .base import ConfigError, InputError, ReportFormat
+from .givenness import DEFAULT_CONFIG, ClassifierConfig, read_key_items
 
 if TYPE_CHECKING:
     from .corpus import AggregateCounts, CorpusSource, FileResult
@@ -148,8 +148,10 @@ def cmd_chisq(args: argparse.Namespace) -> None:
 
 
 def cmd_late_closure(args: argparse.Namespace) -> None:
+    from .cascade import classify_overt
     from .queries import walk_late_closure
     from .render import render_rows
+    from .treebank import EMPTY_POS
 
     config = _classifier(args)
     rows: list[list] = []

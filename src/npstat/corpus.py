@@ -19,10 +19,12 @@ from fnmatch import fnmatchcase
 from pathlib import Path, PurePath
 from typing import Iterable, Iterator, NamedTuple
 
-from .givenness import (ClassifierConfig, ClauseContext, DEFAULT_CONFIG, GivennessCategory,
-                        GrammaticalPosition, classify_overt, leading_overt)
+from .base import InputError, SlottedRecord
 from .brackets import TreebankSyntaxError, parse_trees
-from .treebank import InputError, Leaf, SlottedRecord, Tree
+from .cascade import classify_overt, leading_overt
+from .givenness import (ClassifierConfig, ClauseContext, DEFAULT_CONFIG, GivennessCategory,
+                        GrammaticalPosition)
+from .treebank import Leaf, Tree
 
 CellKey = tuple[GivennessCategory, GrammaticalPosition, ClauseContext]
 # (file_id, trees, reason): a skipped file has no trees and says why.

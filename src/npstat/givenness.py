@@ -20,20 +20,19 @@ structural queries that assign them live in :mod:`npstat.queries`.
 
 The classifier never consults discourse context; it is a surface heuristic
 over the NP's own leaves, so identical trees always classify identically.
-The cascade is :func:`classify_overt`.  Of the NP's overt leaves it reads
-only the first two, which :func:`leading_overt` finds by a left-to-right scan
-that stops there, however large the NP; a caller that already holds the
-leaves may pass them all.
+The cascade itself, which reads tree nodes, is :mod:`npstat.cascade`.  This
+module holds the axes and the configuration, which the command line needs to
+build its parser and to print ``--dump-default-config``, and imports only
+:mod:`npstat.base`; :func:`classify_np` loads the node model and the cascade
+when it is first called.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
-from pathlib import Path
-from typing import Iterator
 
-from .treebank import (EMPTY_POS, PUNCTUATION_TAGS, ConfigError, Internal, Leaf,
-                       SlottedRecord, Tree, last_overt_leaf)
+from .base import ConfigError, SlottedRecord
 
 
 class GivennessCategory(Enum):
@@ -75,12 +74,14 @@ def read_key_items(
     """``(lineno, key, items)`` for each ``key = item item ...`` line of a UTF-8
     config file; a leading byte-order mark is dropped.  Lines end only at
     ``\\n``, ``#`` starts a comment and blank lines are skipped.  An unreadable
-    file or a line without ``=`` raises ``error``, naming the file ``noun`` and
-    the expected line ``shape``."""
+    file, a line without ``=`` or a key given twice raises ``error``, naming
+    the file ``noun`` and the expected line ``shape``."""
     try:
-        content = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as stream:
+            content = stream.read()
     except (OSError, UnicodeDecodeError) as err:
         raise error(f"cannot read {noun} {path}: {err}") from err
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(content.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,7 +89,11 @@ def read_key_items(
         if "=" not in line:
             raise error(f"{path}:{lineno}: expected '{shape}', got {line!r}")
         key, _, items = line.partition("=")
-        yield lineno, key.strip(), items.split()
+        key = key.strip()
+        if key in seen:
+            raise error(f"{path}:{lineno}: {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
+        yield lineno, key, items.split()
 
 
 DEFAULT_PRONOUN_POS_TAGS = frozenset({"PRP", "PRP$"})
@@ -152,70 +157,11 @@ DEFAULT_CONFIG = ClassifierConfig()
 
 def classify_np(np: Tree, config: ClassifierConfig = DEFAULT_CONFIG) -> GivennessCategory:
     """Apply the rule cascade to one NP node; first matching rule wins."""
-    if not (isinstance(np, Internal) and np.category == "NP"):
+    # The first call loads the node model and the cascade.  This form of import
+    # finds them in a fifth of the time ``from .cascade import ...`` takes.
+    import npstat.cascade as cascade
+    import npstat.treebank as treebank
+
+    if not (isinstance(np, treebank.Internal) and np.category == "NP"):
         raise NotAnNP(f"expected an internal NP node, got {np!r}")
-    return classify_overt(np, leading_overt(np), config)
-
-
-def leading_overt(np: Tree, known: dict[Tree, list[Leaf]] | None = None) -> list[Leaf]:
-    """The first two leaves other than ``-NONE-`` under ``np`` (fewer if it
-    has fewer), found left to right.  A node below ``np`` that ``known`` maps
-    to its own result is not scanned again."""
-    overt: list[Leaf] = []
-    stack = [np]
-    while stack and len(overt) < 2:
-        node = stack.pop()
-        if type(node) is Leaf:
-            if node.pos != EMPTY_POS:
-                overt.append(node)
-        elif known and node in known:
-            overt += known[node]
-        else:
-            stack.extend(reversed(node.children))  # type: ignore[attr-defined]
-    return overt[:2]
-
-
-def classify_overt(
-    np: Internal, overt: list[Leaf], config: ClassifierConfig
-) -> GivennessCategory:
-    """The rule cascade, its only copy, over an NP node and its leaves other
-    than ``-NONE-`` in surface order.  It reads only ``overt[:2]``, so
-    :func:`leading_overt` suffices, and a caller that holds them all may pass
-    them all."""
-    if not overt:
-        return GivennessCategory.EMPTY_CATEGORY
-
-    first = overt[0]
-    if len(overt) == 1 and first.pos in config.pronoun_pos_tags:
-        return GivennessCategory.PRONOUN
-
-    head = next(
-        (
-            child
-            for child in reversed(np.children)
-            if type(child) is Leaf
-            and child.pos != EMPTY_POS
-            and child.pos not in PUNCTUATION_TAGS
-        ),
-        None,
-    )
-    if head is not None and head.pos in config.proper_pos_tags:
-        return GivennessCategory.PROPER_NAME
-
-    word = first.token.lower()
-    if word in config.definite_determiners:
-        return GivennessCategory.DEFINITE
-    if first.pos == "PRP$":
-        return GivennessCategory.DEFINITE
-    initial = np.children[0]
-    if type(initial) is Internal and initial.label.category == "NP":
-        last = last_overt_leaf(initial)
-        if last is not None and last.pos == "POS":
-            return GivennessCategory.DEFINITE
-
-    if word in config.indefinite_determiners:
-        return GivennessCategory.INDEFINITE
-    if first.pos == "CD":
-        return GivennessCategory.INDEFINITE
-
-    return GivennessCategory.NOT_CLASSIFIED
+    return cascade.classify_overt(np, cascade.leading_overt(np), config)

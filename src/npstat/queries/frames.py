@@ -9,7 +9,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
-from ..treebank import ConfigError, Internal, Leaf, Tree, is_empty_category
+from ..base import ConfigError
+from ..treebank import Internal, Leaf, Tree, is_empty_category
 from . import VERB_TAGS, _complement_kind
 
 

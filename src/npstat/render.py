@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .treebank import DegenerateInput, ReportFormat
+from .base import DegenerateInput, ReportFormat
 
 Cell = object  # str | int | float in practice
 

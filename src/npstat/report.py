@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from .base import InputError, ReportFormat
 from .givenness import ClauseContext, GivennessCategory, GrammaticalPosition
 from .render import Cell, render_rows
-from .treebank import InputError, ReportFormat
 
 if TYPE_CHECKING:
     from .corpus import AggregateCounts

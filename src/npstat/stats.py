@@ -14,8 +14,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
+from .base import DegenerateInput, InputError, SlottedRecord
 from .givenness import ClauseContext, GivennessCategory, GrammaticalPosition
-from .treebank import DegenerateInput, InputError, SlottedRecord
 
 if TYPE_CHECKING:
     from .corpus import AggregateCounts

@@ -10,36 +10,25 @@ kept verbatim (so ``-NONE-`` and ``-LRB-`` survive untouched).
 
 Leaf collection keeps an explicit stack, so nesting depth is unbounded.
 
-This module holds what every command loads: the node model, the labels and the
-exit-code exception classes.  The bracketed-text parser and serializer are
+This module holds what every command that reads or builds trees loads: the
+node model and the labels.  The exit-code exception classes, which every run
+loads, are :mod:`npstat.base`.  The bracketed-text parser and serializer are
 :mod:`npstat.brackets`, which the first lookup of one of its names here imports.
 """
 
 from __future__ import annotations
 
 import re
-from enum import Enum
 from functools import lru_cache
 from importlib import import_module
 from typing import Iterator, NamedTuple
+
+from .base import SlottedRecord
 
 EMPTY_POS = "-NONE-"
 
 # Brown- and WSJ-style punctuation preterminal tags, currency included.
 PUNCTUATION_TAGS = frozenset({",", ".", ":", "``", "''", "-LRB-", "-RRB-", "$", "#"})
-
-
-class InputError(ValueError):
-    """Missing or unusable input, such as no corpus root or a negative count;
-    the command line exits 2 on it, and on no other exception."""
-
-
-class DegenerateInput(ValueError):
-    """Statistics input that leaves the statistic undefined; the command line exits 3."""
-
-
-class ConfigError(ValueError):
-    """A classifier config or verb lexicon that cannot be used; the command line exits 4."""
 
 
 _GAP_RE = re.compile(r"^(?P<base>.*?)(?P<gap>=\d+)$")
@@ -177,33 +166,6 @@ def is_empty_category(node: Tree) -> bool:
     return last_overt_leaf(node) is None
 
 
-class SlottedRecord:
-    """Base of slotted value types whose ``__init__`` checks or fills in fields,
-    which a ``NamedTuple`` cannot do.
-
-    Equality, hash and repr are over the attributes named in ``_fields``, in
-    order, as for a tuple; a subclass sets ``__slots__ = _fields = (...)``.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
 class SourceSpan(SlottedRecord):
     """Provenance of a match: file, sentence, and half-open leaf range."""
 
@@ -216,19 +178,6 @@ class SourceSpan(SlottedRecord):
         self.sentence_index = sentence_index
         self.start = start
         self.end = end
-
-
-class ReportFormat(Enum):
-    """Output formats of :mod:`npstat.report`, one per ``--format`` choice.
-
-    Defined in this bottom layer, which every command loads, so that the
-    command line can offer the format names without importing the report
-    layer; :mod:`npstat.report` re-exports it.
-    """
-
-    ALIGNED_TEXT = "text"
-    TAB_SEPARATED = "tsv"
-    STRUCTURED_RECORDS = "records"
 
 
 def __getattr__(name: str):

@@ -30,7 +30,8 @@ from npstat.cli import (
     main,
 )
 from npstat import corpus
-from npstat.givenness import DEFAULT_CONFIG, ClassifierConfig, classify_overt
+from npstat.cascade import classify_overt
+from npstat.givenness import DEFAULT_CONFIG, ClassifierConfig
 from npstat.render import parse_records
 
 from refvalues import (
@@ -107,7 +108,7 @@ SEAMS_AFTER_READING = {
     "chisq": [("npstat.queries", "walk_np_occurrences"), ("npstat.corpus", "classify_overt"),
               ("npstat.render", "render_rows")],
     "late-closure": [("npstat.queries", "walk_late_closure"),
-                     ("npstat.commands", "classify_overt"),
+                     ("npstat.cascade", "classify_overt"),
                      ("npstat.render", "render_rows")],
     "adverbials": [("npstat.queries", "survey_fronted_adverbials"),
                    ("npstat.render", "render_rows")],
@@ -534,6 +535,20 @@ class TestStartUp:
         (["--help"], EXIT_OK),
         (["--no-such-flag"], EXIT_MISSING_INPUT),
     ], ids=["dump-default-config", "help", "usage-error"])
+    def test_parser_paths_load_no_node_model(self, argv, expected):
+        # The classifier's axes and configuration are all the parser needs:
+        # neither the tree nodes nor the rule cascade, nor pathlib or typing.
+        code, _, modules, _ = self.main_in_fresh_process(argv)
+        assert code == expected
+        assert {m for m in modules if m.startswith("npstat")} == {
+            "npstat", "npstat.base", "npstat.cli", "npstat.givenness"}
+        assert not modules & {"pathlib", "typing"}
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--dump-default-config"], EXIT_OK),
+        (["--help"], EXIT_OK),
+        (["--no-such-flag"], EXIT_MISSING_INPUT),
+    ], ids=["dump-default-config", "help", "usage-error"])
     def test_module_launch_parser_paths_load_no_handler_or_parser(self, argv, expected):
         # The benchmark and the CI start the command as python -m npstat.cli.
         code, output, modules, _, _ = self.module_in_fresh_process(argv)
@@ -594,6 +609,17 @@ class TestStartUp:
         assert output
         assert not modules & {"npstat.corpus", "npstat.brackets", "npstat.queries",
                               "logging", "json"}
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--from-counts", *from_counts_args(BROWN_TABLE1)],
+        ["chisq", "--cells", "1", "2", "3", "4"],
+        ["adverbials", "--from-counts", "1", "2"],
+    ], ids=["table1", "chisq", "adverbials"])
+    def test_count_only_modes_load_no_node_model(self, argv):
+        code, output, modules, _ = self.main_in_fresh_process(argv)
+        assert code == EXIT_OK
+        assert output
+        assert not modules & {"npstat.treebank", "npstat.cascade"}
 
     @pytest.mark.parametrize("command, family, unused", [
         ("table1", "occurrences", {"npstat.stats"}),
@@ -1003,7 +1029,26 @@ CONFIG_CONTENTS = {
 }
 
 
+# A file that gives one key twice, on lines 1 and 3, for each option.
+DUPLICATE_KEY_CONTENTS = {
+    "classifier-config": ("pronoun_pos_tags", "pronoun_pos_tags = PRP\n\n"
+                          "pronoun_pos_tags = NN\n"),
+    "lexicon": ("disclose", "disclose = disclose\n# forms\ndisclose = discloses\n"),
+}
+
+
 class TestConfigFileErrors:
+    @pytest.mark.parametrize("option", sorted(CONFIG_OPTIONS))
+    def test_key_given_twice_exits_four(self, capsys, fixture_corpus, tmp_path, option):
+        # The later line would otherwise silently replace the earlier one.
+        key, content = DUPLICATE_KEY_CONTENTS[option]
+        path = tmp_path / "config.cfg"
+        path.write_text(content, encoding="utf-8")
+        code, out, err = run(capsys, [*CONFIG_OPTIONS[option], str(path),
+                                      *corpus_args(fixture_corpus)])
+        assert (code, out) == (EXIT_CONFIG_ERROR, "")
+        assert err == f"error: {path}:3: {key!r} is already set on line 1\n"
+
     @pytest.mark.parametrize("option", sorted(CONFIG_OPTIONS))
     def test_lines_end_only_at_newlines(self, capsys, fixture_corpus, tmp_path, option):
         # A comment holding line boundaries of str.splitlines other than the

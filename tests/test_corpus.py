@@ -22,7 +22,7 @@ from npstat.corpus import (
 )
 from npstat.givenness import (DEFAULT_CONFIG, ClassifierConfig, ClauseContext,
                               GivennessCategory, GrammaticalPosition)
-from npstat.treebank import InputError
+from npstat.base import InputError
 
 from oracles import reference_aggregate_cells
 from treegen import random_trees

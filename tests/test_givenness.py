@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from npstat.cascade import classify_overt, leading_overt
 from npstat.givenness import (
     DEFAULT_CONFIG,
     ClassifierConfig,
@@ -15,8 +16,6 @@ from npstat.givenness import (
     GivennessCategory,
     NotAnNP,
     classify_np,
-    classify_overt,
-    leading_overt,
 )
 from npstat.treebank import Internal, Leaf, NodeLabel, parse_trees
 

@@ -31,21 +31,21 @@ def npstat_modules_around(name):
 
 def test_import_loads_no_submodule():
     assert npstat_modules_around("parse_trees") == [
-        "npstat", "npstat npstat.brackets npstat.treebank"]
+        "npstat", "npstat npstat.base npstat.brackets npstat.treebank"]
 
 
 @pytest.mark.parametrize("name", ["ReportFormat", "InputError", "DegenerateInput",
                                   "ConfigError"])
-def test_treebank_names_load_only_treebank(name):
-    # ReportFormat lives in treebank so that --format need not load the report
+def test_base_names_load_only_base(name):
+    # ReportFormat lives in base so that --format need not load the report
     # layer; npstat.report re-exports it.
-    assert npstat_modules_around(name) == ["npstat", "npstat npstat.treebank"]
+    assert npstat_modules_around(name) == ["npstat", "npstat npstat.base"]
 
 
 # The one base class of each of exits 2, 3 and 4.
 EXIT_BASES = ["InputError", "DegenerateInput", "ConfigError"]
 
-# Each documented exit code's classes: (name, its treebank base, the builtin
+# Each documented exit code's classes: (name, its base in npstat.base, the builtin
 # base a library caller may catch it by).
 EXIT_CLASSES = [
     ("RootNotFound", "InputError", FileNotFoundError),
@@ -67,7 +67,7 @@ def test_exit_classes_derive_from_their_treebank_base(name, base, builtin):
 
 def test_exit_bases_are_distinct_value_errors():
     for base in [getattr(npstat, name) for name in EXIT_BASES]:
-        assert base.__module__ == "npstat.treebank"
+        assert base.__module__ == "npstat.base"
         assert base.__bases__ == (ValueError,)
     # A bare ZeroDivisionError is a defect, not degenerate input.
     assert not issubclass(ZeroDivisionError, npstat.DegenerateInput)
