@@ -1,21 +1,21 @@
 """Structural NP queries, givenness classification and contingency statistics
 over bracketed constituency treebanks.
 
-The package splits into eleven layers:
+The package splits into nine layers:
 
 * :mod:`npstat.base`      — the exit-code classes and the output formats, which
   every run loads;
-* :mod:`npstat.treebank`  — tree nodes and labels;
-* :mod:`npstat.brackets`  — bracketed-text parser and serializer;
+* :mod:`npstat.treebank`  — tree nodes and labels, and the bracketed-text
+  parser and serializer;
 * :mod:`npstat.queries`   — structural queries, one module per family:
   subject/non-subject NPs and their clause contexts (``occurrences``),
   verb-final local ambiguities (``late_closure``), fronted adverbials
   (``adverbials``), verb complement frames (``frames``);
 * :mod:`npstat.givenness` — six-way form-based NP classification, and the
   grammatical position and clause context enums: the three axes of Table 1;
-* :mod:`npstat.cascade`   — the classifier's rule cascade over tree nodes;
 * :mod:`npstat.stats`     — 2x2 Pearson chi-square;
-* :mod:`npstat.corpus`    — directory ingestion and mergeable aggregation;
+* :mod:`npstat.corpus`    — directory ingestion, the classifier's rule cascade
+  over tree nodes, and mergeable aggregation;
 * :mod:`npstat.render`    — text/TSV/JSON-records row rendering and the
   percentage helper;
 * :mod:`npstat.report`    — the frequency-table report;
@@ -34,12 +34,9 @@ from importlib import import_module
 _EXPORTS = {
     "base": ("ConfigError", "DegenerateInput", "InputError", "ReportFormat"),
     "treebank": (
-        "EMPTY_POS", "PUNCTUATION_TAGS", "Internal", "Leaf", "NodeLabel",
-        "SourceSpan", "Tree", "is_empty_category",
-    ),
-    "brackets": (
-        "EmptyConstituent", "TreebankSyntaxError", "UnbalancedBrackets",
-        "parse_trees", "serialize_tree",
+        "EMPTY_POS", "PUNCTUATION_TAGS", "EmptyConstituent", "Internal", "Leaf",
+        "NodeLabel", "SourceSpan", "Tree", "TreebankSyntaxError",
+        "UnbalancedBrackets", "is_empty_category", "parse_trees", "serialize_tree",
     ),
     "queries": (
         "ADVERBIAL_CATEGORIES", "VERB_TAGS", "AdverbialRecord",

@@ -1,5 +1,7 @@
 """What every run of npstat loads: the exit-code exception classes, the output
-formats and the slotted record base.
+formats, the slotted record base, and the defaults that the command line shares
+with its subcommand handlers (the corpus environment variable and the verb
+lexicon).
 
 Each command is a fresh process, so this module imports only :mod:`enum`; the
 node model (:mod:`npstat.treebank`) is loaded only by what reads or builds trees.
@@ -8,6 +10,14 @@ node model (:mod:`npstat.treebank`) is loaded only by what reads or builds trees
 from __future__ import annotations
 
 from enum import Enum
+
+CORPUS_ENV_VAR = "NPSTAT_CORPUS"
+
+DEFAULT_VERB_LEXICON: dict[str, tuple[str, ...]] = {
+    "return": ("return", "returns", "returned", "returning"),
+    "realize": ("realize", "realizes", "realized", "realizing"),
+    "disclose": ("disclose", "discloses", "disclosed", "disclosing"),
+}
 
 
 class InputError(ValueError):
@@ -21,6 +31,10 @@ class DegenerateInput(ValueError):
 
 class ConfigError(ValueError):
     """A classifier config or verb lexicon that cannot be used; the command line exits 4."""
+
+
+class EveryFileFailed(Exception):
+    """Corpus files were listed and none of them parsed; the command line exits 1."""
 
 
 class SlottedRecord:

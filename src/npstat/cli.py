@@ -35,6 +35,8 @@ imports at the top only what building the argument parser and
 which load neither the node model nor the classifier's rule cascade).  The
 subcommand handlers are in :mod:`npstat.commands`, which :func:`main` imports
 only when it runs a subcommand, and each handler imports the layers it runs.
+The handlers import nothing from this module, so ``python -m npstat.cli``, which
+runs it as ``__main__``, runs it once.
 """
 
 from __future__ import annotations
@@ -45,10 +47,9 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .base import ConfigError, DegenerateInput, InputError, ReportFormat
+from .base import (CORPUS_ENV_VAR, DEFAULT_VERB_LEXICON, ConfigError, DegenerateInput,
+                   EveryFileFailed, InputError, ReportFormat)
 from .givenness import DEFAULT_CONFIG, ClauseContext
-
-CORPUS_ENV_VAR = "NPSTAT_CORPUS"
 
 EXIT_OK = 0
 EXIT_ALL_FILES_FAILED = 1
@@ -58,12 +59,6 @@ EXIT_CONFIG_ERROR = 4
 EXIT_INTERNAL_ERROR = 70  # EX_SOFTWARE
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
-DEFAULT_VERB_LEXICON: dict[str, tuple[str, ...]] = {
-    "return": ("return", "returns", "returned", "returning"),
-    "realize": ("realize", "realizes", "realized", "realizing"),
-    "disclose": ("disclose", "discloses", "disclosed", "disclosing"),
-}
-
 # --contexts token -> the clause contexts it selects; "all" pools every context.
 _CONTEXT_TOKENS = {
     "matrix": (ClauseContext.MATRIX,),
@@ -72,10 +67,6 @@ _CONTEXT_TOKENS = {
     "other": (ClauseContext.EMBEDDED_OTHER,),
     "all": tuple(ClauseContext),
 }
-
-
-class EveryFileFailed(Exception):
-    """Corpus files were listed and none of them parsed."""
 
 
 def _context_set(text: str) -> frozenset[ClauseContext]:
@@ -241,9 +232,6 @@ def run() -> None:
     # command starts with file descriptor 1 closed.
     if getattr(sys.stdout, "errors", None) == "strict":
         sys.stdout.reconfigure(errors="backslashreplace")
-    # Under ``python -m`` this module is ``__main__``: the handlers' ``from .cli
-    # import`` must find it, not run cli.py again with its own EveryFileFailed.
-    sys.modules.setdefault("npstat.cli", sys.modules[__name__])
     code = main()
     gc.freeze()
     sys.exit(code)

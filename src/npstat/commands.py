@@ -10,11 +10,10 @@ import argparse
 import os
 import sys
 from collections import Counter
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-from .cli import CORPUS_ENV_VAR, DEFAULT_VERB_LEXICON, EveryFileFailed
-from .base import ConfigError, InputError, ReportFormat
+from .base import (CORPUS_ENV_VAR, DEFAULT_VERB_LEXICON, ConfigError, EveryFileFailed,
+                   InputError, ReportFormat)
 from .givenness import DEFAULT_CONFIG, ClassifierConfig, read_key_items
 
 if TYPE_CHECKING:
@@ -24,6 +23,8 @@ if TYPE_CHECKING:
 
 
 def _corpus_source(args: argparse.Namespace) -> CorpusSource:
+    from pathlib import Path
+
     from .corpus import CorpusSource
 
     root = args.corpus or os.environ.get(CORPUS_ENV_VAR)
@@ -148,7 +149,7 @@ def cmd_chisq(args: argparse.Namespace) -> None:
 
 
 def cmd_late_closure(args: argparse.Namespace) -> None:
-    from .cascade import classify_overt
+    from .corpus import classify_overt
     from .queries import walk_late_closure
     from .render import render_rows
     from .treebank import EMPTY_POS

@@ -8,6 +8,10 @@ to the caller; nothing is printed.  Counts accumulate into
 :class:`AggregateCounts`, a dense (givenness category x grammatical position x
 clause context) table whose ``merge`` is associative and commutative, so any
 partition of the corpus combines to the same result.
+
+:func:`aggregate` classifies each NP with :func:`classify_overt`, the only
+copy of the givenness rule cascade of :mod:`npstat.givenness`, from the first
+two overt leaves, which :func:`leading_overt` finds however large the NP.
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ from pathlib import Path, PurePath
 from typing import Iterable, Iterator, NamedTuple
 
 from .base import InputError, SlottedRecord
-from .brackets import TreebankSyntaxError, parse_trees
-from .cascade import classify_overt, leading_overt
 from .givenness import (ClassifierConfig, ClauseContext, DEFAULT_CONFIG, GivennessCategory,
                         GrammaticalPosition)
-from .treebank import Leaf, Tree
+from .treebank import (EMPTY_POS, PUNCTUATION_TAGS, Internal, Leaf, Tree, TreebankSyntaxError,
+                       last_overt_leaf, parse_trees)
 
 CellKey = tuple[GivennessCategory, GrammaticalPosition, ClauseContext]
 # (file_id, trees, reason): a skipped file has no trees and says why.
@@ -138,6 +141,70 @@ def read_files(source: CorpusSource) -> Iterator[FileResult]:
     """
     skip = len(Path(source.root_path).parts)
     return (("/".join(path.parts[skip:]), *_read_trees(path)) for path in corpus_files(source))
+
+
+def leading_overt(np: Tree, known: dict[Tree, list[Leaf]] | None = None) -> list[Leaf]:
+    """The first two leaves other than ``-NONE-`` under ``np`` (fewer if it
+    has fewer), found left to right.  A node below ``np`` that ``known`` maps
+    to its own result is not scanned again."""
+    overt: list[Leaf] = []
+    stack = [np]
+    while stack and len(overt) < 2:
+        node = stack.pop()
+        if type(node) is Leaf:
+            if node.pos != EMPTY_POS:
+                overt.append(node)
+        elif known and node in known:
+            overt += known[node]
+        else:
+            stack.extend(reversed(node.children))  # type: ignore[attr-defined]
+    return overt[:2]
+
+
+def classify_overt(
+    np: Internal, overt: list[Leaf], config: ClassifierConfig
+) -> GivennessCategory:
+    """The rule cascade, its only copy, over an NP node and its leaves other
+    than ``-NONE-`` in surface order.  It reads only ``overt[:2]``, so
+    :func:`leading_overt` suffices, and a caller that holds them all may pass
+    them all."""
+    if not overt:
+        return GivennessCategory.EMPTY_CATEGORY
+
+    first = overt[0]
+    if len(overt) == 1 and first.pos in config.pronoun_pos_tags:
+        return GivennessCategory.PRONOUN
+
+    head = next(
+        (
+            child
+            for child in reversed(np.children)
+            if type(child) is Leaf
+            and child.pos != EMPTY_POS
+            and child.pos not in PUNCTUATION_TAGS
+        ),
+        None,
+    )
+    if head is not None and head.pos in config.proper_pos_tags:
+        return GivennessCategory.PROPER_NAME
+
+    word = first.token.lower()
+    if word in config.definite_determiners:
+        return GivennessCategory.DEFINITE
+    if first.pos == "PRP$":
+        return GivennessCategory.DEFINITE
+    initial = np.children[0]
+    if type(initial) is Internal and initial.label.category == "NP":
+        last = last_overt_leaf(initial)
+        if last is not None and last.pos == "POS":
+            return GivennessCategory.DEFINITE
+
+    if word in config.indefinite_determiners:
+        return GivennessCategory.INDEFINITE
+    if first.pos == "CD":
+        return GivennessCategory.INDEFINITE
+
+    return GivennessCategory.NOT_CLASSIFIED
 
 
 def aggregate(

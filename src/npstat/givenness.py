@@ -20,11 +20,12 @@ structural queries that assign them live in :mod:`npstat.queries`.
 
 The classifier never consults discourse context; it is a surface heuristic
 over the NP's own leaves, so identical trees always classify identically.
-The cascade itself, which reads tree nodes, is :mod:`npstat.cascade`.  This
-module holds the axes and the configuration, which the command line needs to
-build its parser and to print ``--dump-default-config``, and imports only
-:mod:`npstat.base`; :func:`classify_np` loads the node model and the cascade
-when it is first called.
+The cascade itself, which reads tree nodes, is
+:func:`npstat.corpus.classify_overt`, beside the aggregation that runs it on
+every NP.  This module holds the axes and the configuration, which the command
+line needs to build its parser and to print ``--dump-default-config``, and
+imports only :mod:`npstat.base`; :func:`classify_np` loads the node model and
+the cascade when it is first called.
 """
 
 from __future__ import annotations
@@ -158,10 +159,9 @@ DEFAULT_CONFIG = ClassifierConfig()
 def classify_np(np: Tree, config: ClassifierConfig = DEFAULT_CONFIG) -> GivennessCategory:
     """Apply the rule cascade to one NP node; first matching rule wins."""
     # The first call loads the node model and the cascade.  This form of import
-    # finds them in a fifth of the time ``from .cascade import ...`` takes.
-    import npstat.cascade as cascade
-    import npstat.treebank as treebank
+    # finds them in about a quarter of the time ``from .corpus import ...`` takes.
+    import npstat.corpus as corpus
 
-    if not (isinstance(np, treebank.Internal) and np.category == "NP"):
+    if not (isinstance(np, corpus.Internal) and np.category == "NP"):
         raise NotAnNP(f"expected an internal NP node, got {np!r}")
-    return cascade.classify_overt(np, cascade.leading_overt(np), config)
+    return corpus.classify_overt(np, corpus.leading_overt(np), config)

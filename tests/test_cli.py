@@ -30,7 +30,7 @@ from npstat.cli import (
     main,
 )
 from npstat import corpus
-from npstat.cascade import classify_overt
+from npstat.corpus import classify_overt
 from npstat.givenness import DEFAULT_CONFIG, ClassifierConfig
 from npstat.render import parse_records
 
@@ -108,7 +108,7 @@ SEAMS_AFTER_READING = {
     "chisq": [("npstat.queries", "walk_np_occurrences"), ("npstat.corpus", "classify_overt"),
               ("npstat.render", "render_rows")],
     "late-closure": [("npstat.queries", "walk_late_closure"),
-                     ("npstat.cascade", "classify_overt"),
+                     ("npstat.corpus", "classify_overt"),
                      ("npstat.render", "render_rows")],
     "adverbials": [("npstat.queries", "survey_fronted_adverbials"),
                    ("npstat.render", "render_rows")],
@@ -489,8 +489,7 @@ class TestStartUp:
 
     def module_in_fresh_process(self, argv):
         """:meth:`main_in_fresh_process` for ``python -m npstat.cli ARGV``,
-        which runs ``cli.py`` as ``__main__``, plus the ``__name__`` of the
-        module bound as ``npstat.cli`` when the command has exited."""
+        which runs ``cli.py`` as ``__main__``."""
         src = Path(npstat.__file__).resolve().parents[1]
         probe = (
             "import runpy, sys\n"
@@ -499,15 +498,14 @@ class TestStartUp:
             "    runpy.run_module('npstat.cli', run_name='__main__', alter_sys=True)\n"
             "except SystemExit as exc:\n"
             "    code = exc.code\n"
-            "cli_name = getattr(sys.modules.get('npstat.cli'), '__name__', None)\n"
-            "print(code, cli_name, *sorted(sys.modules))\n"
+            "print(code, *sorted(sys.modules))\n"
         )
         child = subprocess.run([sys.executable, "-S", "-c", probe, *argv],
                                capture_output=True, text=True, timeout=60)
         assert child.returncode == 0, child.stderr
         *output, last = child.stdout.splitlines()
-        code, cli_name, *modules = last.split()
-        return int(code), output, set(modules), child.stderr, cli_name
+        code, *modules = last.split()
+        return int(code), output, set(modules), child.stderr
 
     def test_cli_imports_neither_dataclasses_nor_inspect(self):
         code, output, modules, _ = self.main_in_fresh_process(["--dump-default-config"])
@@ -526,7 +524,7 @@ class TestStartUp:
     def test_parser_paths_load_no_pipeline_layer(self, argv, expected):
         code, _, modules, _ = self.main_in_fresh_process(argv)
         assert code == expected
-        assert not modules & {"npstat.commands", "npstat.brackets", "npstat.queries",
+        assert not modules & {"npstat.commands", "npstat.treebank", "npstat.queries",
                               "npstat.corpus", "npstat.render", "npstat.report",
                               "npstat.stats", "logging", "json", "decimal"}
 
@@ -551,24 +549,46 @@ class TestStartUp:
     ], ids=["dump-default-config", "help", "usage-error"])
     def test_module_launch_parser_paths_load_no_handler_or_parser(self, argv, expected):
         # The benchmark and the CI start the command as python -m npstat.cli.
-        code, output, modules, _, _ = self.module_in_fresh_process(argv)
+        code, output, modules, _ = self.module_in_fresh_process(argv)
         assert code == expected
         assert bool(output) == (code == EXIT_OK)
-        assert not modules & {"npstat.commands", "npstat.brackets"}
+        assert not modules & {"npstat.commands", "npstat.treebank"}
 
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
     def test_module_launch_runs_cli_once(self, fixture_corpus, command):
-        # The handlers import from npstat.cli.  Unless run() binds the running
-        # __main__ under that name, the import compiles and runs cli.py again,
-        # and main() would not catch the second copy's EveryFileFailed.  runpy
-        # puts the caller's __main__ back on the way out, so the module that
-        # ran as __main__ is told by its name.
-        code, output, modules, err, cli_name = self.module_in_fresh_process(
+        # Only __main__ ran cli.py.  A handler that imported npstat.cli would
+        # compile and run it again, and main() would not catch an exception
+        # class defined by the second copy.
+        code, output, modules, err = self.module_in_fresh_process(
             [*CORPUS_COMMANDS[command], "--corpus", str(fixture_corpus)])
         assert (code, err) == (EXIT_OK, "")
         assert output
         assert "npstat.commands" in modules
-        assert cli_name == "__main__"
+        assert "npstat.cli" not in modules
+
+    # The npstat modules that a corpus command loads beyond those every corpus
+    # command loads.
+    LAYERS_OF = {
+        "parse": set(),
+        "table1": {"queries", "queries.occurrences", "report"},
+        "chisq": {"queries", "queries.occurrences", "stats"},
+        "late-closure": {"queries", "queries.late_closure"},
+        "adverbials": {"queries", "queries.adverbials"},
+        "verb": {"queries", "queries.frames"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_module_launch_loads_exactly_its_layers(self, fixture_corpus, command):
+        # Launched as the benchmark launches it, so a split layer or a second
+        # run of cli.py fails here.
+        code, output, modules, err = self.module_in_fresh_process(
+            [*CORPUS_COMMANDS[command], "--corpus", str(fixture_corpus)])
+        assert (code, err) == (EXIT_OK, "")
+        assert output
+        assert {m for m in modules if m.startswith("npstat")} == {"npstat"} | {
+            f"npstat.{layer}"
+            for layer in {"base", "commands", "corpus", "givenness", "render", "treebank",
+                          *self.LAYERS_OF[command]}}
 
     @pytest.mark.parametrize("argv, expected", [
         *[(["chisq", "--cells", *map(str, cells)], statistic)
@@ -577,7 +597,7 @@ class TestStartUp:
           for (part, whole), pct in PERCENTAGE_CASES.items()],
     ], ids=[*CHI_SQUARE_CASES, *(f"{part}-of-{whole}" for part, whole in PERCENTAGE_CASES)])
     def test_paper_statistics_come_from_counts_without_the_parser(self, argv, expected):
-        code, output, modules, err, _ = self.module_in_fresh_process(argv)
+        code, output, modules, err = self.module_in_fresh_process(argv)
         assert (code, err) == (EXIT_OK, "")
         # The last text row ends in the percentage, or starts with the statistic.
         if argv[0] == "chisq":
@@ -585,7 +605,7 @@ class TestStartUp:
                                                                  abs=CHI_SQUARE_TOLERANCE)
         else:
             assert float(output[-1].split()[-1]) == expected
-        assert not modules & {"npstat.brackets", "npstat.corpus"}
+        assert not modules & {"npstat.treebank", "npstat.corpus"}
 
     @pytest.mark.parametrize("corpus, expected", [("fixture", EXIT_OK),
                                                   ("broken", EXIT_ALL_FILES_FAILED)])
@@ -607,7 +627,7 @@ class TestStartUp:
         code, output, modules, _ = self.main_in_fresh_process(argv)
         assert code == EXIT_OK
         assert output
-        assert not modules & {"npstat.corpus", "npstat.brackets", "npstat.queries",
+        assert not modules & {"npstat.corpus", "npstat.treebank", "npstat.queries",
                               "logging", "json"}
 
     @pytest.mark.parametrize("argv", [
@@ -619,7 +639,7 @@ class TestStartUp:
         code, output, modules, _ = self.main_in_fresh_process(argv)
         assert code == EXIT_OK
         assert output
-        assert not modules & {"npstat.treebank", "npstat.cascade"}
+        assert not modules & {"npstat.treebank", "npstat.corpus", "pathlib"}
 
     @pytest.mark.parametrize("command, family, unused", [
         ("table1", "occurrences", {"npstat.stats"}),

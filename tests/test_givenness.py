@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from npstat.cascade import classify_overt, leading_overt
+from npstat.corpus import classify_overt, leading_overt
 from npstat.givenness import (
     DEFAULT_CONFIG,
     ClassifierConfig,

@@ -31,7 +31,7 @@ def npstat_modules_around(name):
 
 def test_import_loads_no_submodule():
     assert npstat_modules_around("parse_trees") == [
-        "npstat", "npstat npstat.base npstat.brackets npstat.treebank"]
+        "npstat", "npstat npstat.base npstat.treebank"]
 
 
 @pytest.mark.parametrize("name", ["ReportFormat", "InputError", "DegenerateInput",
@@ -58,7 +58,7 @@ EXIT_CLASSES = [
 
 @pytest.mark.parametrize("name, base, builtin", EXIT_CLASSES,
                          ids=[name for name, _, _ in EXIT_CLASSES])
-def test_exit_classes_derive_from_their_treebank_base(name, base, builtin):
+def test_exit_classes_derive_from_their_base(name, base, builtin):
     error = getattr(npstat, name)("x")
     assert isinstance(error, builtin)
     assert [other for other in EXIT_BASES if isinstance(error, getattr(npstat, other))] == [
@@ -119,24 +119,19 @@ def test_aliases_of_moved_names_are_gone():
         with pytest.raises(AttributeError):
             module.is_punctuation
     assert not hasattr(npstat.AggregateCounts, "from_cells")
+    for module in ("brackets", "cascade"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"npstat.{module}")
 
 
 def test_moved_names_are_the_same_objects_where_they_were():
     assert npstat.ReportFormat is npstat.report.ReportFormat
 
 
-@pytest.mark.parametrize("name", npstat._EXPORTS["brackets"])
-def test_treebank_serves_the_bracketed_text_names(name):
-    # The parser and serializer live in npstat.brackets; npstat.treebank
-    # imports it on the first lookup of one of its names, so imports such as
-    # perfbench/traced.py's "from npstat.treebank import parse_trees" still work.
-    brackets = importlib.import_module("npstat.brackets")
-    assert getattr(npstat.treebank, name) is getattr(brackets, name) is getattr(npstat, name)
-
-
-def test_treebank_serves_no_other_name():
-    with pytest.raises(AttributeError, match="has no attribute 'walk_sentence'"):
-        npstat.treebank.walk_sentence
+def test_tree_and_bracketed_text_names_are_treebanks_own():
+    # perfbench/traced.py imports parse_trees from npstat.treebank.
+    for name in ("Internal", "Leaf", "NodeLabel", "TreebankSyntaxError", "parse_trees"):
+        assert getattr(npstat.treebank, name).__module__ == "npstat.treebank", name
 
 
 # The names npstat.queries defines, each family's and the shared.
