@@ -2,9 +2,13 @@
 
 :func:`read_files` is the one ingestion path: it visits files in lexicographic
 path order and parses each one as UTF-8 text (a leading byte-order mark is
-dropped).  A file that cannot be read, decoded or parsed is skipped, and the
-reason (for a parse error, the first defect in reading order) is handed back
-to the caller; nothing is printed.  Counts accumulate into
+dropped).  It works on strings: the listing's walk builds each file's id, its
+``/``-separated path relative to the root, and the file is opened in text mode,
+with universal newlines, by the root's prefix and that id; no
+:class:`~pathlib.Path` is made per file.  :func:`corpus_files` gives the same
+listing as ``Path`` objects.  A file that cannot be read, decoded or parsed is
+skipped, and the reason (for a parse error, the first defect in reading order)
+is handed back to the caller; nothing is printed.  Counts accumulate into
 :class:`AggregateCounts`, a dense (givenness category x grammatical position x
 clause context) table whose ``merge`` is associative and commutative, so any
 partition of the corpus combines to the same result.
@@ -90,11 +94,9 @@ def merge(x: AggregateCounts, y: AggregateCounts) -> AggregateCounts:
     return out
 
 
-def corpus_files(source: CorpusSource) -> list[Path]:
-    """All files under the root whose path ends in a match of the pattern, sorted by
-    relative path, from one walk that never enters a directory symlink.  A pattern that
-    could reach outside the root, names no file or holds a partial ``**`` raises InputError.
-    """
+def _listing(source: CorpusSource) -> tuple[str, list[str]]:
+    """:func:`corpus_files` as strings: the root with a trailing separator, and
+    the sorted ``/``-separated paths of the files relative to it."""
     pattern = PurePath(source.include_glob)
     if pattern.anchor or ".." in pattern.parts:
         raise InputError(
@@ -111,22 +113,35 @@ def corpus_files(source: CorpusSource) -> list[Path]:
     # An entry may match names[i] for i in reached; a '**' before it (free[i]) keeps i below.
     free = [prev == "**" for prev, part in zip(("**", *pattern.parts), pattern.parts)
             if part != "**"]
-    last, files, stack = len(names) - 1, [], [(str(root), {0})]
+    # Per directory to scan: its path, its path relative to the root, and reached.
+    last, files, stack = len(names) - 1, [], [(str(root), "", {0})]
     while stack:
-        directory, reached = stack.pop()
+        directory, relative, reached = stack.pop()
         with suppress(OSError), os.scandir(directory) as entries:  # unreadable: no files
             for entry in entries:
                 if entry.is_dir(follow_symlinks=False):
-                    stack.append((entry.path, {i for i in reached if free[i]} | {
-                        i + 1 for i in reached if i < last and fnmatchcase(entry.name, names[i])}))
+                    below = {i for i in reached if free[i]} | {
+                        i + 1 for i in reached if i < last and fnmatchcase(entry.name, names[i])}
+                    stack.append((entry.path, relative + entry.name + "/", below))
                 elif last in reached and fnmatchcase(entry.name, names[last]) and entry.is_file():
-                    files.append(Path(entry.path))
-    return sorted(files, key=Path.as_posix)  # the root starts every path
+                    files.append(relative + entry.name)
+    return os.path.join(root, ""), sorted(files)
 
 
-def _read_trees(path: Path) -> tuple[list[Tree] | None, str | None]:
+def corpus_files(source: CorpusSource) -> list[Path]:
+    """All files under the root whose path ends in a match of the pattern, sorted by
+    relative path, from one walk that never enters a directory symlink.  A pattern that
+    could reach outside the root, names no file or holds a partial ``**`` raises InputError.
+    """
+    prefix, files = _listing(source)
+    return [Path(prefix + file) for file in files]
+
+
+def _read_trees(path: str) -> tuple[list[Tree] | None, str | None]:
     try:
-        return parse_trees(path.read_text(encoding="utf-8-sig")), None
+        with open(path, encoding="utf-8-sig") as stream:
+            text = stream.read()
+        return parse_trees(text), None
     except (OSError, TreebankSyntaxError, UnicodeDecodeError) as err:
         return None, str(err)
 
@@ -139,8 +154,8 @@ def read_files(source: CorpusSource) -> Iterator[FileResult]:
     otherwise ``reason`` is None.  Nothing is printed or logged.
     Raises :class:`RootNotFound` when called, not when first iterated.
     """
-    skip = len(Path(source.root_path).parts)
-    return (("/".join(path.parts[skip:]), *_read_trees(path)) for path in corpus_files(source))
+    prefix, files = _listing(source)
+    return ((file, *_read_trees(prefix + file)) for file in files)
 
 
 def leading_overt(np: Tree, known: dict[Tree, list[Leaf]] | None = None) -> list[Leaf]:
@@ -149,16 +164,20 @@ def leading_overt(np: Tree, known: dict[Tree, list[Leaf]] | None = None) -> list
     to its own result is not scanned again."""
     overt: list[Leaf] = []
     stack = [np]
-    while stack and len(overt) < 2:
+    while stack:
         node = stack.pop()
         if type(node) is Leaf:
             if node.pos != EMPTY_POS:
                 overt.append(node)
+                if len(overt) == 2:
+                    return overt
         elif known and node in known:
             overt += known[node]
+            if len(overt) >= 2:
+                return overt[:2]
         else:
             stack.extend(reversed(node.children))  # type: ignore[attr-defined]
-    return overt[:2]
+    return overt
 
 
 def classify_overt(
@@ -175,18 +194,12 @@ def classify_overt(
     if len(overt) == 1 and first.pos in config.pronoun_pos_tags:
         return GivennessCategory.PRONOUN
 
-    head = next(
-        (
-            child
-            for child in reversed(np.children)
-            if type(child) is Leaf
-            and child.pos != EMPTY_POS
-            and child.pos not in PUNCTUATION_TAGS
-        ),
-        None,
-    )
-    if head is not None and head.pos in config.proper_pos_tags:
-        return GivennessCategory.PROPER_NAME
+    # The head: the rightmost child that is an overt, non-punctuation leaf.
+    for child in reversed(np.children):
+        if type(child) is Leaf and child.pos != EMPTY_POS and child.pos not in PUNCTUATION_TAGS:
+            if child.pos in config.proper_pos_tags:
+                return GivennessCategory.PROPER_NAME
+            break
 
     word = first.token.lower()
     if word in config.definite_determiners:

@@ -25,13 +25,17 @@ The cascade itself, which reads tree nodes, is
 every NP.  This module holds the axes and the configuration, which the command
 line needs to build its parser and to print ``--dump-default-config``, and
 imports only :mod:`npstat.base`; :func:`classify_np` loads the node model and
-the cascade when it is first called.
+the cascade when it is first called.  Its annotation names the node model
+through the ``npstat`` package, so ``typing.get_type_hints`` resolves it and
+loads the node model only then.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum
+
+import npstat
 
 from .base import ConfigError, SlottedRecord
 
@@ -156,12 +160,9 @@ class ClassifierConfig(SlottedRecord):
 DEFAULT_CONFIG = ClassifierConfig()
 
 
-def classify_np(np: Tree, config: ClassifierConfig = DEFAULT_CONFIG) -> GivennessCategory:
+def classify_np(np: npstat.Tree, config: ClassifierConfig = DEFAULT_CONFIG) -> GivennessCategory:
     """Apply the rule cascade to one NP node; first matching rule wins."""
-    # The first call loads the node model and the cascade.  This form of import
-    # finds them in about a quarter of the time ``from .corpus import ...`` takes.
-    import npstat.corpus as corpus
-
+    corpus = npstat.corpus  # the first call loads the node model and the cascade
     if not (isinstance(np, corpus.Internal) and np.category == "NP"):
         raise NotAnNP(f"expected an internal NP node, got {np!r}")
     return corpus.classify_overt(np, corpus.leading_overt(np), config)

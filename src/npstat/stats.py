@@ -12,13 +12,12 @@ Significance is reported as a band against the df=1 critical values.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
+
+import npstat  # annotations name AggregateCounts through it, so they resolve
 
 from .base import DegenerateInput, InputError, SlottedRecord
 from .givenness import ClauseContext, GivennessCategory, GrammaticalPosition
-
-if TYPE_CHECKING:
-    from .corpus import AggregateCounts
 
 
 class DegenerateMargin(DegenerateInput):
@@ -91,7 +90,7 @@ def chi_square_2x2(table: ContingencyTable2x2) -> ChiSquareResult:
 
 
 def build_pronoun_indefinite_table(
-    aggregate: AggregateCounts,
+    aggregate: npstat.AggregateCounts,
     context_filter: Iterable[ClauseContext] | None = None,
 ) -> ContingencyTable2x2:
     """Cross-tabulate pronoun/indefinite against subject/non-subject.

@@ -13,8 +13,9 @@ The parser accepts both common top-level layouts: bare ``(S ...)`` trees and
 trees wrapped in an extra unlabeled ``( ... )`` pair.  It leaves tokenizing to
 string methods: it spaces out each ``)`` and splits the text at each ``(``, so
 every chunk holds one opening's label, a preterminal's word and the ``)`` that
-follow.  Its loop turns once per ``(``.  Labels are derived once per process:
-``NodeLabel.from_string`` is cached.
+follow.  Its loop turns once per ``(``.  Labels are derived once per process,
+not once per file: the parser keeps one table from raw label to
+:class:`NodeLabel` across calls, bounded like ``NodeLabel.from_string``'s cache.
 
 Leaf collection, parsing and serialization keep explicit stacks instead of
 recursing, so nesting depth is unbounded.
@@ -38,6 +39,7 @@ PUNCTUATION_TAGS = frozenset({",", ".", ":", "``", "''", "-LRB-", "-RRB-", "$", 
 
 
 _GAP_RE = re.compile(r"^(?P<base>.*?)(?P<gap>=\d+)$")
+_LABELS_MAX = 4096  # distinct raw labels held at once, per cache
 
 
 class NodeLabel(NamedTuple):
@@ -53,7 +55,7 @@ class NodeLabel(NamedTuple):
     coindex: int | None = None
 
     @classmethod
-    @lru_cache(maxsize=4096)
+    @lru_cache(maxsize=_LABELS_MAX)
     def from_string(cls, raw: str) -> "NodeLabel":
         gap = None
         base = raw
@@ -213,6 +215,18 @@ def _position(text: str, chunk: int, count: int = 0) -> int:
     return at
 
 
+# Raw label -> its NodeLabel, for every call: a lookup per node costs less than
+# from_string's cache.  It holds at most as many labels as that cache.
+_LABELS: dict[str, NodeLabel] = {}
+
+
+def _new_label(raw: str) -> NodeLabel:
+    if len(_LABELS) >= _LABELS_MAX:
+        _LABELS.clear()
+    label = _LABELS[raw] = NodeLabel.from_string(raw)
+    return label
+
+
 def parse_trees(text: str) -> list[Tree]:
     """Parse a concatenation of bracketed trees into a list of :class:`Tree`.
 
@@ -228,7 +242,7 @@ def parse_trees(text: str) -> list[Tree]:
     # groups.  Chunk 0, before any "(", must hold nothing.
     chunks = text.replace(")", " ) ").split("(")
     trees: list[Tree] = []
-    labels: dict[str, NodeLabel] = {}  # per node, cheaper than from_string's cache
+    labels = _LABELS
     # The innermost open group: the index of the chunk its "(" opens, its
     # label and its child nodes.  The label is None until the first token
     # after the "(", and stays None when that token is another "(".  Opening
@@ -277,8 +291,7 @@ def parse_trees(text: str) -> list[Tree]:
                     items.extend(nodes)
                     continue
                 node = new(Internal)
-                node.label = labels.get(label) or labels.setdefault(
-                    label, NodeLabel.from_string(label))
+                node.label = labels.get(label) or _new_label(label)
                 node.children = tuple(items)
                 start, label, items = pop()
                 items.append(node)

@@ -60,6 +60,15 @@ def corpus_args(fixture_corpus):
     return ["--corpus", str(fixture_corpus)]
 
 
+def forbid_corpus_reads(monkeypatch):
+    """Fail the test if a corpus file is opened: ``read_files`` opens each one
+    through ``npstat.corpus.open`` (``test_unreadable_file_is_skipped`` shows it)."""
+    def no_read(path, *args, **kwargs):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(corpus, "open", no_read, raising=False)
+
+
 class TestParseCommand:
     def test_reports_per_file_sentence_counts(self, capsys, fixture_corpus):
         code, out, _ = run(capsys, ["parse", *corpus_args(fixture_corpus),
@@ -204,10 +213,7 @@ class TestFailurePaths:
     @pytest.mark.parametrize("command", ["parse", "table1"])
     def test_glob_outside_root_exits_2_before_reading(self, capsys, monkeypatch,
                                                       fixture_corpus, command, pattern):
-        def no_read(path, *args, **kwargs):
-            raise AssertionError(f"{path} was read")
-
-        monkeypatch.setattr(Path, "read_text", no_read)
+        forbid_corpus_reads(monkeypatch)
         code, out, err = run(capsys, [*CORPUS_COMMANDS[command], *corpus_args(fixture_corpus),
                                       "--glob", pattern])
         assert code == EXIT_MISSING_INPUT
@@ -222,10 +228,7 @@ class TestFailurePaths:
                                                            fixture_corpus, command, pattern):
         # Python's own globs read each of these differently across supported
         # versions; 3.13's Path.rglob, for one, reads a partial '**' as '*'.
-        def no_read(path, *args, **kwargs):
-            raise AssertionError(f"{path} was read")
-
-        monkeypatch.setattr(Path, "read_text", no_read)
+        forbid_corpus_reads(monkeypatch)
         code, out, err = run(capsys, [*CORPUS_COMMANDS[command], *corpus_args(fixture_corpus),
                                       "--glob", pattern])
         assert (code, out) == (EXIT_MISSING_INPUT, "")
@@ -297,14 +300,12 @@ class TestFailurePaths:
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
     def test_unreadable_file_is_skipped(self, capsys, monkeypatch, fixture_corpus,
                                         command, error):
-        read_text = Path.read_text
+        def failing_open(path, *args, **kwargs):
+            if os.path.basename(path) == "b.mrg":
+                raise error("cannot open b.mrg")
+            return open(path, *args, **kwargs)
 
-        def failing_read_text(path, *args, **kwargs):
-            if path.name == "b.mrg":
-                raise error(f"cannot open {path.name}")
-            return read_text(path, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "read_text", failing_read_text)
+        monkeypatch.setattr(corpus, "open", failing_open, raising=False)
         code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
                                       *corpus_args(fixture_corpus)])
         assert code == EXIT_OK
@@ -1218,10 +1219,7 @@ class TestVerbCommand:
 
     def test_unconfigured_lemma_exits_four(self, capsys, monkeypatch, fixture_corpus):
         # The lemma is rejected before any corpus file is read.
-        def no_read(path, *args, **kwargs):
-            raise AssertionError(f"{path} was read")
-
-        monkeypatch.setattr(Path, "read_text", no_read)
+        forbid_corpus_reads(monkeypatch)
         code, out, err = run(capsys, ["verb", *corpus_args(fixture_corpus),
                                       "--verb", "defenestrate"])
         assert (code, out) == (EXIT_CONFIG_ERROR, "")

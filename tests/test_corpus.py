@@ -23,9 +23,10 @@ from npstat.corpus import (
 from npstat.givenness import (DEFAULT_CONFIG, ClassifierConfig, ClauseContext,
                               GivennessCategory, GrammaticalPosition)
 from npstat.base import InputError
+from npstat.treebank import NodeLabel, serialize_tree
 
-from oracles import reference_aggregate_cells
-from treegen import random_trees
+from oracles import oracle_parse, reference_aggregate_cells
+from treegen import random_trees, same_trees
 
 EC = GivennessCategory.EMPTY_CATEGORY
 PRO = GivennessCategory.PRONOUN
@@ -198,6 +199,65 @@ class TestIngest:
     def test_source_defaults(self, fixture_corpus):
         source = CorpusSource(fixture_corpus)
         assert source.include_glob == "*"
+
+
+class TestReadPath:
+    """Each file is read as UTF-8 text with universal newlines, its byte-order
+    mark dropped, so offsets and reasons refer to the text as decoded."""
+
+    def test_crlf_syntax_error_offset_counts_one_newline(self, tmp_path):
+        (tmp_path / "w.mrg").write_bytes(b"(S (NP (PRP it)))\r\n(S (NP (PRP we))\r\n")
+        assert list(read_files(CorpusSource(tmp_path))) == [
+            ("w.mrg", None, "unclosed '(' at offset 18")]
+
+    def test_bom_and_crlf_parse_like_plain_text(self, tmp_path):
+        text = "( (S (NP-SBJ (PRP it))\n (VP (VBZ seems))) )\n(S (NP (NN x)))\n"
+        (tmp_path / "plain.mrg").write_bytes(text.encode("utf-8"))
+        (tmp_path / "bom.mrg").write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+        (bom_id, bom, _), (plain_id, plain, _) = read_files(CorpusSource(tmp_path))
+        assert (bom_id, plain_id) == ("bom.mrg", "plain.mrg")
+        assert same_trees(bom, plain) and same_trees(plain, oracle_parse(text))
+
+    @pytest.mark.parametrize("data, reason", [
+        (b"\xff(S (NP (NN x)))",
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"\xef\xbb\xbf(S (NP (NN x)) \xc3",
+         "'utf-8' codec can't decode byte 0xc3 in position 15: unexpected end of data"),
+    ], ids=["bad-start-byte", "truncated-after-bom"])
+    def test_undecodable_file_reason(self, tmp_path, data, reason):
+        (tmp_path / "u.mrg").write_bytes(data)
+        assert list(read_files(CorpusSource(tmp_path))) == [("u.mrg", None, reason)]
+
+    @pytest.mark.parametrize("given", ["./x/", "x/", "./x", "x//"])
+    def test_spelling_of_the_root_changes_nothing(self, fixture_corpus, tmp_path, monkeypatch,
+                                                  given):
+        for file_id in ["b.mrg", "sub/a.mrg", "sub-1/c.mrg"]:
+            (tmp_path / "x" / file_id).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(fixture_corpus / "c.mrg", tmp_path / "x" / file_id)
+        monkeypatch.chdir(tmp_path)
+        for root in (given, Path(given)):
+            source = CorpusSource(root)
+            assert [fid for fid, _, _ in read_files(source)] == [
+                "b.mrg", "sub-1/c.mrg", "sub/a.mrg"]
+            assert corpus_files(source) == corpus_files(CorpusSource(Path("x"))) == [
+                Path("x/b.mrg"), Path("x/sub-1/c.mrg"), Path("x/sub/a.mrg")]
+        for root in (given + "/b.mrg", given + "/b.mrg/", Path(given, "b.mrg")):
+            with pytest.raises(RootNotFound) as raised:
+                read_files(CorpusSource(root))
+            assert str(raised.value) == "corpus root x/b.mrg is not a directory"
+
+    def test_labels_survive_a_file_with_more_than_the_bound(self, tmp_path):
+        bound = NodeLabel.from_string.cache_info().maxsize
+        assert bound == 4096
+        (tmp_path / "a.mrg").write_text(
+            " ".join(f"(NP-T{i}-{i % 9} (PRP it))" for i in range(bound + 500)))
+        text = "(S (NP-SBJ-7 (PRP it)) (VP=2 (VBD left) (ADVP-TMP (RB today))))\n"
+        (tmp_path / "b.mrg").write_text(text)
+        (_, many, _), (_, later, _) = read_files(CorpusSource(tmp_path))
+        assert [str(tree.label) for tree in many[-3:]] == [
+            f"NP-T{i}-{i % 9}" for i in range(bound + 497, bound + 500)]
+        assert same_trees(later, oracle_parse(text))
+        assert serialize_tree(later[0]) == text.strip()
 
 
 class TestAggregate:

@@ -2,8 +2,10 @@
 and a submodule is imported only when one of its names is first used."""
 
 import importlib
+import inspect
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,24 @@ def npstat_modules_around(name):
 def test_import_loads_no_submodule():
     assert npstat_modules_around("parse_trees") == [
         "npstat", "npstat npstat.base npstat.treebank"]
+
+
+def test_annotations_resolve_to_the_classes():
+    assert typing.get_type_hints(npstat.classify_np)["np"] is npstat.Tree
+    assert (typing.get_type_hints(npstat.build_pronoun_indefinite_table)["aggregate"]
+            is npstat.AggregateCounts)
+    for name in npstat.__all__:
+        value = getattr(npstat, name)
+        members = inspect.getmembers(value, inspect.isfunction) if inspect.isclass(value) else []
+        for function in [value] * inspect.isfunction(value) + [f for _, f in members]:
+            if function.__module__.startswith("npstat."):  # not a NamedTuple's own __new__
+                typing.get_type_hints(function)  # NameError for a name it cannot find
+
+
+def test_classify_np_loads_no_node_model_until_called():
+    # Its annotation names the node model through the package, not an import.
+    assert npstat_modules_around("classify_np") == [
+        "npstat", "npstat npstat.base npstat.givenness"]
 
 
 @pytest.mark.parametrize("name", ["ReportFormat", "InputError", "DegenerateInput",

@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from npstat import treebank
 from npstat.givenness import ClauseContext, GrammaticalPosition, NotAnNP, classify_np
 from npstat.queries import NPOccurrence
 from npstat.treebank import (
@@ -68,12 +69,14 @@ class TestLabels:
         bound = NodeLabel.from_string.cache_info().maxsize
         parse_trees(" ".join(f"(NP-{i} (PRP it))" for i in range(bound + 100)))
         assert NodeLabel.from_string.cache_info().currsize == bound
+        assert len(treebank._LABELS) <= bound  # the parser's own table, kept across calls
 
     def test_each_raw_label_is_derived_once_per_process(self, tmp_path, perfbench_gen):
         perfbench_gen.generate("many-small", 101, tmp_path)
         texts = [path.read_bytes().decode("utf-8", "replace")
                  for path in sorted((tmp_path / "corpus").rglob("*.mrg"))]
         assert len(texts) == 300
+        treebank._LABELS.clear()
         NodeLabel.from_string.cache_clear()
         raw_labels = set()
         for _ in range(2):
@@ -84,7 +87,8 @@ class TestLabels:
                     continue
                 raw_labels |= {str(node.label) for tree in trees
                                for node in tree.iter_nodes() if isinstance(node, Internal)}
-        assert NodeLabel.from_string.cache_info().misses == len(raw_labels)
+        # The parser's own table asks from_string once per label, not once per file.
+        assert NodeLabel.from_string.cache_info()[:2] == (0, len(raw_labels))
 
 
 class TestParsing:
