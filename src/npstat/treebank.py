@@ -14,8 +14,8 @@ trees wrapped in an extra unlabeled ``( ... )`` pair.  It leaves tokenizing to
 string methods: it spaces out each ``)`` and splits the text at each ``(``, so
 every chunk holds one opening's label, a preterminal's word and the ``)`` that
 follow.  Its loop turns once per ``(``.  Labels are derived once per process,
-not once per file: the parser keeps one table from raw label to
-:class:`NodeLabel` across calls, bounded like ``NodeLabel.from_string``'s cache.
+not once per file, into the one table that ``NodeLabel.from_string`` fills
+and the parser reads first.
 
 Leaf collection, parsing and serialization keep explicit stacks instead of
 recursing, so nesting depth is unbounded.
@@ -26,8 +26,6 @@ exception classes, which every run loads, are :mod:`npstat.base`.
 
 from __future__ import annotations
 
-import re
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .base import SlottedRecord
@@ -38,8 +36,10 @@ EMPTY_POS = "-NONE-"
 PUNCTUATION_TAGS = frozenset({",", ".", ":", "``", "''", "-LRB-", "-RRB-", "$", "#"})
 
 
-_GAP_RE = re.compile(r"^(?P<base>.*?)(?P<gap>=\d+)$")
-_LABELS_MAX = 4096  # distinct raw labels held at once, per cache
+# Raw label -> its NodeLabel, kept across files and cleared when full: the
+# parser reads it directly, and ``NodeLabel.from_string`` fills it.
+_LABELS: dict[str, "NodeLabel"] = {}
+_LABELS_MAX = 4096  # distinct raw labels held at once
 
 
 class NodeLabel(NamedTuple):
@@ -55,26 +55,33 @@ class NodeLabel(NamedTuple):
     coindex: int | None = None
 
     @classmethod
-    @lru_cache(maxsize=_LABELS_MAX)
     def from_string(cls, raw: str) -> "NodeLabel":
-        gap = None
-        base = raw
-        m = _GAP_RE.match(raw)
-        if m:
-            base, gap = m.group("base"), m.group("gap")
-        parts = base.split("-")
-        category = parts[0]
-        rest = parts[1:]
+        """The label spelled ``raw``, from ``_LABELS`` or derived into it.
+
+        A trailing ``=n`` gap or ``-n`` coindex takes ASCII digits only; other
+        text stays a tag or category text, which ``str`` writes as read."""
+        label = _LABELS.get(raw)
+        if label is not None:
+            return label
+        base, eq, gap = raw.rpartition("=")
+        if not (eq and gap.isascii() and gap.isdigit()):
+            base, gap = raw, ""
+        category, *rest = base.split("-")
         if not category:
             # Labels like "-NONE-" only occur on leaves, where they are kept
             # raw; if one shows up on an internal node, keep it unsplit.
-            return cls(category=raw)
-        coindex = None
-        if rest and rest[-1].isdigit():
-            coindex = int(rest[-1])
-            rest = rest[:-1]
-        tags = tuple(rest) + ((gap,) if gap else ())
-        return cls(category=category, function_tags=tags, coindex=coindex)
+            label = cls(raw)
+        else:
+            coindex = None
+            if rest and rest[-1].isascii() and rest[-1].isdigit():
+                coindex = int(rest.pop())
+            if gap:
+                rest.append("=" + gap)
+            label = cls(category, tuple(rest), coindex)
+        if len(_LABELS) >= _LABELS_MAX:
+            _LABELS.clear()
+        _LABELS[raw] = label
+        return label
 
     def __str__(self) -> str:
         plain = [t for t in self.function_tags if not t.startswith("=")]
@@ -215,18 +222,6 @@ def _position(text: str, chunk: int, count: int = 0) -> int:
     return at
 
 
-# Raw label -> its NodeLabel, for every call: a lookup per node costs less than
-# from_string's cache.  It holds at most as many labels as that cache.
-_LABELS: dict[str, NodeLabel] = {}
-
-
-def _new_label(raw: str) -> NodeLabel:
-    if len(_LABELS) >= _LABELS_MAX:
-        _LABELS.clear()
-    label = _LABELS[raw] = NodeLabel.from_string(raw)
-    return label
-
-
 def parse_trees(text: str) -> list[Tree]:
     """Parse a concatenation of bracketed trees into a list of :class:`Tree`.
 
@@ -291,7 +286,7 @@ def parse_trees(text: str) -> list[Tree]:
                     items.extend(nodes)
                     continue
                 node = new(Internal)
-                node.label = labels.get(label) or _new_label(label)
+                node.label = labels.get(label) or NodeLabel.from_string(label)
                 node.children = tuple(items)
                 start, label, items = pop()
                 items.append(node)

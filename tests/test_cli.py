@@ -201,6 +201,26 @@ class TestFailurePaths:
                                            "sentences": 1, "status": "ok"}]
 
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_index_of_non_ascii_digits_is_label_text(self, capsys, tmp_path, command):
+        # "²" is a digit to str.isdigit but not to int(): it is kept as a tag.
+        (tmp_path / "sup.mrg").write_text("(S (NP-SBJ-² (PRP it)) (VP (VBD left)))\n",
+                                          encoding="utf-8")
+        code, out, err = run(capsys, [*CORPUS_COMMANDS[command], "--format", "records",
+                                      "--corpus", str(tmp_path)])
+        if command == "chisq":
+            # One subject pronoun leaves the 2x2 table a zero margin.
+            assert code == EXIT_DEGENERATE_STATS
+            assert err.startswith("error: degenerate statistics input: ")
+            return
+        assert (code, err) == (EXIT_OK, "")
+        if command == "parse":
+            assert parse_records(out) == [{"record": "parse-file", "file": "sup.mrg",
+                                           "sentences": 1, "status": "ok"}]
+        elif command == "table1":
+            (total,) = [r for r in parse_records(out) if r["givenness"] == "total"]
+            assert total["subj_matrix"] == 1
+
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
     def test_partial_failure_skips_the_bad_file_once(self, capsys, fixture_corpus,
                                                      broken_dir, tmp_path, command):
         shutil.copy(fixture_corpus / "a.mrg", tmp_path / "a.mrg")

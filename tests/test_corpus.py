@@ -23,7 +23,8 @@ from npstat.corpus import (
 from npstat.givenness import (DEFAULT_CONFIG, ClassifierConfig, ClauseContext,
                               GivennessCategory, GrammaticalPosition)
 from npstat.base import InputError
-from npstat.treebank import NodeLabel, serialize_tree
+from npstat import treebank
+from npstat.treebank import serialize_tree
 
 from oracles import oracle_parse, reference_aggregate_cells
 from treegen import random_trees, same_trees
@@ -247,7 +248,7 @@ class TestReadPath:
             assert str(raised.value) == "corpus root x/b.mrg is not a directory"
 
     def test_labels_survive_a_file_with_more_than_the_bound(self, tmp_path):
-        bound = NodeLabel.from_string.cache_info().maxsize
+        bound = treebank._LABELS_MAX
         assert bound == 4096
         (tmp_path / "a.mrg").write_text(
             " ".join(f"(NP-T{i}-{i % 9} (PRP it))" for i in range(bound + 500)))

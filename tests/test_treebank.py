@@ -2,9 +2,10 @@
 
 import re
 import sys
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from npstat import treebank
 from npstat.givenness import ClauseContext, GrammaticalPosition, NotAnNP, classify_np
@@ -41,6 +42,10 @@ class TestLabels:
         ("NP-SBJ=3", "NP", ("SBJ", "=3"), None),
         ("NP-1=2", "NP", ("=2",), 1),
         ("S", "S", (), None),
+        # An index is ASCII digits; other digits stay a tag or category text.
+        ("NP-SBJ-²", "NP", ("SBJ", "²"), None),
+        ("NP-SBJ-٣", "NP", ("SBJ", "٣"), None),
+        ("NP=٣", "NP=٣", (), None),
     ])
     def test_decomposition(self, raw, category, tags, coindex):
         label = NodeLabel.from_string(raw)
@@ -51,6 +56,7 @@ class TestLabels:
     @pytest.mark.parametrize("raw", [
         "NP", "NP-SBJ", "NP-SBJ-1", "VP=2", "NP-SBJ=3", "NP-1=2",
         "PP-LOC-CLR-3", "WHNP-1", "S-TPC-2", "ADVP-TMP",
+        "NP-SBJ-²", "NP-SBJ-٣", "NP=٣",
     ])
     def test_round_trip(self, raw):
         assert str(NodeLabel.from_string(raw)) == raw
@@ -66,18 +72,28 @@ class TestLabels:
         assert second.children[0].label is first.label
 
     def test_label_table_keeps_its_bound(self):
-        bound = NodeLabel.from_string.cache_info().maxsize
-        parse_trees(" ".join(f"(NP-{i} (PRP it))" for i in range(bound + 100)))
-        assert NodeLabel.from_string.cache_info().currsize == bound
-        assert len(treebank._LABELS) <= bound  # the parser's own table, kept across calls
+        bound = treebank._LABELS_MAX
+        assert bound == 4096
+        treebank._LABELS.clear()
+        trees = parse_trees(" ".join(f"(NP-{i} (PRP it))" for i in range(bound + 100)))
+        # Full at the bound, the table is emptied before the next label goes in.
+        assert len(treebank._LABELS) == 100
+        assert [tree.label.coindex for tree in trees] == list(range(bound + 100))
 
-    def test_each_raw_label_is_derived_once_per_process(self, tmp_path, perfbench_gen):
+    def test_each_raw_label_is_derived_once_per_process(self, tmp_path, perfbench_gen,
+                                                        monkeypatch):
         perfbench_gen.generate("many-small", 101, tmp_path)
         texts = [path.read_bytes().decode("utf-8", "replace")
                  for path in sorted((tmp_path / "corpus").rglob("*.mrg"))]
         assert len(texts) == 300
         treebank._LABELS.clear()
-        NodeLabel.from_string.cache_clear()
+        derive, derived = NodeLabel.from_string, Counter()
+
+        def counting_derive(raw):
+            derived[raw] += 1
+            return derive(raw)
+
+        monkeypatch.setattr(NodeLabel, "from_string", staticmethod(counting_derive))
         raw_labels = set()
         for _ in range(2):
             for text in texts:
@@ -87,8 +103,9 @@ class TestLabels:
                     continue
                 raw_labels |= {str(node.label) for tree in trees
                                for node in tree.iter_nodes() if isinstance(node, Internal)}
-        # The parser's own table asks from_string once per label, not once per file.
-        assert NodeLabel.from_string.cache_info()[:2] == (0, len(raw_labels))
+        # The parser asks from_string only for a label its table lacks: once
+        # per label in the process, not once per file.
+        assert derived == Counter(raw_labels)
 
 
 class TestParsing:
@@ -195,7 +212,7 @@ def assert_parses_like_oracle(text):
 # ``\s`` both split on each (see ``test_whitespace_parity``).
 ODD_SPACES = "\r\x0b\x0c\x1c\x85\xa0\u2028\u3000"
 # Characters a mutation may insert: brackets, whitespace and label or word text.
-MUTATION_CHARS = "() \n\tNPS-1=*x" + ODD_SPACES
+MUTATION_CHARS = "() \n\tNPS-1=*x²٣" + ODD_SPACES
 
 
 @st.composite
@@ -223,7 +240,8 @@ def mutated_slices(draw, texts):
 
 class TestParserProperties:
     @settings(deadline=None, max_examples=500)
-    @given(st.one_of(st.text(), st.text(alphabet="() \nNPx" + ODD_SPACES)))
+    @given(st.one_of(st.text(), st.text(alphabet="() \nNPx-=²٣" + ODD_SPACES)))
+    @example("(NP-SBJ-² (PRP it))")
     def test_any_text_parses_or_raises_syntax_error(self, text):
         try:
             trees = parse_trees(text)
