@@ -15,7 +15,8 @@ partition of the corpus combines to the same result.
 
 :func:`aggregate` classifies each NP with :func:`classify_overt`, the only
 copy of the givenness rule cascade of :mod:`npstat.givenness`, from the first
-two overt leaves, which :func:`leading_overt` finds however large the NP.
+two overt leaves, which the node model's :func:`leading_overt` finds
+however large the NP.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .base import InputError, SlottedRecord
 from .givenness import (ClassifierConfig, ClauseContext, DEFAULT_CONFIG, GivennessCategory,
                         GrammaticalPosition)
 from .treebank import (EMPTY_POS, PUNCTUATION_TAGS, Internal, Leaf, Tree, TreebankSyntaxError,
-                       last_overt_leaf, parse_trees)
+                       last_overt_leaf, leading_overt, parse_trees)
 
 CellKey = tuple[GivennessCategory, GrammaticalPosition, ClauseContext]
 # (file_id, trees, reason): a skipped file has no trees and says why.
@@ -156,28 +157,6 @@ def read_files(source: CorpusSource) -> Iterator[FileResult]:
     """
     prefix, files = _listing(source)
     return ((file, *_read_trees(prefix + file)) for file in files)
-
-
-def leading_overt(np: Tree, known: dict[Tree, list[Leaf]] | None = None) -> list[Leaf]:
-    """The first two leaves other than ``-NONE-`` under ``np`` (fewer if it
-    has fewer), found left to right.  A node below ``np`` that ``known`` maps
-    to its own result is not scanned again."""
-    overt: list[Leaf] = []
-    stack = [np]
-    while stack:
-        node = stack.pop()
-        if type(node) is Leaf:
-            if node.pos != EMPTY_POS:
-                overt.append(node)
-                if len(overt) == 2:
-                    return overt
-        elif known and node in known:
-            overt += known[node]
-            if len(overt) >= 2:
-                return overt[:2]
-        else:
-            stack.extend(reversed(node.children))  # type: ignore[attr-defined]
-    return overt
 
 
 def classify_overt(

@@ -1,13 +1,14 @@
 """Fronted adverbials: adjunct constituents preceding the subject of the
 root clause, with a flag for whether a comma follows them.  The survey only
-scans the root's children.
+scans the root's children; the overt leaf after an adjunct is the first that
+:func:`~npstat.treebank.leading_overt` finds among its later siblings.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..treebank import EMPTY_POS, Internal, Leaf, SourceSpan, Tree
+from ..treebank import Internal, SourceSpan, Tree, leading_overt
 
 # Constituent categories counted as fronted adverbials; S covers fronted
 # participial clauses.
@@ -29,38 +30,27 @@ def survey_fronted_adverbials(
     a comma.  Sentences whose root is not an S yield no records; stacked
     adverbials are each counted.
     """
-    if not (isinstance(tree, Internal) and tree.category == "S"):
+    if type(tree) is not Internal or tree.label.category != "S":
         return []
-    categories = [child.category for child in tree.children]  # None for a leaf
+    children = tree.children
+    categories = [child.label.category if type(child) is Internal else None
+                  for child in children]
     if "VP" not in categories:
         return []
     # The subject is the first NP with a VP among its later siblings; with no
     # subject, the first VP ends the adjuncts.
-    last_vp = len(categories) - 1 - categories[::-1].index("VP")
-    boundary = next((i for i in range(last_vp) if categories[i] == "NP"), categories.index("VP"))
+    earlier = categories[:len(categories) - 1 - categories[::-1].index("VP")]
+    boundary = earlier.index("NP") if "NP" in earlier else categories.index("VP")
 
-    # ``start`` counts the leaves of the children before ``child``; the overt
-    # leaf after an adjunct comes from a lazy scan of its later siblings.
+    # ``start`` counts the leaves of the children before the k-th.
     records = []
     start = 0
-    for k, child in enumerate(tree.children[:boundary]):
-        end = start + len(child.leaves())
-        if isinstance(child, Internal) and child.category in ADVERBIAL_CATEGORIES:
-            following = next(
-                (
-                    node
-                    for sibling in tree.children[k + 1:]
-                    for node in sibling.iter_nodes()
-                    if isinstance(node, Leaf) and node.pos != EMPTY_POS
-                ),
-                None,
-            )
-            records.append(
-                AdverbialRecord(
-                    category=child.category,
-                    comma_delimited=following is not None and following.pos == ",",
-                    span=SourceSpan(file_id, sentence_index, start, end),
-                )
-            )
+    for k in range(boundary):
+        end = start + len(children[k].leaves())
+        if categories[k] in ADVERBIAL_CATEGORIES:
+            after = next(filter(None, map(leading_overt, children[k + 1:])), None)
+            comma = after is not None and after[0].pos == ","
+            records.append(AdverbialRecord(categories[k], comma,
+                                           SourceSpan(file_id, sentence_index, start, end)))
         start = end
     return records

@@ -17,8 +17,10 @@ follow.  Its loop turns once per ``(``.  Labels are derived once per process,
 not once per file, into the one table that ``NodeLabel.from_string`` fills
 and the parser reads first.
 
-Leaf collection, parsing and serialization keep explicit stacks instead of
-recursing, so nesting depth is unbounded.
+Leaf collection, both scans for leaves other than ``-NONE-`` (the last, by
+:func:`last_overt_leaf`, and the first two, by :func:`leading_overt`), parsing
+and serialization keep explicit stacks instead of recursing, so nesting depth
+is unbounded.
 
 Only the commands that read or build trees load this module.  The exit-code
 exception classes, which every run loads, are :mod:`npstat.base`.
@@ -174,6 +176,28 @@ def last_overt_leaf(node: Tree) -> Leaf | None:
         elif node.pos != EMPTY_POS:
             return node
     return None
+
+
+def leading_overt(np: Tree, known: dict[Tree, list[Leaf]] | None = None) -> list[Leaf]:
+    """The first two leaves other than ``-NONE-`` under ``np`` (fewer if it
+    has fewer), found left to right.  A node below ``np`` that ``known`` maps
+    to its own result is not scanned again."""
+    overt: list[Leaf] = []
+    stack = [np]
+    while stack:
+        node = stack.pop()
+        if type(node) is Leaf:
+            if node.pos != EMPTY_POS:
+                overt.append(node)
+                if len(overt) == 2:
+                    return overt
+        elif known and node in known:
+            overt += known[node]
+            if len(overt) >= 2:
+                return overt[:2]
+        else:
+            stack.extend(reversed(node.children))  # type: ignore[attr-defined]
+    return overt
 
 
 def is_empty_category(node: Tree) -> bool:

@@ -219,6 +219,37 @@ def oracle_leaf_ranges(tree: Tree) -> dict[int, tuple[int, int]]:
     return ranges
 
 
+def oracle_fronted_adverbials(tree: Tree) -> list[tuple[str, bool, int, int]]:
+    """Every fronted adverbial as ``(category, comma_delimited, start, end)``,
+    children in order, by the definition of :mod:`npstat.queries.adverbials`.
+
+    Only a root S has them.  The subject is the first NP child with a VP among
+    its later siblings; with no subject, the first VP child ends the adjuncts,
+    and with no VP child there are none.  Each earlier child whose category is
+    PP, SBAR, ADVP or S is one, comma-delimited when the first leaf after its
+    last leaf in the sentence that is not ``-NONE-`` is a ``,``.  Its range is
+    its entry in :func:`oracle_leaf_ranges`.
+    """
+    if not (isinstance(tree, Internal) and tree.category == "S"):
+        return []
+    categories = [child.category for child in tree.children]
+    boundary = next(
+        (i for i, category in enumerate(categories)
+         if category == "NP" and "VP" in categories[i + 1:]),
+        categories.index("VP") if "VP" in categories else 0,
+    )
+    ranges = oracle_leaf_ranges(tree)
+    leaves = [node for node in _parent_map(tree)[1] if isinstance(node, Leaf)]
+    records = []
+    for child in tree.children[:boundary]:
+        if child.category in ("PP", "SBAR", "ADVP", "S"):
+            start, end = ranges[id(child)]
+            following = [leaf for leaf in leaves[end:] if leaf.pos != "-NONE-"]
+            records.append((child.category, bool(following) and following[0].pos == ",",
+                            start, end))
+    return records
+
+
 def late_closure_match_is_sound(tree: Tree, match: LateClosureMatch) -> bool:
     """Re-verify a match from the raw leaf sequence alone."""
     if match.final_verb.pos not in VERB_TAGS:

@@ -33,6 +33,7 @@ from npstat import corpus
 from npstat.corpus import classify_overt
 from npstat.givenness import DEFAULT_CONFIG, ClassifierConfig
 from npstat.render import parse_records
+from npstat.treebank import Tree
 
 from refvalues import (
     BROWN_TABLE1,
@@ -722,6 +723,20 @@ class TestTranscripts:
         root = {"fixture": fixture_corpus, "broken": broken_dir, "smoke": smoke_corpus}[corpus]
         assert list(run(capsys, [*CORPUS_COMMANDS[command], "--corpus", str(root),
                                  "--format", fmt])) == TRANSCRIPTS[case]
+
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_output_is_unchanged_without_iter_nodes(self, capsys, monkeypatch, fixture_corpus,
+                                                   smoke_corpus, command):
+        # No command walks Tree.iter_nodes, so it can go once the traced
+        # benchmark pass stops counting nodes with it.
+        def no_walk(self):
+            raise AssertionError("Tree.iter_nodes was called")
+
+        monkeypatch.setattr(Tree, "iter_nodes", no_walk)
+        for corpus, root in (("fixture", fixture_corpus), ("smoke", smoke_corpus)):
+            for fmt in FORMATS:
+                argv = [*CORPUS_COMMANDS[command], "--corpus", str(root), "--format", fmt]
+                assert list(run(capsys, argv)) == TRANSCRIPTS[f"{corpus} {command} {fmt}"]
 
 
 class TestBenchmarkGroundTruth:

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from npstat import treebank
 from npstat.corpus import classify_overt, leading_overt
 from npstat.givenness import (
     DEFAULT_CONFIG,
@@ -237,6 +238,14 @@ class TestLeftEdge:
                         is classify_overt(np, overt, config)
                 overt_counts[min(len(overt), 3)] += 1
         assert set(overt_counts) == {0, 1, 2, 3}, overt_counts
+
+    def test_one_scan_in_the_node_model_takes_leaves_too(self):
+        # The corpus layer classifies with the node model's scan, and the
+        # adverbial survey hands it leaf siblings of the root's children.
+        assert treebank.leading_overt is leading_overt
+        word, empty = Leaf("NN", "dog"), Leaf("-NONE-", "*T*-1")
+        assert leading_overt(word) == [word]
+        assert leading_overt(empty) == []
 
 
 # Leaves from which random NPs reach every rule of the cascade, under the

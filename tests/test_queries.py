@@ -1,6 +1,7 @@
 """Structural query tests: NP positions, clause contexts, late-closure
 configurations, fronted adverbials, verb frames."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -24,6 +25,7 @@ from npstat.treebank import Internal, Leaf, SourceSpan, Tree, parse_trees, seria
 
 from oracles import (
     late_closure_match_is_sound,
+    oracle_fronted_adverbials,
     oracle_late_closure,
     oracle_leaf_ranges,
     oracle_occurrences,
@@ -284,7 +286,8 @@ def count_reads(monkeypatch) -> Counter:
 def check_against_oracles(tree: Tree, checked: Counter) -> None:
     """The sentence walk and every query on one sentence against the oracles:
     positions and contexts, every span, late-closure soundness and
-    completeness, and verb frames; ``checked`` counts what was compared."""
+    completeness, every fronted adverbial with its comma flag, and verb
+    frames; ``checked`` counts what was compared."""
     ranges = oracle_leaf_ranges(tree)
     leaves = tree.leaves()
     walked: list = []
@@ -315,20 +318,19 @@ def check_against_oracles(tree: Tree, checked: Counter) -> None:
         assert leaves[match.span.start] is match.final_verb
         assert match.span.end == ranges[id(match.critical_np)][1]
         checked["matches"] += 1
-    for record in survey_fronted_adverbials(tree):
-        assert (record.span.start, record.span.end) in {
-            ranges[id(child)]
-            for child in tree.children
-            if child.category == record.category
-        }
-        checked["adverbials"] += 1
+    records = [(r.category, r.comma_delimited, r.span.start, r.span.end)
+               for r in survey_fronted_adverbials(tree)]
+    assert records == oracle_fronted_adverbials(tree)
+    checked.update("adverbials " + ("comma-delimited" if comma else "undelimited")
+                   for _, comma, _, _ in records)
     frames = oracle_verb_frames([tree], FRAME_FORMS)
     assert frame_counts([tree]) == frames
     checked.update({f"frame {frame}": n for frame, n in frames.items() if n})
 
 
-CHECKED_ALL = {"occurrences", "matches", "adverbials", "frame np-complement",
-               "frame that-clause", "frame reduced-clause", "frame intransitive"}
+CHECKED_ALL = {"occurrences", "matches", "adverbials comma-delimited",
+               "adverbials undelimited", "frame np-complement", "frame that-clause",
+               "frame reduced-clause", "frame intransitive"}
 
 
 class TestLeafSpans:
@@ -348,8 +350,9 @@ class TestLeafSpans:
     def test_agrees_with_oracle_on_deep_chains(self, clauses):
         checked: Counter = Counter()
         check_against_oracles(right_branching_chain(clauses), checked)
-        assert checked == {"occurrences": clauses + 2, "matches": 2, "adverbials": 1,
-                           "frame reduced-clause": clauses - 1, "frame intransitive": 3}
+        assert checked == {"occurrences": clauses + 2, "matches": 2,
+                           "adverbials undelimited": 1, "frame reduced-clause": clauses - 1,
+                           "frame intransitive": 3}
 
     def test_agrees_with_oracle_on_deep_clauses_corpus(self, deep_clauses_trees):
         assert len(deep_clauses_trees) == 6
@@ -706,6 +709,36 @@ class TestFrontedAdverbials:
         assert sorted(by_category["SBAR"]) == [False, True]
         assert sorted(by_category["PP"]) == [False, True]
         assert by_category["ADVP"] == [False]
+
+    # Root children that move the survey's boundary or comma flag: each
+    # adverbial category, an overt and an empty subject, a VP, a comma, other
+    # punctuation and an empty leaf.
+    ROOT_CHILDREN = (
+        "(PP (IN after) (NP (NN lunch)))",
+        "(SBAR (IN while) (S (NP-SBJ (PRP we)) (VP (VBD ate))))",
+        "(ADVP (RB then))",
+        "(S-ADV (NP-SBJ (-NONE- *)) (VP (VBG seeing) (NP (PRP it))))",
+        "(NP-SBJ (PRP he))",
+        "(NP-SBJ (-NONE- *))",
+        "(VP (VBD left))",
+        "(, ,)",
+        "(: --)",
+        "(-NONE- *T*-1)",
+    )
+
+    def test_agrees_with_oracle_on_every_short_root(self):
+        # Every S of one to four of ROOT_CHILDREN.  On the random and corpus
+        # trees, a subject boundary at the first VP, or a comma looked for only
+        # in the next sibling, still agrees with the oracle; here neither does.
+        checked: Counter = Counter()
+        for n in range(1, 5):
+            for children in itertools.product(self.ROOT_CHILDREN, repeat=n):
+                tree = parse_trees(f"(S {' '.join(children)})")[0]
+                records = [(r.category, r.comma_delimited, r.span.start, r.span.end)
+                           for r in survey_fronted_adverbials(tree)]
+                assert records == oracle_fronted_adverbials(tree), children
+                checked.update(comma for _, comma, _, _ in records)
+        assert checked[True] and checked[False], checked
 
 
 VERB_FIXTURE = [
