@@ -61,7 +61,7 @@ _EXPORTS = {
     "render": (
         "ZeroDenominator", "parse_records", "ratio_report", "render_rows",
     ),
-    "report": ("Table1Block", "Table1Report", "Table1Row"),
+    "report": ("Table1Block", "Table1Report"),
 }
 _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -17,7 +17,7 @@ from .base import (CORPUS_ENV_VAR, DEFAULT_VERB_LEXICON, ConfigError, EveryFileF
 from .givenness import DEFAULT_CONFIG, ClassifierConfig, read_key_items
 
 if TYPE_CHECKING:
-    from .corpus import AggregateCounts, CorpusSource, FileResult
+    from .corpus import CorpusSource, FileResult
     from .stats import ContingencyTable2x2
     from .treebank import Leaf, Tree
 
@@ -70,13 +70,6 @@ def _sentences(source: CorpusSource) -> Iterator[tuple[str, int, Tree]]:
             yield file_id, idx, tree
 
 
-def _aggregate(source: CorpusSource, config: ClassifierConfig) -> AggregateCounts:
-    """Table 1's cells over the corpus files that parsed."""
-    from .corpus import aggregate
-
-    return aggregate(((file_id, tree) for file_id, _, tree in _sentences(source)), config)
-
-
 def cmd_parse(args: argparse.Namespace) -> None:
     from .render import render_rows
 
@@ -99,8 +92,10 @@ def cmd_table1(args: argparse.Namespace) -> None:
     if args.from_counts is not None:
         block = Table1Block.from_counts(args.from_counts)
     else:
+        from .corpus import aggregate
+
         source = _corpus_source(args)
-        agg = _aggregate(source, _classifier(args))
+        agg = aggregate((tree for _, _, tree in _sentences(source)), _classifier(args))
         block = Table1Block.from_aggregate(agg, label=source.root_path.name or "corpus")
     print(Table1Report(blocks=(block,)).render(args.format))
 
@@ -140,7 +135,10 @@ def cmd_chisq(args: argparse.Namespace) -> None:
         table = ContingencyTable2x2(a, b, c, d)
         rendering = _render_chisq(table, args.format, ("row1", "row2"), ("col1", "col2"))
     else:
-        agg = _aggregate(_corpus_source(args), _classifier(args))
+        from .corpus import aggregate
+
+        trees = (tree for _, _, tree in _sentences(_corpus_source(args)))
+        agg = aggregate(trees, _classifier(args))
         table = build_pronoun_indefinite_table(agg, args.contexts)
         rendering = _render_chisq(
             table, args.format, ("pronoun", "indefinite"), ("subject", "non_subject")

@@ -13,10 +13,11 @@ is handed back to the caller; nothing is printed.  Counts accumulate into
 clause context) table whose ``merge`` is associative and commutative, so any
 partition of the corpus combines to the same result.
 
-:func:`aggregate` classifies each NP with :func:`classify_overt`, the only
-copy of the givenness rule cascade of :mod:`npstat.givenness`, from the first
-two overt leaves, which the node model's :func:`leading_overt` finds
-however large the NP.
+:func:`aggregate` folds a stream of bare trees, wherever they were read
+from.  It classifies each NP with :func:`classify_overt`, the only copy of
+the givenness rule cascade of :mod:`npstat.givenness`, from the first two
+overt leaves, which the node model's :func:`leading_overt` finds however
+large the NP.
 """
 
 from __future__ import annotations
@@ -200,9 +201,10 @@ def classify_overt(
 
 
 def aggregate(
-    stream: Iterable[tuple[str, Tree]], config: ClassifierConfig = DEFAULT_CONFIG
+    trees: Iterable[Tree], config: ClassifierConfig = DEFAULT_CONFIG
 ) -> AggregateCounts:
-    """Run extraction + classification over a stream and tally every cell.
+    """Run extraction + classification over a stream of trees and tally every
+    cell; each tree counts as one sentence.
 
     One node-stack walk per sentence, which collects no leaves: the cascade
     classifies each NP from its left edge, at most two leaves however large
@@ -214,7 +216,7 @@ def aggregate(
     from .queries import walk_np_occurrences
     counts: Counter[CellKey] = Counter()
     sentences = 0
-    for _, tree in stream:
+    for tree in trees:
         known: dict[Tree, list[Leaf]] = {}
         counts.update([
             (classify_overt(node, known.setdefault(node, leading_overt(node, known)), config),
@@ -234,15 +236,14 @@ def aggregate_corpus(
     counted in ``files_skipped``, and nothing is printed."""
     processed = skipped = 0
 
-    def parsed() -> Iterator[tuple[str, Tree]]:
+    def parsed() -> Iterator[Tree]:
         nonlocal processed, skipped
-        for file_id, trees, _ in read_files(source):
+        for _, trees, _ in read_files(source):
             if trees is None:
                 skipped += 1
             else:
                 processed += 1
-                for tree in trees:
-                    yield file_id, tree
+                yield from trees
 
     agg = aggregate(parsed(), config)
     agg.files_processed, agg.files_skipped = processed, skipped

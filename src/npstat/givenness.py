@@ -77,10 +77,12 @@ def read_key_items(
     path, noun: str, shape: str, error: type[ConfigError]
 ) -> Iterator[tuple[int, str, list[str]]]:
     """``(lineno, key, items)`` for each ``key = item item ...`` line of a UTF-8
-    config file; a leading byte-order mark is dropped.  Lines end only at
-    ``\\n``, ``#`` starts a comment and blank lines are skipped.  An unreadable
-    file, a line without ``=`` or a key given twice raises ``error``, naming
-    the file ``noun`` and the expected line ``shape``."""
+    config file; a leading byte-order mark is dropped.  The file is read with
+    universal newlines, as corpus files are, so a line ends at ``\\n``,
+    ``\\r\\n`` or a lone ``\\r`` and nowhere else (not at a form feed or
+    U+2028).  ``#`` starts a comment and blank lines are skipped.  An
+    unreadable file, a line without ``=`` or a key given twice raises
+    ``error``, naming the file ``noun`` and the expected line ``shape``."""
     try:
         with open(path, encoding="utf-8-sig") as stream:
             content = stream.read()

@@ -1,6 +1,8 @@
 """The frequency-table report: givenness category x grammatical position x
-clause context, with its derived TC+RC and total rows, rendered in any of
-the three formats of :mod:`npstat.render`.
+clause context.  A :class:`Table1Block` holds a corpus's 36 base counts, and
+:meth:`Table1Block.rows` derives the TC+RC columns and the total row from
+them when :class:`Table1Report` renders in any of the three formats of
+:mod:`npstat.render`.
 """
 
 from __future__ import annotations
@@ -37,45 +39,28 @@ BASE_CELLS = tuple(
 )
 
 
-class Table1Row(NamedTuple):
-    """One category's base counts; TC+RC is always derived, never stored."""
-
-    subj_tc: int
-    subj_rc: int
-    subj_matrix: int
-    nonsubj_tc: int
-    nonsubj_rc: int
-    nonsubj_matrix: int
-
-    def rendered(self) -> tuple[int, ...]:
-        return (
-            self.subj_tc,
-            self.subj_rc,
-            self.subj_tc + self.subj_rc,
-            self.subj_matrix,
-            self.nonsubj_tc,
-            self.nonsubj_rc,
-            self.nonsubj_tc + self.nonsubj_rc,
-            self.nonsubj_matrix,
-        )
-
-
 class Table1Block(NamedTuple):
-    """One corpus's frequency table: six category rows plus a total row."""
+    """One corpus's frequency table: ``cells`` holds six base counts per
+    givenness category, in declaration order, each six in ``BASE_CELLS``
+    order.  TC+RC and the total row are derived, never stored."""
 
     label: str
-    rows: dict[GivennessCategory, Table1Row]
+    cells: tuple[int, ...]
 
-    def total_row(self) -> tuple[int, ...]:
-        return tuple(map(sum, zip(*(row.rendered() for row in self.rows.values()))))
+    def rows(self) -> list[list[Cell]]:
+        """The printed rows: one per category, then the total row."""
+        rows: list[list[Cell]] = []
+        for i, cat in enumerate(GivennessCategory):
+            s_tc, s_rc, s_matrix, n_tc, n_rc, n_matrix = self.cells[6 * i: 6 * i + 6]
+            rows.append([cat.value, s_tc, s_rc, s_tc + s_rc, s_matrix,
+                         n_tc, n_rc, n_tc + n_rc, n_matrix])
+        rows.append(["total", *map(sum, zip(*(row[1:] for row in rows)))])
+        return rows
 
     @classmethod
     def from_aggregate(cls, agg: AggregateCounts, label: str = "corpus") -> "Table1Block":
-        rows = {
-            cat: Table1Row(*(agg.cell(cat, pos, ctx) for pos, ctx in BASE_CELLS))
-            for cat in GivennessCategory
-        }
-        return cls(label=label, rows=rows)
+        return cls(label, tuple(agg.cell(cat, pos, ctx)
+                                for cat in GivennessCategory for pos, ctx in BASE_CELLS))
 
     @classmethod
     def from_counts(cls, values: Sequence[int], label: str = "counts") -> "Table1Block":
@@ -87,10 +72,7 @@ class Table1Block(NamedTuple):
             raise InputError(f"expected 36 counts (6 categories x 6 cells), got {len(values)}")
         if any(v < 0 for v in values):
             raise InputError("counts must be non-negative")
-        rows = {}
-        for i, cat in enumerate(GivennessCategory):
-            rows[cat] = Table1Row(*values[6 * i: 6 * i + 6])
-        return cls(label=label, rows=rows)
+        return cls(label, tuple(values))
 
 
 class Table1Report(NamedTuple):
@@ -99,19 +81,11 @@ class Table1Report(NamedTuple):
     def render(self, fmt: ReportFormat) -> str:
         chunks = []
         for block in self.blocks:
-            rows: list[list[Cell]] = [
-                [cat.value, *block.rows[cat].rendered()] for cat in GivennessCategory
-            ]
-            rows.append(["total", *block.total_row()])
             if fmt is ReportFormat.STRUCTURED_RECORDS:
-                body = render_rows(
-                    ("corpus", *TABLE1_COLUMNS),
-                    [[block.label, *row] for row in rows],
-                    fmt,
-                    "table1-row",
-                )
-                chunks.append(body)
+                chunks.append(render_rows(("corpus", *TABLE1_COLUMNS),
+                                          [[block.label, *row] for row in block.rows()],
+                                          fmt, "table1-row"))
             else:
-                body = render_rows(TABLE1_COLUMNS, rows, fmt, "table1-row")
+                body = render_rows(TABLE1_COLUMNS, block.rows(), fmt, "table1-row")
                 chunks.append(f"{block.label}\n{body}")
         return "\n\n".join(chunks)

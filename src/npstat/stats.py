@@ -72,14 +72,20 @@ class ChiSquareResult(NamedTuple):
 
 
 def chi_square_2x2(table: ContingencyTable2x2) -> ChiSquareResult:
-    """Uncorrected Pearson chi-square for a 2x2 table, df=1."""
+    """Uncorrected Pearson chi-square for a 2x2 table, df=1.  A zero margin
+    raises :class:`DegenerateMargin`, and a statistic too large for a float
+    raises :class:`InputError`."""
     a, b, c, d = table.cells()
     row1, row2, col1, col2 = a + b, c + d, a + c, b + d
     if min(row1, row2, col1, col2) == 0:
         raise DegenerateMargin(
             f"table {table.cells()} has a zero row or column sum")
     numerator = table.total * (a * d - b * c) ** 2
-    statistic = numerator / (row1 * row2 * col1 * col2)
+    try:
+        statistic = numerator / (row1 * row2 * col1 * col2)
+    except OverflowError:
+        raise InputError(
+            f"table {table.cells()} gives a statistic too large for a float") from None
     band = SignificanceBand.NOT_SIGNIFICANT
     for candidate, threshold in CRITICAL_VALUES:
         if statistic >= threshold:

@@ -179,12 +179,12 @@ def test_criterion_7_classifier_fixture_and_determinism():
 
 @criterion(8, "4-way split aggregation merges to the single-pass result, cell-exact")
 def test_criterion_8_split_merge_equivalence(fixture_corpus):
-    pairs = fixture_pairs(fixture_corpus)
-    single = aggregate(pairs)
+    trees = [tree for _, tree in fixture_pairs(fixture_corpus)]
+    single = aggregate(trees)
     partitions = [
-        [pairs[0:3], pairs[3:6], pairs[6:8], pairs[8:10]],       # contiguous
-        [pairs[i::4] for i in range(4)],                         # round-robin
-        [pairs[:1], pairs[1:2], [], pairs[2:]],                  # skewed + empty
+        [trees[0:3], trees[3:6], trees[6:8], trees[8:10]],       # contiguous
+        [trees[i::4] for i in range(4)],                         # round-robin
+        [trees[:1], trees[1:2], [], trees[2:]],                  # skewed + empty
     ]
     for parts in partitions:
         combined = AggregateCounts()
@@ -202,7 +202,7 @@ def test_criterion_9_documentation_and_smoke(smoke_corpus):
 
     start = time.perf_counter()
     source = CorpusSource(smoke_corpus)
-    agg = aggregate(sentence_pairs(source))
+    agg = aggregate(tree for _, tree in sentence_pairs(source))
     rendered = Table1Report(
         blocks=(Table1Block.from_aggregate(agg, label="smoke"),)
     ).render(ReportFormat.ALIGNED_TEXT)

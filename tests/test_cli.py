@@ -1061,6 +1061,12 @@ class TestChisqCommand:
         code, _, _ = run(capsys, ["chisq", "--cells", "-1", "2", "3", "4"])
         assert code == EXIT_MISSING_INPUT
 
+    def test_statistic_beyond_float_range_is_input_error(self, capsys):
+        cells = (10**400, 1, 1, 3 * 10**400)
+        code, out, err = run(capsys, ["chisq", "--cells", *map(str, cells)])
+        assert (code, out) == (EXIT_MISSING_INPUT, "")
+        assert err == f"error: table {cells} gives a statistic too large for a float\n"
+
     def test_unknown_context_token_is_usage_error(self, capsys):
         code, _, _ = run(capsys, ["chisq", "--cells", "1", "2", "3", "4",
                                   "--contexts", "bogus"])
@@ -1251,6 +1257,22 @@ class TestVerbCommand:
         assert code == EXIT_OK
         counts = {r["frame"]: r["count"] for r in parse_records(out)}
         assert counts["total"] == 3
+
+    def test_carriage_return_ends_a_lexicon_line(self, capsys, fixture_corpus, tmp_path):
+        # Universal newlines, as for corpus files: "\r\n" reads as "\n", and a
+        # lone "\r" ends a line too.
+        lexicon = tmp_path / "verbs.cfg"
+        lexicon.write_bytes(b"# custom\r\ndisclose = disclosed\r\n")
+        code, out, _ = run(capsys, ["verb", *corpus_args(fixture_corpus),
+                                    "--verb", "disclose", "--lexicon", str(lexicon),
+                                    "--format", "records"])
+        assert code == EXIT_OK
+        assert {r["frame"]: r["count"] for r in parse_records(out)}["total"] == 3
+        lexicon.write_bytes(b"disclose = disclose\rdiscloses\n")
+        code, out, err = run(capsys, ["verb", *corpus_args(fixture_corpus),
+                                      "--verb", "disclose", "--lexicon", str(lexicon)])
+        assert (code, out) == (EXIT_CONFIG_ERROR, "")
+        assert err == f"error: {lexicon}:2: expected 'lemma = forms...', got 'discloses'\n"
 
     def test_unconfigured_lemma_exits_four(self, capsys, monkeypatch, fixture_corpus):
         # The lemma is rejected before any corpus file is read.

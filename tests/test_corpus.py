@@ -78,6 +78,10 @@ def sentence_pairs(source: CorpusSource) -> list:
             for tree in trees]
 
 
+def corpus_trees(root) -> list:
+    return [tree for _, tree in sentence_pairs(CorpusSource(root))]
+
+
 class TestIngest:
     def test_fixture_corpus_order_and_counts(self, fixture_corpus):
         pairs = sentence_pairs(CorpusSource(fixture_corpus))
@@ -272,7 +276,7 @@ class TestAggregate:
         assert agg.files_skipped == 0
 
     def test_complement_clause_cells(self, fixture_corpus):
-        agg = aggregate(sentence_pairs(CorpusSource(fixture_corpus)))
+        agg = aggregate(corpus_trees(fixture_corpus))
         assert agg.cell(DEF, SUBJ, TC) == 1
         assert agg.cell(DEF, SUBJ, RC) == 1
         assert agg.cell(DEF, NONSUBJ, MATRIX) >= 1
@@ -283,19 +287,19 @@ class TestAggregate:
         assert agg.sentences_processed == 0
 
     def test_split_and_merge_equals_single_pass(self, fixture_corpus):
-        pairs = sentence_pairs(CorpusSource(fixture_corpus))
-        single = aggregate(pairs)
-        first, second = aggregate(pairs[:5]), aggregate(pairs[5:])
+        trees = corpus_trees(fixture_corpus)
+        single = aggregate(trees)
+        first, second = aggregate(trees[:5]), aggregate(trees[5:])
         combined = merge(first, second)
         assert combined.cells == single.cells
         assert combined.sentences_processed == single.sentences_processed
 
     def test_four_way_split_and_merge(self, fixture_corpus):
-        pairs = sentence_pairs(CorpusSource(fixture_corpus))
-        single = aggregate(pairs)
+        trees = corpus_trees(fixture_corpus)
+        single = aggregate(trees)
         combined = AggregateCounts()
         for start in range(0, 10, 3):
-            combined = merge(combined, aggregate(pairs[start: start + 3]))
+            combined = merge(combined, aggregate(trees[start: start + 3]))
         assert combined.cells == single.cells
         assert combined.sentences_processed == single.sentences_processed
 
@@ -313,10 +317,6 @@ CONFIGS = (
 )
 
 
-def corpus_trees(root) -> list:
-    return [tree for _, tree in sentence_pairs(CorpusSource(root))]
-
-
 class TestAggregateReference:
     """aggregate's left-edge classification gives the cells of the cascade
     over each NP's full overt leaf list, on every extract_np_occurrences
@@ -324,7 +324,7 @@ class TestAggregateReference:
 
     @staticmethod
     def check(trees, config):
-        cells = aggregate([("f", tree) for tree in trees], config).cells
+        cells = aggregate(trees, config).cells
         assert cells == reference_aggregate_cells(trees, config)
 
     @settings(max_examples=50, deadline=None)
@@ -396,7 +396,7 @@ class TestMerge:
 
 class TestAggregateCorpus:
     def test_matches_streaming_aggregation(self, fixture_corpus):
-        streamed = aggregate(sentence_pairs(CorpusSource(fixture_corpus)))
+        streamed = aggregate(corpus_trees(fixture_corpus))
         sequential = aggregate_corpus(CorpusSource(fixture_corpus))
         assert sequential.cells == streamed.cells
         assert sequential.files_processed == 3

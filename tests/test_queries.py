@@ -385,7 +385,7 @@ class TestLeafSpans:
                 find_late_closure_configs(tree),
                 extract_np_occurrences(tree),
                 survey_fronted_adverbials(tree),
-                aggregate([("chain", tree)]),  # table1's extract + classify path
+                aggregate([tree]),  # table1's extract + classify path
                 main(["late-closure", "--corpus", str(tmp_path / f"{make.__name__}-{depth}"),
                       "--format", "records"]),
             )
@@ -458,7 +458,7 @@ class TestLeafSpans:
             (corpus / "chain.mrg").write_text(serialize_tree(tree) + "\n")
             with monkeypatch.context() as patch:
                 reads = count_reads(patch)
-                agg = aggregate([("chain", tree)])
+                agg = aggregate([tree])
                 in_memory = reads.copy()
                 reads.clear()
                 code = main(["table1", "--corpus", str(corpus), "--format", "records"])

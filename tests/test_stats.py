@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from npstat.base import InputError
 from npstat.corpus import AggregateCounts
 from npstat.givenness import ClauseContext, GivennessCategory, GrammaticalPosition
 from npstat.render import ZeroDenominator, ratio_report
@@ -115,10 +116,22 @@ class TestChiSquareProperties:
         with pytest.raises(ValueError):
             ContingencyTable2x2(1, -1, 1, 1)
 
+    def test_table_is_a_value_of_its_own_class(self):
+        table = ContingencyTable2x2(1, 2, 3, 4)
+        assert repr(table) == "ContingencyTable2x2(a=1, b=2, c=3, d=4)"
+        assert table.__eq__((1, 2, 3, 4)) is NotImplemented
+        assert table != (1, 2, 3, 4)
+
     def test_large_counts_do_not_overflow(self):
         big = 10**9
         result = chi_square_2x2(ContingencyTable2x2(big, 1, 1, big))
         assert result.statistic > 0
+
+    def test_statistic_beyond_float_range_is_input_error(self):
+        cells = (10**400, 1, 1, 3 * 10**400)
+        with pytest.raises(InputError, match="too large for a float") as raised:
+            chi_square_2x2(ContingencyTable2x2(*cells))
+        assert str(cells) in str(raised.value)
 
 
 class TestPercentages:
