@@ -2,6 +2,12 @@
 share.  :func:`npstat.cli.main` imports this module only to run a subcommand,
 whose handler is named after it (``cmd_late_closure`` for ``late-closure``),
 and each handler imports the layers it runs.
+
+A count-only mode (``table1 --from-counts``, ``chisq --cells``, ``adverbials
+--from-counts``) fills what its corpus mode computes from the trees, and both
+render through the same code.  ``table1``, ``chisq``, ``adverbials`` and
+``verb`` fold the bare trees of :func:`_trees`; only ``late-closure``, which
+prints file ids and sentence indices, enumerates :func:`_read_corpus` itself.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from .givenness import DEFAULT_CONFIG, ClassifierConfig, read_key_items
 
 if TYPE_CHECKING:
     from .corpus import CorpusSource, FileResult
-    from .stats import ContingencyTable2x2
     from .treebank import Leaf, Tree
 
 
@@ -63,11 +68,10 @@ def _read_corpus(source: CorpusSource) -> Iterator[FileResult]:
         raise EveryFileFailed("every corpus file failed to parse")
 
 
-def _sentences(source: CorpusSource) -> Iterator[tuple[str, int, Tree]]:
-    """Every (file_id, sentence index, tree) of the corpus files that parsed."""
-    for file_id, trees, _ in _read_corpus(source):
-        for idx, tree in enumerate(trees or ()):
-            yield file_id, idx, tree
+def _trees(source: CorpusSource) -> Iterator[Tree]:
+    """The trees of the corpus files that parsed, in reading order."""
+    for _, trees, _ in _read_corpus(source):
+        yield from trees or ()
 
 
 def cmd_parse(args: argparse.Namespace) -> None:
@@ -95,55 +99,39 @@ def cmd_table1(args: argparse.Namespace) -> None:
         from .corpus import aggregate
 
         source = _corpus_source(args)
-        agg = aggregate((tree for _, _, tree in _sentences(source)), _classifier(args))
+        agg = aggregate(_trees(source), _classifier(args))
         block = Table1Block.from_aggregate(agg, label=source.root_path.name or "corpus")
     print(Table1Report(blocks=(block,)).render(args.format))
 
 
-def _render_chisq(
-    table: ContingencyTable2x2,
-    fmt: ReportFormat,
-    row_labels: tuple[str, str],
-    col_labels: tuple[str, str],
-) -> str:
+def cmd_chisq(args: argparse.Namespace) -> None:
     from .render import render_rows
-    from .stats import chi_square_2x2
+    from .stats import ContingencyTable2x2, build_pronoun_indefinite_table, chi_square_2x2
 
+    if args.cells is not None:
+        table = ContingencyTable2x2(*args.cells)
+        row_labels, col_labels = ("row1", "row2"), ("col1", "col2")
+    else:
+        from .corpus import aggregate
+
+        agg = aggregate(_trees(_corpus_source(args)), _classifier(args))
+        table = build_pronoun_indefinite_table(agg, args.contexts)
+        row_labels, col_labels = ("pronoun", "indefinite"), ("subject", "non_subject")
     result = chi_square_2x2(table)
     cells = render_rows(
         ("row", *col_labels),
         [[row_labels[0], table.a, table.b], [row_labels[1], table.c, table.d]],
-        fmt,
+        args.format,
         "chisq-cell-row",
     )
     verdict = render_rows(
         ("statistic", "df", "significance"),
         [[round(result.statistic, 4), result.degrees_of_freedom,
           result.significance_band.value]],
-        fmt,
+        args.format,
         "chisq-result",
     )
-    joiner = "\n" if fmt is ReportFormat.STRUCTURED_RECORDS else "\n\n"
-    return cells + joiner + verdict
-
-
-def cmd_chisq(args: argparse.Namespace) -> None:
-    from .stats import ContingencyTable2x2, build_pronoun_indefinite_table
-
-    if args.cells is not None:
-        a, b, c, d = args.cells
-        table = ContingencyTable2x2(a, b, c, d)
-        rendering = _render_chisq(table, args.format, ("row1", "row2"), ("col1", "col2"))
-    else:
-        from .corpus import aggregate
-
-        trees = (tree for _, _, tree in _sentences(_corpus_source(args)))
-        agg = aggregate(trees, _classifier(args))
-        table = build_pronoun_indefinite_table(agg, args.contexts)
-        rendering = _render_chisq(
-            table, args.format, ("pronoun", "indefinite"), ("subject", "non_subject")
-        )
-    print(rendering)
+    print(cells, verdict, sep="\n" if args.format is ReportFormat.STRUCTURED_RECORDS else "\n\n")
 
 
 def cmd_late_closure(args: argparse.Namespace) -> None:
@@ -154,58 +142,48 @@ def cmd_late_closure(args: argparse.Namespace) -> None:
 
     config = _classifier(args)
     rows: list[list] = []
-    for file_id, idx, tree in _sentences(_corpus_source(args)):
-        leaves: list[Leaf] = []
-        for _, verb, np, start, end in walk_late_closure(tree, leaves):
-            # Only -NONE- leaves lie between the verb and the NP's first overt
-            # leaf, so these are exactly the NP's overt leaves.
-            overt = [l for l in leaves[start + 1:end] if l.pos != EMPTY_POS]
-            rows.append([file_id, idx, verb.token, " ".join(l.token for l in overt),
-                         classify_overt(np, overt, config).value])
-    print(
-        render_rows(
-            ("file", "sentence", "verb", "np", "givenness"),
-            rows,
-            args.format,
-            "late-closure-match",
-        )
-    )
+    for file_id, trees, _ in _read_corpus(_corpus_source(args)):
+        for idx, tree in enumerate(trees or ()):
+            leaves: list[Leaf] = []
+            for _, verb, np, start, end in walk_late_closure(tree, leaves):
+                # Only -NONE- leaves lie between the verb and the NP's first
+                # overt leaf, so these are exactly the NP's overt leaves.
+                overt = [l for l in leaves[start + 1:end] if l.pos != EMPTY_POS]
+                rows.append([file_id, idx, verb.token, " ".join(l.token for l in overt),
+                             classify_overt(np, overt, config).value])
+    print(render_rows(("file", "sentence", "verb", "np", "givenness"), rows, args.format,
+                      "late-closure-match"))
 
 
 def cmd_adverbials(args: argparse.Namespace) -> None:
     from .render import ratio_report, render_rows
 
-    columns = ("category", "fronted", "not_comma_delimited", "pct_not_delimited")
+    # Per key: the fronted adverbials, and those not comma-delimited.
+    totals: Counter[str] = Counter()
+    uncommaed: Counter[str] = Counter()
     if args.from_counts is not None:
         not_delimited, total = args.from_counts
         if not_delimited < 0 or total < 0:
             raise InputError("counts must be non-negative")
         if not_delimited > total:
             raise InputError(f"NOT_DELIMITED ({not_delimited}) exceeds TOTAL ({total})")
-        rows = [["ALL", total, not_delimited, ratio_report(not_delimited, total)]]
-        print(render_rows(columns, rows, args.format, "adverbial-row"))
-        return
-    from .queries import survey_fronted_adverbials
+        totals["ALL"], uncommaed["ALL"] = total, not_delimited
+        keys: tuple[str, ...] = ("ALL",)  # printed even when empty, which exits 3
+    else:
+        from .queries import survey_fronted_adverbials
 
-    totals: Counter[str] = Counter()
-    uncommaed: Counter[str] = Counter()
-    for file_id, idx, tree in _sentences(_corpus_source(args)):
-        for record in survey_fronted_adverbials(tree, file_id, idx):
-            key = record.category if record.category in ("SBAR", "PP") else "other"
-            totals[key] += 1
-            if not record.comma_delimited:
-                uncommaed[key] += 1
-    rows = []
-    grand_total = sum(totals.values())
-    if grand_total:
-        grand_uncommaed = sum(uncommaed.values())
-        rows.append(["ALL", grand_total, grand_uncommaed,
-                     ratio_report(grand_uncommaed, grand_total)])
-        for key in ("SBAR", "PP", "other"):
-            if totals[key]:
-                rows.append([key, totals[key], uncommaed[key],
-                             ratio_report(uncommaed[key], totals[key])])
-    print(render_rows(columns, rows, args.format, "adverbial-row"))
+        for tree in _trees(_corpus_source(args)):
+            for record in survey_fronted_adverbials(tree):
+                key = record.category if record.category in ("SBAR", "PP") else "other"
+                totals[key] += 1
+                if not record.comma_delimited:
+                    uncommaed[key] += 1
+        totals["ALL"], uncommaed["ALL"] = sum(totals.values()), sum(uncommaed.values())
+        keys = tuple(key for key in ("ALL", "SBAR", "PP", "other") if totals[key])
+    rows = [[key, totals[key], uncommaed[key], ratio_report(uncommaed[key], totals[key])]
+            for key in keys]
+    print(render_rows(("category", "fronted", "not_comma_delimited", "pct_not_delimited"),
+                      rows, args.format, "adverbial-row"))
 
 
 def cmd_verb(args: argparse.Namespace) -> None:
@@ -217,10 +195,8 @@ def cmd_verb(args: argparse.Namespace) -> None:
         lexicon = {lemma: tuple(forms) for _, lemma, forms in read_key_items(
             args.lexicon, "lexicon", "lemma = forms...", ConfigError)}
     # The corpus is checked first, then the lemma, before any file is read.
-    profile = profile_verb_frames(
-        (tree for _, _, tree in _sentences(_corpus_source(args))), args.verb,
-        lexicon.get(args.verb, ()),
-    )
+    profile = profile_verb_frames(_trees(_corpus_source(args)), args.verb,
+                                  lexicon.get(args.verb, ()))
     rows: list[list] = [[frame.value, profile.counts[frame]] for frame in FrameType]
     rows.append(["total", profile.total])
     print(render_rows(("frame", "count"), rows, args.format, "verb-frame"))

@@ -119,7 +119,14 @@ def _listing(source: CorpusSource) -> tuple[str, list[str]]:
     last, files, stack = len(names) - 1, [], [(str(root), "", {0})]
     while stack:
         directory, relative, reached = stack.pop()
-        with suppress(OSError), os.scandir(directory) as entries:  # unreadable: no files
+        try:
+            entries = os.scandir(directory)
+        except OSError as err:
+            if not relative:
+                raise InputError(
+                    f"cannot list corpus root {root}: {err.strerror or err}") from None
+            continue  # an unreadable subdirectory holds no files
+        with suppress(OSError), entries:
             for entry in entries:
                 if entry.is_dir(follow_symlinks=False):
                     below = {i for i in reached if free[i]} | {
@@ -133,7 +140,9 @@ def _listing(source: CorpusSource) -> tuple[str, list[str]]:
 def corpus_files(source: CorpusSource) -> list[Path]:
     """All files under the root whose path ends in a match of the pattern, sorted by
     relative path, from one walk that never enters a directory symlink.  A pattern that
-    could reach outside the root, names no file or holds a partial ``**`` raises InputError.
+    could reach outside the root, names no file or holds a partial ``**`` raises InputError,
+    and so does a root that cannot be listed; a subdirectory that cannot be listed holds
+    no files.
     """
     prefix, files = _listing(source)
     return [Path(prefix + file) for file in files]
@@ -154,7 +163,8 @@ def read_files(source: CorpusSource) -> Iterator[FileResult]:
     ``file_id`` is the path relative to the corpus root.  For a file that
     failed to read, decode or parse, ``trees`` is None and ``reason`` says why;
     otherwise ``reason`` is None.  Nothing is printed or logged.
-    Raises :class:`RootNotFound` when called, not when first iterated.
+    Raises :class:`RootNotFound`, or InputError for a root that cannot be
+    listed, when called, not when first iterated.
     """
     prefix, files = _listing(source)
     return ((file, *_read_trees(prefix + file)) for file in files)

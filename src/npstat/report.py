@@ -7,6 +7,7 @@ them when :class:`Table1Report` renders in any of the three formats of
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .base import InputError, ReportFormat
@@ -67,12 +68,21 @@ class Table1Block(NamedTuple):
         """Build from 36 integers: one six-number group per givenness category
         in declaration order; within each group subj TC, subj RC, subj matrix,
         nonsubj TC, nonsubj RC, nonsubj matrix.  TC+RC and totals are derived.
+        A printed cell with more digits than the interpreter converts to a
+        string (``sys.get_int_max_str_digits()``) raises InputError.
         """
         if len(values) != 36:
             raise InputError(f"expected 36 counts (6 categories x 6 cells), got {len(values)}")
         if any(v < 0 for v in values):
             raise InputError("counts must be non-negative")
-        return cls(label, tuple(values))
+        block = cls(label, tuple(values))
+        # 0 is no limit; an interpreter before 3.10.7 has none either.
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        # With no negative count, the total row is each column's largest cell.
+        if limit and max(block.rows()[-1][1:]) >= 10 ** limit:
+            raise InputError(f"a printed count would have more than {limit} digits, "
+                             "the interpreter's limit for integer string conversion")
+        return block
 
 
 class Table1Report(NamedTuple):

@@ -1,4 +1,7 @@
+import errno
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,34 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def fixture_corpus() -> Path:
     """Committed 3-file, 10-sentence corpus with fully hand-traced contents."""
     return FIXTURES / "corpus"
+
+
+@pytest.fixture
+def set_int_max_str_digits():
+    """``sys.set_int_max_str_digits``; the interpreter's limit on the digits of
+    an integer converted to a string is restored after the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on integer string conversion")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.fixture
+def deny_listing(monkeypatch):
+    """Make ``os.scandir`` fail on one directory as it does without read
+    permission, which a test run as root cannot set up with ``chmod``."""
+    scandir = os.scandir
+
+    def deny(directory):
+        def checked(path):
+            if path == str(directory):
+                raise PermissionError(errno.EACCES, "Permission denied", path)
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", checked)
+
+    return deny
 
 
 @pytest.fixture

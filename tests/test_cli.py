@@ -739,6 +739,58 @@ class TestTranscripts:
                 assert list(run(capsys, argv)) == TRANSCRIPTS[f"{corpus} {command} {fmt}"]
 
 
+@pytest.fixture(scope="module", params=["fixture", "flat-wsj-101"])
+def counted_corpus(request, tmp_path_factory, perfbench_gen):
+    """The fixture corpus, and the benchmark's flat-wsj corpus at seed 101."""
+    if request.param == "fixture":
+        return Path(__file__).parent / "fixtures" / "corpus"
+    root = tmp_path_factory.mktemp("flat-wsj")
+    perfbench_gen.generate("flat-wsj", 101, root)
+    return root / "corpus"
+
+
+class TestCountModesMatchCorpusModes:
+    # Each count-only mode, fed the numbers that its corpus mode found, prints
+    # what the corpus mode printed: the two inputs share their rendering.
+
+    @staticmethod
+    def records(capsys, argv):
+        code, out, _ = run(capsys, [*argv, "--format", "records"])
+        assert code == EXIT_OK
+        return parse_records(out)
+
+    def test_chisq_cells(self, capsys, counted_corpus):
+        corpus_run = self.records(capsys, ["chisq", "--corpus", str(counted_corpus)])
+        pronoun, indefinite = (r for r in corpus_run if r["record"] == "chisq-cell-row")
+        cells = (pronoun["subject"], pronoun["non_subject"],
+                 indefinite["subject"], indefinite["non_subject"])
+        counts_run = self.records(capsys, ["chisq", "--cells", *map(str, cells)])
+        assert [r for r in counts_run if r["record"] == "chisq-result"] == [
+            r for r in corpus_run if r["record"] == "chisq-result"]
+
+    def test_adverbials_from_counts(self, capsys, counted_corpus):
+        all_row = self.records(capsys, ["adverbials", "--corpus", str(counted_corpus)])[0]
+        assert all_row["category"] == "ALL"
+        counts = (all_row["not_comma_delimited"], all_row["fronted"])
+        assert self.records(capsys, ["adverbials", "--from-counts", *map(str, counts)]) == [
+            all_row]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_table1_from_counts(self, capsys, counted_corpus, fmt):
+        rows = self.records(capsys, ["table1", "--corpus", str(counted_corpus)])
+        counts = [str(row[key]) for row in rows[:-1] for key in (
+            "subj_tc", "subj_rc", "subj_matrix", "nonsubj_tc", "nonsubj_rc", "nonsubj_matrix")]
+        outputs = []
+        for argv in (["--corpus", str(counted_corpus)], ["--from-counts", *counts]):
+            code, out, _ = run(capsys, ["table1", *argv, "--format", fmt])
+            assert code == EXIT_OK
+            # Set the label aside: the corpus directory's name, or "counts".
+            outputs.append([{k: v for k, v in r.items() if k != "corpus"}
+                            for r in parse_records(out)] if fmt == "records"
+                           else out.split("\n", 1)[1])
+        assert outputs[0] == outputs[1]
+
+
 class TestBenchmarkGroundTruth:
     # The seed-101 part of the refactor contract: on each benchmark workload,
     # the records output equals what the generator's ground truth says, with
@@ -989,6 +1041,23 @@ class TestTable1Command:
         header = out.splitlines()[1]
         assert header.split("\t")[0] == "givenness"
         assert len(header.split("\t")) == 9
+
+    def test_from_counts_beyond_the_digit_limit_exits_two(self, capsys,
+                                                          set_int_max_str_digits):
+        # subj TC + subj RC would print with 4,301 digits.
+        set_int_max_str_digits(4300)
+        code, out, err = run(capsys, ["table1", "--from-counts", "9" * 4300, "9" * 4300,
+                                      *["0"] * 34])
+        assert (code, out) == (EXIT_MISSING_INPUT, "")
+        assert err == ("error: a printed count would have more than 4300 digits, "
+                       "the interpreter's limit for integer string conversion\n")
+
+    def test_from_counts_at_the_digit_limit_prints(self, capsys, set_int_max_str_digits):
+        set_int_max_str_digits(4300)
+        code, out, _ = run(capsys, ["table1", "--from-counts", "9" * 4300, *["0"] * 35,
+                                    "--format", "records"])
+        assert code == EXIT_OK
+        assert self.rows_by_category(out)["total"]["subj_tc_rc"] == 10**4300 - 1
 
     def test_wrong_counts_arity_is_usage_error(self, capsys):
         code, _, _ = run(capsys, ["table1", "--from-counts", "1", "2", "3"])
@@ -1337,6 +1406,15 @@ class TestPlumbing:
         code, out, err = run(capsys, ["parse", "--corpus", str(root)])
         assert (code, out) == (EXIT_MISSING_INPUT, "")
         assert err == f"error: corpus root {root} is not a directory\n"
+
+    @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
+    def test_root_that_cannot_be_listed_exits_two(self, capsys, monkeypatch, deny_listing,
+                                                  fixture_corpus, command):
+        deny_listing(fixture_corpus)
+        forbid_corpus_reads(monkeypatch)
+        code, out, err = run(capsys, [*CORPUS_COMMANDS[command], *corpus_args(fixture_corpus)])
+        assert (code, out) == (EXIT_MISSING_INPUT, "")
+        assert err == f"error: cannot list corpus root {fixture_corpus}: Permission denied\n"
 
     def test_dump_default_config_round_trips(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["--dump-default-config"])

@@ -100,6 +100,22 @@ class TestIngest:
         assert isinstance(raised.value, InputError)
         assert isinstance(raised.value, FileNotFoundError)
 
+    def test_root_that_cannot_be_listed_raises(self, fixture_corpus, deny_listing):
+        deny_listing(fixture_corpus)
+        with pytest.raises(InputError) as raised:
+            read_files(CorpusSource(fixture_corpus))
+        assert str(raised.value) == f"cannot list corpus root {fixture_corpus}: Permission denied"
+        with pytest.raises(InputError):
+            corpus_files(CorpusSource(fixture_corpus))
+
+    def test_subdirectory_that_cannot_be_listed_holds_no_files(self, fixture_corpus, tmp_path,
+                                                               deny_listing):
+        for file_id in ["a.mrg", "locked/b.mrg", "open/c.mrg"]:
+            (tmp_path / file_id).parent.mkdir(exist_ok=True)
+            shutil.copy(fixture_corpus / "a.mrg", tmp_path / file_id)
+        deny_listing(tmp_path / "locked")
+        assert [fid for fid, _, _ in read_files(CorpusSource(tmp_path))] == ["a.mrg", "open/c.mrg"]
+
     def test_empty_directory_yields_empty_stream(self, tmp_path):
         assert list(read_files(CorpusSource(tmp_path))) == []
 
