@@ -7,7 +7,9 @@ A count-only mode (``table1 --from-counts``, ``chisq --cells``, ``adverbials
 --from-counts``) fills what its corpus mode computes from the trees, and both
 render through the same code.  ``table1``, ``chisq``, ``adverbials`` and
 ``verb`` fold the bare trees of :func:`_trees`; only ``late-closure``, which
-prints file ids and sentence indices, enumerates :func:`_read_corpus` itself.
+prints file ids and sentence indices, enumerates :func:`_read_corpus` itself,
+and prints each :func:`~npstat.queries.find_late_closure_configs` match's NP
+by ``Tree.text`` and :func:`~npstat.givenness.classify_np`.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from typing import TYPE_CHECKING, Iterator
 
 from .base import (CORPUS_ENV_VAR, DEFAULT_VERB_LEXICON, ConfigError, EveryFileFailed,
                    InputError, ReportFormat)
-from .givenness import DEFAULT_CONFIG, ClassifierConfig, read_key_items
+from .givenness import DEFAULT_CONFIG, ClassifierConfig, classify_np, read_key_items
 
 if TYPE_CHECKING:
     from .corpus import CorpusSource, FileResult
-    from .treebank import Leaf, Tree
+    from .treebank import Tree
 
 
 def _corpus_source(args: argparse.Namespace) -> CorpusSource:
@@ -100,7 +102,8 @@ def cmd_table1(args: argparse.Namespace) -> None:
 
         source = _corpus_source(args)
         agg = aggregate(_trees(source), _classifier(args))
-        block = Table1Block.from_aggregate(agg, label=source.root_path.name or "corpus")
+        name = source.root_path.name  # "" for ".", ".." for "sub/..": no directory's name
+        block = Table1Block.from_aggregate(agg, label="corpus" if name in ("", "..") else name)
     print(Table1Report(blocks=(block,)).render(args.format))
 
 
@@ -135,22 +138,16 @@ def cmd_chisq(args: argparse.Namespace) -> None:
 
 
 def cmd_late_closure(args: argparse.Namespace) -> None:
-    from .corpus import classify_overt
-    from .queries import walk_late_closure
+    from .queries import find_late_closure_configs
     from .render import render_rows
-    from .treebank import EMPTY_POS
 
     config = _classifier(args)
     rows: list[list] = []
     for file_id, trees, _ in _read_corpus(_corpus_source(args)):
         for idx, tree in enumerate(trees or ()):
-            leaves: list[Leaf] = []
-            for _, verb, np, start, end in walk_late_closure(tree, leaves):
-                # Only -NONE- leaves lie between the verb and the NP's first
-                # overt leaf, so these are exactly the NP's overt leaves.
-                overt = [l for l in leaves[start + 1:end] if l.pos != EMPTY_POS]
-                rows.append([file_id, idx, verb.token, " ".join(l.token for l in overt),
-                             classify_overt(np, overt, config).value])
+            for m in find_late_closure_configs(tree, file_id, idx):
+                rows.append([file_id, idx, m.final_verb.token, m.critical_np.text(),
+                             classify_np(m.critical_np, config).value])
     print(render_rows(("file", "sentence", "verb", "np", "givenness"), rows, args.format,
                       "late-closure-match"))
 

@@ -28,9 +28,7 @@ VERB_TAGS = frozenset({"VB", "VBD", "VBG", "VBN", "VBP", "VBZ"})
 _FAMILIES = {
     "occurrences": ("walk_np_occurrences",),
     "spans": ("NPOccurrence", "extract_np_occurrences", "walk_sentence"),
-    "late_closure": (
-        "LateClosureMatch", "find_late_closure_configs", "walk_late_closure",
-    ),
+    "late_closure": ("LateClosureMatch", "find_late_closure_configs"),
     "adverbials": (
         "ADVERBIAL_CATEGORIES", "AdverbialRecord", "survey_fronted_adverbials",
     ),

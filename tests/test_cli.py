@@ -117,7 +117,7 @@ SEAMS_AFTER_READING = {
                ("npstat.report", "render_rows")],
     "chisq": [("npstat.queries", "walk_np_occurrences"), ("npstat.corpus", "classify_overt"),
               ("npstat.render", "render_rows")],
-    "late-closure": [("npstat.queries", "walk_late_closure"),
+    "late-closure": [("npstat.queries", "find_late_closure_configs"),
                      ("npstat.corpus", "classify_overt"),
                      ("npstat.render", "render_rows")],
     "adverbials": [("npstat.queries", "survey_fronted_adverbials"),
@@ -1015,12 +1015,15 @@ class TestTable1Command:
         assert code == EXIT_OK
         assert {r["corpus"] for r in parse_records(out)} == {"mycorp"}
 
+    @pytest.mark.parametrize("root", [".", "..", "sub/.."])
     def test_label_of_a_nameless_directory_is_corpus(self, capsys, monkeypatch,
-                                                     fixture_corpus, tmp_path):
+                                                     fixture_corpus, tmp_path, root):
+        # Path(".").name is "", and Path("..").name is "..": neither names it.
         target = tmp_path / "mycorp"
         shutil.copytree(fixture_corpus, target)
-        monkeypatch.chdir(target)
-        code, out, _ = run(capsys, ["table1", "--corpus", ".", "--format", "records"])
+        (target / "sub").mkdir()
+        monkeypatch.chdir(target / "sub" if root == ".." else target)
+        code, out, _ = run(capsys, ["table1", "--corpus", root, "--format", "records"])
         assert code == EXIT_OK
         assert {r["corpus"] for r in parse_records(out)} == {"corpus"}
 

@@ -159,8 +159,8 @@ QUERY_NAMES = [
     "ADVERBIAL_CATEGORIES", "AdverbialRecord", "EmptyInflectionSet", "FrameType",
     "LateClosureMatch", "NPOccurrence", "VERB_TAGS",
     "VerbFrameProfile", "extract_np_occurrences", "find_late_closure_configs",
-    "profile_verb_frames", "survey_fronted_adverbials", "walk_late_closure",
-    "walk_np_occurrences", "walk_sentence",
+    "profile_verb_frames", "survey_fronted_adverbials", "walk_np_occurrences",
+    "walk_sentence",
 ]
 
 

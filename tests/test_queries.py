@@ -1,6 +1,7 @@
 """Structural query tests: NP positions, clause contexts, late-closure
 configurations, fronted adverbials, verb frames."""
 
+import functools
 import itertools
 from collections import Counter
 
@@ -8,7 +9,8 @@ import pytest
 
 from npstat.cli import main
 from npstat.corpus import aggregate
-from npstat.givenness import ClauseContext, GivennessCategory, GrammaticalPosition
+from npstat.givenness import (ClauseContext, GivennessCategory, GrammaticalPosition,
+                              classify_np)
 from npstat.queries import (
     EmptyInflectionSet,
     FrameType,
@@ -16,12 +18,12 @@ from npstat.queries import (
     find_late_closure_configs,
     profile_verb_frames,
     survey_fronted_adverbials,
-    walk_late_closure,
     walk_np_occurrences,
     walk_sentence,
 )
 from npstat.render import parse_records
-from npstat.treebank import Internal, Leaf, SourceSpan, Tree, parse_trees, serialize_tree
+from npstat.treebank import (Internal, Leaf, NodeLabel, SourceSpan, Tree, parse_trees,
+                             serialize_tree)
 
 from oracles import (
     late_closure_match_is_sound,
@@ -494,10 +496,9 @@ class TestLeafSpans:
             corpus = tmp_path / str(depth)
             corpus.mkdir()
             (corpus / "chain.mrg").write_text(serialize_tree(tree) + "\n")
-            leaves: list = []
             with monkeypatch.context() as patch:
                 reads = count_reads(patch)
-                matches = walk_late_closure(tree, leaves)
+                matches = find_late_closure_configs(tree)
                 walked = reads.copy()
                 reads.clear()
                 code = main(["late-closure", "--corpus", str(corpus), "--format", "records"])
@@ -505,15 +506,52 @@ class TestLeafSpans:
             assert max(walked.values()) == 1
             assert sum(from_disk.values()) / nodes <= 3
             most[depth] = max(n for node, n in from_disk.items() if type(node) is Leaf)
-            assert leaves == tree.leaves()
-            assert [(verb.token, np.text()) for _, verb, np, _, _ in matches] \
+            assert [(m.final_verb.token, m.critical_np.text()) for m in matches] \
                 == [(verb, np) for verb, np, _ in expected]
-            assert [(vp, verb, np) for vp, verb, np, _, _ in matches] \
-                == oracle_late_closure(tree)
+            triples = oracle_late_closure(tree)
+            assert [(m.vp_node, m.final_verb, m.critical_np) for m in matches] == triples
+            # Each span runs from the verb's leaf through the NP's last leaf.
+            position = {id(leaf): k for k, leaf in enumerate(tree.leaves())}
+            ranges = oracle_leaf_ranges(tree)
+            assert [(m.span.start, m.span.end) for m in matches] \
+                == [(position[id(verb)], ranges[id(np)][1]) for _, verb, np in triples]
             rows = parse_records(capsys.readouterr().out)
             assert code == 0
             assert [(r["verb"], r["np"], r["givenness"]) for r in rows] == expected
         assert most[5_000] == most[50], most
+
+
+# The bounded-exhaustive late-closure slice: a verb, a noun, a comma and an
+# empty element, under S, VP and NP nodes of one to three children each.
+SLICE_LEAVES = (("VBD", "v"), ("NN", "n"), (",", ","), ("-NONE-", "*"))
+SLICE_LABELS = tuple(NodeLabel.from_string(category) for category in ("S", "VP", "NP"))
+
+
+@functools.cache
+def slice_shapes(nodes: int) -> list:
+    """Every slice tree of exactly ``nodes`` nodes, as a ``(pos, token)`` leaf
+    or a ``(label, children)`` node."""
+    if nodes == 1:
+        return list(SLICE_LEAVES)
+    return [(label, children) for label in SLICE_LABELS
+            for children in slice_forests(nodes - 1, 3)]
+
+
+@functools.cache
+def slice_forests(nodes: int, width: int) -> list:
+    """Every sequence of one to ``width`` slice trees of ``nodes`` nodes in all."""
+    if nodes == 0 or width == 0:
+        return []
+    return [(first, *rest) for size in range(1, nodes + 1) for first in slice_shapes(size)
+            for rest in (slice_forests(nodes - size, width - 1) if size < nodes else [()])]
+
+
+def build_slice_tree(shape) -> Tree:
+    """Fresh nodes for ``shape``, since nodes compare by identity."""
+    head, rest = shape
+    if type(head) is str:
+        return Leaf(head, rest)
+    return Internal(head, tuple(build_slice_tree(child) for child in rest))
 
 
 class TestLateClosure:
@@ -558,6 +596,21 @@ class TestLateClosure:
         matches = find_late_closure_configs(tree)
         assert [m.critical_np.text() for m in matches] == ["Smith and Jones"]
 
+    @pytest.mark.parametrize("comma", ["(, ,) ", ""], ids=["comma", "no-comma"])
+    def test_quotative_inversion_is_a_match(self, comma):
+        # Definitional: "said" ends its VP and "Smith" follows it directly.
+        # Table 1 counts only "it", since the NP-SBJ of a root SINV is not an
+        # occurrence.
+        (tree,) = parse_trees(
+            "( (SINV (S-TPC-1 (NP-SBJ (PRP it)) (VP (VBD rained)))"
+            f" {comma}(VP (VBD said) (S (-NONE- *T*-1))) (NP-SBJ (NNP Smith)) (. .)) )"
+        )
+        assert [(m.final_verb.token, m.critical_np.text(), classify_np(m.critical_np))
+                for m in find_late_closure_configs(tree)] \
+            == [("said", "Smith", GivennessCategory.PROPER_NAME)]
+        assert {key: n for key, n in aggregate([tree]).cells.items() if n} \
+            == {(GivennessCategory.PRONOUN, SUBJ, ClauseContext.MATRIX): 1}
+
     # Each edge of the walk's state: (verb, np, span start, span end) per row.
     @pytest.mark.parametrize("text, rows", [
         pytest.param("(S (SBAR (IN When) (S (NP-SBJ (PRP we)) (VP (VBD ate) (, ,))))"
@@ -598,6 +651,25 @@ class TestLateClosure:
                 for m in matches] == rows
         if len(matches) == 2:  # the outer VP first
             assert matches[0].vp_node.children[-1] is matches[1].vp_node
+
+    def test_agrees_with_oracle_on_every_small_root(self):
+        # Every root S of at most six nodes in the slice, spans included.  A
+        # walk that took the innermost NP at the adjacent leaf, or let a comma
+        # or an empty element through, disagrees with the oracle here.
+        checked: Counter = Counter()
+        for nodes in range(2, 7):
+            for children in slice_forests(nodes - 1, 3):
+                tree = Internal(SLICE_LABELS[0], tuple(map(build_slice_tree, children)))
+                matches = find_late_closure_configs(tree)
+                triples = oracle_late_closure(tree)
+                assert [(m.vp_node, m.final_verb, m.critical_np) for m in matches] \
+                    == triples, serialize_tree(tree)
+                position = {id(leaf): k for k, leaf in enumerate(tree.leaves())}
+                ranges = oracle_leaf_ranges(tree)
+                assert [(m.span.start, m.span.end) for m in matches] \
+                    == [(position[id(verb)], ranges[id(np)][1]) for _, verb, np in triples]
+                checked[len(matches)] += 1
+        assert checked == {0: 22_338, 1: 64, 2: 2}
 
     def test_unambiguous_sentences_have_no_matches(self, fixture_corpus):
         for name in ("a.mrg", "c.mrg"):
