@@ -2,7 +2,8 @@
 
 * :mod:`~npstat.queries.occurrences` — NPs in subject or non-subject
   position, with their clause contexts;
-* :mod:`~npstat.queries.spans` — those occurrences with their leaf spans;
+* :mod:`~npstat.queries.spans` — those occurrences with their leaf spans,
+  from a walk that counts leaves;
 * :mod:`~npstat.queries.late_closure` — a VP-final verb string-adjacent to
   a following NP, the "object or next subject" ambiguity;
 * :mod:`~npstat.queries.adverbials` — fronted adverbials and their commas;
@@ -27,7 +28,7 @@ VERB_TAGS = frozenset({"VB", "VBD", "VBG", "VBN", "VBP", "VBZ"})
 # Family module -> the names it defines; each is imported on first access.
 _FAMILIES = {
     "occurrences": ("walk_np_occurrences",),
-    "spans": ("NPOccurrence", "extract_np_occurrences", "walk_sentence"),
+    "spans": ("NPOccurrence", "extract_np_occurrences"),
     "late_closure": ("LateClosureMatch", "find_late_closure_configs"),
     "adverbials": (
         "ADVERBIAL_CATEGORIES", "AdverbialRecord", "survey_fronted_adverbials",

@@ -1,6 +1,6 @@
 """NP occurrences with their leaf spans, which the library offers and no command
-uses: :func:`extract_np_occurrences` joins :func:`walk_np_occurrences`'s
-occurrences to the NP leaf ranges of :func:`walk_sentence`."""
+uses: :func:`extract_np_occurrences` gives :func:`walk_np_occurrences`'s
+occurrences the NP leaf ranges of a walk that counts leaves and keeps none."""
 
 from __future__ import annotations
 
@@ -18,35 +18,28 @@ class NPOccurrence(NamedTuple):
     span: SourceSpan
 
 
-def walk_sentence(tree: Tree, leaves: list[Leaf]) -> list[list]:
-    """The leaf walk behind NP spans (:func:`extract_np_occurrences`).
-
-    One ``[node, start, end]`` entry per NP, in pre-order, where
-    ``[start, end)`` is the node's leaf range.  The sentence's leaves are
-    appended to ``leaves``.
-    """
-    add_leaf = leaves.append
-    out = []
+def _np_ranges(tree: Tree) -> dict[Internal, tuple[int, int]]:
+    """Each NP's half-open leaf range ``(start, end)``, keyed by node."""
+    ranges = {}
+    leaves = 0
     # One frame per node on the path from the root, below one that holds the
-    # root: the iterator over its children, and its entry (None unless it is
-    # an NP).  An entry's end is set when its frame pops.
-    stack = [(iter((tree,)), None)]
+    # root: the iterator over its children, the node if it is an NP, and the
+    # leaves counted before it.  An NP's range is set when its frame pops.
+    stack = [(iter((tree,)), None, 0)]
     while stack:
-        children, entry = stack[-1]
+        children, np, start = stack[-1]
         for child in children:
             if type(child) is Leaf:
-                add_leaf(child)
+                leaves += 1
                 continue
-            child_entry = [child, len(leaves), 0] if child.label.category == "NP" else None
-            if child_entry:
-                out.append(child_entry)
-            stack.append((iter(child.children), child_entry))
+            stack.append((iter(child.children),
+                          child if child.label.category == "NP" else None, leaves))
             break
         else:
             stack.pop()
-            if entry is not None:
-                entry[2] = len(leaves)
-    return out
+            if np is not None:
+                ranges[np] = (start, leaves)
+    return ranges
 
 
 def extract_np_occurrences(
@@ -56,10 +49,10 @@ def extract_np_occurrences(
 
     NPs whose parent is neither an S nor a VP (e.g. NPs inside PPs or other
     NPs) are not occurrences of either kind and are omitted.  An NP gets the
-    context of its nearest S ancestor, or matrix when there is none.  Spans
-    come from :func:`walk_sentence`'s NP ranges, joined by node.
+    context of its nearest S ancestor, or matrix when there is none.  Each
+    span is the NP's leaf range.
     """
-    ranges = {node: (start, end) for node, start, end in walk_sentence(tree, [])}
+    ranges = _np_ranges(tree)
     return [
         NPOccurrence(node, position, context,
                      SourceSpan(file_id, sentence_index, *ranges[node]))

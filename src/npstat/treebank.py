@@ -76,7 +76,12 @@ class NodeLabel(NamedTuple):
         else:
             coindex = None
             if rest and rest[-1].isascii() and rest[-1].isdigit():
-                coindex = int(rest.pop())
+                try:
+                    coindex = int(rest[-1])
+                except ValueError:  # more digits than int() converts: a tag
+                    pass
+                else:
+                    rest.pop()
             if gap:
                 rest.append("=" + gap)
             label = cls(category, tuple(rest), coindex)

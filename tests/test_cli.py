@@ -221,6 +221,24 @@ class TestFailurePaths:
             (total,) = [r for r in parse_records(out) if r["givenness"] == "total"]
             assert total["subj_matrix"] == 1
 
+    @pytest.mark.parametrize("command", ["parse", "table1"])
+    def test_index_int_cannot_convert_is_label_text(self, capsys, tmp_path,
+                                                     set_int_max_str_digits, command):
+        # 5,000 digits are past int()'s limit of 4,300: the index is kept as a tag.
+        set_int_max_str_digits(4_300)
+        (tmp_path / "good.mrg").write_text("(S (NP-SBJ (PRP we)) (VP (VBD left)))\n")
+        (tmp_path / "long.mrg").write_text(
+            f"(S (NP-SBJ-{'9' * 5_000} (PRP it)) (VP (VBD ran)))\n")
+        code, out, err = run(capsys, [command, "--format", "records",
+                                      "--corpus", str(tmp_path)])
+        assert (code, err) == (EXIT_OK, "")
+        if command == "parse":
+            assert [(r["file"], r["status"]) for r in parse_records(out)] \
+                == [("good.mrg", "ok"), ("long.mrg", "ok")]
+        else:
+            (total,) = [r for r in parse_records(out) if r["givenness"] == "total"]
+            assert total["subj_matrix"] == 2
+
     @pytest.mark.parametrize("command", sorted(CORPUS_COMMANDS))
     def test_partial_failure_skips_the_bad_file_once(self, capsys, fixture_corpus,
                                                      broken_dir, tmp_path, command):
@@ -1117,6 +1135,22 @@ class TestChisqCommand:
         assert (by_row["pronoun"]["subject"], by_row["indefinite"]["non_subject"]) == (3, 3)
         (result,) = [r for r in records if r["record"] == "chisq-result"]
         assert result["significance"] == "p<0.05"
+
+    def test_conjoined_root_clause_subjects_are_other(self, capsys, tmp_path):
+        # Definitional: each conjunct S has the root S above it, so its
+        # subjects are embedded-other, which table1 does not print.
+        (tmp_path / "conj.mrg").write_text(
+            "( (S (S (NP-SBJ (PRP he)) (VP (VBD left))) (CC and)"
+            " (S (NP-SBJ (DT a) (NN dog)) (VP (VBD barked)))) )\n")
+        code, out, err = run(capsys, ["table1", *corpus_args(tmp_path), "--format", "records"])
+        (total,) = [r for r in parse_records(out) if r["givenness"] == "total"]
+        assert (code, err) == (EXIT_OK, "")
+        assert [n for key, n in total.items() if key.startswith(("subj_", "nonsubj_"))] \
+            == [0] * 8
+        code, out, err = run(capsys, ["chisq", *corpus_args(tmp_path), "--contexts", "other"])
+        assert (code, out) == (EXIT_DEGENERATE_STATS, "")
+        assert err == ("error: degenerate statistics input: table (1, 0, 1, 0)"
+                       " has a zero row or column sum\n")
 
     def test_degenerate_corpus_margin_exits_three(self, capsys, fixture_corpus):
         code, _, err = run(capsys, ["chisq", *corpus_args(fixture_corpus),

@@ -160,7 +160,6 @@ QUERY_NAMES = [
     "LateClosureMatch", "NPOccurrence", "VERB_TAGS",
     "VerbFrameProfile", "extract_np_occurrences", "find_late_closure_configs",
     "profile_verb_frames", "survey_fronted_adverbials", "walk_np_occurrences",
-    "walk_sentence",
 ]
 
 

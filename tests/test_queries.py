@@ -1,7 +1,6 @@
 """Structural query tests: NP positions, clause contexts, late-closure
 configurations, fronted adverbials, verb frames."""
 
-import functools
 import itertools
 from collections import Counter
 
@@ -19,11 +18,10 @@ from npstat.queries import (
     profile_verb_frames,
     survey_fronted_adverbials,
     walk_np_occurrences,
-    walk_sentence,
 )
+from npstat.queries.spans import _np_ranges
 from npstat.render import parse_records
-from npstat.treebank import (Internal, Leaf, NodeLabel, SourceSpan, Tree, parse_trees,
-                             serialize_tree)
+from npstat.treebank import Internal, Leaf, SourceSpan, Tree, parse_trees, serialize_tree
 
 from oracles import (
     late_closure_match_is_sound,
@@ -34,7 +32,7 @@ from oracles import (
     oracle_verb_frames,
     with_comma_after,
 )
-from treegen import WORDS, random_trees
+from treegen import WORDS, build_slice_tree, random_trees, slice_forests
 
 SUBJ = GrammaticalPosition.SUBJECT
 NONSUBJ = GrammaticalPosition.NON_SUBJECT
@@ -80,6 +78,21 @@ class TestPositions:
             "(S (NP-SBJ (DT the) (NN dog)) (, ,) (ADVP (RB however)) (, ,) (VP (VBD ran)))"
         )[0]
         assert occ_summary(tree)[0] == ("the dog", "subject", "matrix")
+
+    def test_topicalized_np_is_a_second_matrix_subject(self):
+        # Definitional: NP-TPC is an NP child of the root S with a VP among
+        # its later siblings, so it counts as a subject, beside NP-SBJ.
+        (tree,) = parse_trees(
+            "( (S (NP-TPC-1 (DT This) (NN book)) (, ,) (NP-SBJ (PRP I))"
+            " (VP (VBD liked) (NP (-NONE- *T*-1))) (. .)) )"
+        )
+        assert occ_summary(tree) == [("This book", "subject", "matrix"),
+                                     ("I", "subject", "matrix"), ("", "non-subject", "matrix")]
+        assert {key: n for key, n in aggregate([tree]).cells.items() if n} == {
+            (GivennessCategory.DEFINITE, SUBJ, ClauseContext.MATRIX): 1,
+            (GivennessCategory.PRONOUN, SUBJ, ClauseContext.MATRIX): 1,
+            (GivennessCategory.EMPTY_CATEGORY, NONSUBJ, ClauseContext.MATRIX): 1,
+        }
 
     def test_spans_cover_exactly_the_nps_leaves(self, fixture_corpus):
         tree = parse_trees((fixture_corpus / "a.mrg").read_text())[0]
@@ -127,6 +140,21 @@ class TestClauseContexts:
             " (SBAR (IN whether) (S (NP-SBJ (PRP we)) (VP (VBD lied))))))"
         )[0]
         assert ("we", "subject", "embedded-other") in occ_summary(tree)
+
+    # The complementizer is the nearest leaf before the clause, and any empty
+    # element there makes the clause reduced.
+    @pytest.mark.parametrize("complementizer, context", [
+        ("(IN so) (IN that)", "embedded-tc"),
+        ("(-NONE- *?*)", "embedded-rc"),
+    ], ids=["nearest-leaf-is-that", "empty-element-other-than-0"])
+    def test_complementizer_is_the_nearest_leaf(self, complementizer, context):
+        tree = parse_trees(
+            f"(S (NP-SBJ (PRP he)) (VP (VBD said) (SBAR {complementizer}"
+            " (S (NP-SBJ (PRP we)) (VP (VBD lied))))))"
+        )[0]
+        assert occ_summary(tree) == [("he", "subject", "matrix"), ("we", "subject", context)]
+        assert list(oracle_occurrences(tree).values()) \
+            == [("subject", "matrix"), ("subject", context)]
 
     def test_coordinated_clauses_are_other(self):
         # Conjunct clauses have an S ancestor, so by the literal definition
@@ -285,33 +313,32 @@ def count_reads(monkeypatch) -> Counter:
     return reads
 
 
+def check_occurrences(tree: Tree, ranges: dict[int, tuple[int, int]]) -> list:
+    """Every NP's range from the span walk, and each occurrence's position,
+    context and span in pre-order, against the oracles; ``ranges`` is
+    :func:`oracle_leaf_ranges`.  Returns the occurrences."""
+    assert {id(node): span for node, span in _np_ranges(tree).items()} == {
+        id(node): ranges[id(node)] for node in tree.iter_nodes() if node.category == "NP"
+    }
+    expected = list(oracle_occurrences(tree).items())
+    assert [(id(node), (position.value, context.value))
+            for node, position, context in walk_np_occurrences(tree)] == expected
+    occurrences = extract_np_occurrences(tree)
+    assert [(id(o.node), (o.position.value, o.context.value)) for o in occurrences] \
+        == expected
+    for occ in occurrences:
+        assert (occ.span.start, occ.span.end) == ranges[id(occ.node)]
+    return occurrences
+
+
 def check_against_oracles(tree: Tree, checked: Counter) -> None:
-    """The sentence walk and every query on one sentence against the oracles:
-    positions and contexts, every span, late-closure soundness and
+    """Every query on one sentence against the oracles: positions, contexts
+    and spans (:func:`check_occurrences`), late-closure soundness and
     completeness, every fronted adverbial with its comma flag, and verb
     frames; ``checked`` counts what was compared."""
     ranges = oracle_leaf_ranges(tree)
     leaves = tree.leaves()
-    walked: list = []
-    entries = walk_sentence(tree, walked)
-    assert walked == leaves
-    # The oracle settles ranges in reverse pre-order; the walk gives NPs.
-    nodes = {id(node): node for node in tree.iter_nodes()}
-    assert [(id(node), start, end) for node, start, end in entries] == [
-        (node_id, *ranges[node_id]) for node_id in reversed(ranges)
-        if nodes[node_id].category == "NP"
-    ]
-    # Occurrences in pre-order, as the oracle finds them.
-    expected = oracle_occurrences(tree)
-    assert [(id(node), (position.value, context.value))
-            for node, position, context in walk_np_occurrences(tree)] == list(expected.items())
-    occurrences = extract_np_occurrences(tree)
-    actual = {id(o.node): (o.position.value, o.context.value) for o in occurrences}
-    assert len(actual) == len(occurrences), "an NP was reported twice"
-    assert actual == expected
-    for occ in occurrences:
-        assert (occ.span.start, occ.span.end) == ranges[id(occ.node)]
-        checked["occurrences"] += 1
+    checked["occurrences"] += len(check_occurrences(tree, ranges))
     matches = find_late_closure_configs(tree)
     assert [(m.vp_node, m.final_verb, m.critical_np) for m in matches] \
         == oracle_late_closure(tree)
@@ -335,7 +362,40 @@ CHECKED_ALL = {"occurrences", "matches", "adverbials comma-delimited",
                "frame reduced-clause", "frame intransitive"}
 
 
+# The bounded-exhaustive NP slice: a noun, a verb, an overt and an empty
+# complementizer, under S, VP, NP and SBAR nodes of one to three children
+# each.  Each S is placed as the root, in a that-clause and a reduced clause
+# under a VP, and in a fronted while-clause.
+NP_SLICE = (("S", "VP", "NP", "SBAR"),
+            (("NN", "n"), ("VBD", "v"), ("IN", "that"), ("-NONE-", "0")))
+NP_SLICE_FRAMES = (
+    lambda s: s,
+    lambda s: ("S", (("NP", (("NN", "n"),)),
+                     ("VP", (("VBD", "v"), ("SBAR", (("IN", "that"), s)))))),
+    lambda s: ("S", (("NP", (("NN", "n"),)),
+                     ("VP", (("VBD", "v"), ("SBAR", (("-NONE-", "0"), s)))))),
+    lambda s: ("S", (("SBAR", (("IN", "while"), s)), ("NP", (("NN", "n"),)),
+                     ("VP", (("VBD", "v"),)))),
+)
+
+
 class TestLeafSpans:
+    def test_agrees_with_oracle_on_every_small_s_in_each_frame(self):
+        # Every S of at most five nodes in the slice, in each frame: every
+        # NP's range, and each occurrence's position, context and span.
+        trees = 0
+        pairs: Counter = Counter()
+        for nodes in range(2, 6):
+            for children in slice_forests(nodes - 1, 3, *NP_SLICE):
+                for frame in NP_SLICE_FRAMES:
+                    tree = build_slice_tree(frame(("S", children)))
+                    occurrences = check_occurrences(tree, oracle_leaf_ranges(tree))
+                    pairs.update((o.position.value, o.context.value) for o in occurrences)
+                    trees += 1
+        assert trees == 14_736
+        assert set(pairs) == {(position.value, context.value)
+                              for position in GrammaticalPosition for context in ClauseContext}
+
     def test_agrees_with_oracle(self, smoke_corpus):
         trees = [
             tree
@@ -523,35 +583,8 @@ class TestLeafSpans:
 
 # The bounded-exhaustive late-closure slice: a verb, a noun, a comma and an
 # empty element, under S, VP and NP nodes of one to three children each.
-SLICE_LEAVES = (("VBD", "v"), ("NN", "n"), (",", ","), ("-NONE-", "*"))
-SLICE_LABELS = tuple(NodeLabel.from_string(category) for category in ("S", "VP", "NP"))
-
-
-@functools.cache
-def slice_shapes(nodes: int) -> list:
-    """Every slice tree of exactly ``nodes`` nodes, as a ``(pos, token)`` leaf
-    or a ``(label, children)`` node."""
-    if nodes == 1:
-        return list(SLICE_LEAVES)
-    return [(label, children) for label in SLICE_LABELS
-            for children in slice_forests(nodes - 1, 3)]
-
-
-@functools.cache
-def slice_forests(nodes: int, width: int) -> list:
-    """Every sequence of one to ``width`` slice trees of ``nodes`` nodes in all."""
-    if nodes == 0 or width == 0:
-        return []
-    return [(first, *rest) for size in range(1, nodes + 1) for first in slice_shapes(size)
-            for rest in (slice_forests(nodes - size, width - 1) if size < nodes else [()])]
-
-
-def build_slice_tree(shape) -> Tree:
-    """Fresh nodes for ``shape``, since nodes compare by identity."""
-    head, rest = shape
-    if type(head) is str:
-        return Leaf(head, rest)
-    return Internal(head, tuple(build_slice_tree(child) for child in rest))
+LATE_CLOSURE_SLICE = (("S", "VP", "NP"),
+                      (("VBD", "v"), ("NN", "n"), (",", ","), ("-NONE-", "*")))
 
 
 class TestLateClosure:
@@ -658,8 +691,8 @@ class TestLateClosure:
         # or an empty element through, disagrees with the oracle here.
         checked: Counter = Counter()
         for nodes in range(2, 7):
-            for children in slice_forests(nodes - 1, 3):
-                tree = Internal(SLICE_LABELS[0], tuple(map(build_slice_tree, children)))
+            for children in slice_forests(nodes - 1, 3, *LATE_CLOSURE_SLICE):
+                tree = build_slice_tree(("S", children))
                 matches = find_late_closure_configs(tree)
                 triples = oracle_late_closure(tree)
                 assert [(m.vp_node, m.final_verb, m.critical_np) for m in matches] \

@@ -61,6 +61,22 @@ class TestLabels:
     def test_round_trip(self, raw):
         assert str(NodeLabel.from_string(raw)) == raw
 
+    @pytest.mark.parametrize("digits", [4_300, 4_301], ids=["at-the-limit", "past-the-limit"])
+    def test_index_int_cannot_convert_is_a_function_tag(self, set_int_max_str_digits,
+                                                        digits):
+        # An index of more digits than int() converts stays label text.  The
+        # raw labels are parsed by no other test, since labels are kept.
+        set_int_max_str_digits(4_300)
+        raw = "NP-LOC-" + "7" * digits
+        text = f"(S ({raw} (PRP it)) (VP (VBD ran)))"
+        (tree,) = parse_trees(text)
+        label = tree.children[0].label
+        if digits <= 4_300:
+            assert (label.function_tags, label.coindex) == (("LOC",), 10**digits // 9 * 7)
+        else:
+            assert (label.function_tags, label.coindex) == (("LOC", "7" * digits), None)
+        assert (label.category, str(label), serialize_tree(tree)) == ("NP", raw, text)
+
     def test_category_property_strips_tags(self):
         tree = parse_trees("(NP-SBJ-1 (PRP it))")[0]
         assert tree.category == "NP"

@@ -7,10 +7,14 @@ punctuation, and empty elements.  A few internal nodes are planted as a verb
 with a ``(SBAR (IN that) (S ...))`` complement, which random draws almost
 never assemble, so that-clause frames and contexts occur.
 
+Bounded-exhaustive tests enumerate every tree up to a size over a small
+alphabet instead: :func:`slice_forests` and :func:`build_slice_tree`.
+
 Nodes compare by identity, so round-trip tests compare trees with
 :func:`same_trees`.
 """
 
+import functools
 import random
 from typing import Sequence
 
@@ -89,6 +93,40 @@ def random_tree(rng: random.Random, max_nodes: int = 25) -> Internal:
 def random_trees(seed: int, count: int, max_nodes: int = 25) -> list[Internal]:
     rng = random.Random(seed)
     return [random_tree(rng, max_nodes) for _ in range(count)]
+
+
+@functools.cache
+def slice_shapes(nodes: int, labels: tuple[str, ...],
+                 leaves: tuple[tuple[str, str], ...]) -> list:
+    """Every tree of exactly ``nodes`` nodes whose internal nodes have one to
+    three children and a category in ``labels``, over the ``(pos, token)``
+    leaves ``leaves``: a leaf is its pair, a node is ``(category, children)``."""
+    if nodes == 1:
+        return list(leaves)
+    return [(label, children) for label in labels
+            for children in slice_forests(nodes - 1, 3, labels, leaves)]
+
+
+@functools.cache
+def slice_forests(nodes: int, width: int, labels: tuple[str, ...],
+                  leaves: tuple[tuple[str, str], ...]) -> list:
+    """Every sequence of one to ``width`` :func:`slice_shapes` trees of
+    ``nodes`` nodes in all."""
+    if nodes == 0 or width == 0:
+        return []
+    return [(first, *rest) for size in range(1, nodes + 1)
+            for first in slice_shapes(size, labels, leaves)
+            for rest in (slice_forests(nodes - size, width - 1, labels, leaves)
+                         if size < nodes else [()])]
+
+
+def build_slice_tree(shape) -> Tree:
+    """Fresh nodes for a :func:`slice_shapes` shape, since nodes compare by
+    identity."""
+    head, rest = shape
+    if type(rest) is str:
+        return Leaf(head, rest)
+    return Internal(NodeLabel(head), tuple(build_slice_tree(child) for child in rest))
 
 
 def same_trees(xs: Sequence[Tree], ys: Sequence[Tree]) -> bool:
