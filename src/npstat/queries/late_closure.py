@@ -4,8 +4,8 @@ A VP whose last overt, non-punctuation leaf is verb-tagged, string-adjacent
 to the first leaf of a following NP with no punctuation in between.  These
 are the locally ambiguous "the NP could be an object or the next subject"
 positions.  :func:`find_late_closure_configs` is a leaf walk of its own that
-settles each match as the leaves are read, reading each tag once; the
-``late-closure`` command prints its matches.
+settles each match as the leaves are read, reading each tag once and counting
+leaves, not keeping them; the ``late-closure`` command prints its matches.
 """
 
 from __future__ import annotations
@@ -40,22 +40,21 @@ def find_late_closure_configs(
     leaf whose first overt leaf it is (an NP that closes first is no longer a
     candidate).  The match is made when that NP closes.
     """
-    leaves: list[Leaf] = []
-    add_leaf = leaves.append
+    leaves = 0  # leaves read so far
     matches = []  # one slot per VP, reserved as it is entered
-    waiting = []  # (slot, vp, verb position) of VPs that end in the last overt leaf
-    verb_at = -1  # position of the last overt leaf if it is a verb
+    waiting = []  # (slot, vp, verb, its position) of VPs that end in the last overt leaf
+    verb = None  # the last overt leaf and its position, if it is a verb
     candidate = None  # the candidate NP's frame
     # Per node on the path from the root, below one that holds the root: the
     # iterator over its children, the node, and its frame: for an NP the
-    # matches that wait for its end, for a VP its slot and its first leaf's
-    # position.
+    # matches that wait for its end, for a VP its slot and the leaves read
+    # before it.
     stack = [(iter((tree,)), tree, None)]
     while stack:
         children, node, frame = stack[-1]
         for child in children:
             if type(child) is Leaf:
-                add_leaf(child)
+                leaves += 1
                 pos = child.pos
                 if pos == EMPTY_POS:
                     continue
@@ -64,7 +63,7 @@ def find_late_closure_configs(
                         candidate += waiting
                     waiting = []
                 candidate = None
-                verb_at = len(leaves) - 1 if pos in VERB_TAGS else -1
+                verb = (child, leaves - 1) if pos in VERB_TAGS else None
                 continue
             category = child.label.category
             child_frame = None
@@ -73,7 +72,7 @@ def find_late_closure_configs(
                 if candidate is None:
                     candidate = child_frame
             elif category == "VP":
-                child_frame = (len(matches), len(leaves))
+                child_frame = (len(matches), leaves)
                 matches.append(None)
             stack.append((iter(child.children), child, child_frame))
             break
@@ -82,10 +81,9 @@ def find_late_closure_configs(
             if type(frame) is list:
                 if frame is candidate:
                     candidate = None
-                for slot, vp, verb in frame:
+                for slot, vp, final, start in frame:
                     matches[slot] = LateClosureMatch(
-                        vp, leaves[verb], node,
-                        SourceSpan(file_id, sentence_index, verb, len(leaves)))
-            elif frame is not None and verb_at >= frame[1]:
-                waiting.append((frame[0], node, verb_at))
+                        vp, final, node, SourceSpan(file_id, sentence_index, start, leaves))
+            elif frame is not None and verb and verb[1] >= frame[1]:
+                waiting.append((frame[0], node, *verb))
     return [match for match in matches if match is not None]

@@ -17,10 +17,11 @@ follow.  Its loop turns once per ``(``.  Labels are derived once per process,
 not once per file, into the one table that ``NodeLabel.from_string`` fills
 and the parser reads first.
 
-Leaf collection, both scans for leaves other than ``-NONE-`` (the last, by
-:func:`last_overt_leaf`, and the first two, by :func:`leading_overt`), parsing
-and serialization keep explicit stacks instead of recursing, so nesting depth
-is unbounded.
+Nothing recurses, so nesting depth is unbounded.  A walk that settles nothing
+as a node closes pops a node stack: :meth:`Tree.leaves`, ``iter_nodes``,
+:func:`last_overt_leaf`, :func:`leading_overt`, the occurrence and frame walks
+and serialization.  One that does keeps an iterator stack and counts leaves:
+the NP-span and late-closure walks.
 
 Only the commands that read or build trees load this module.  The exit-code
 exception classes, which every run loads, are :mod:`npstat.base`.
@@ -61,7 +62,10 @@ class NodeLabel(NamedTuple):
         """The label spelled ``raw``, from ``_LABELS`` or derived into it.
 
         A trailing ``=n`` gap or ``-n`` coindex takes ASCII digits only; other
-        text stays a tag or category text, which ``str`` writes as read."""
+        text stays a tag or category text, which ``str`` writes as read.  A label
+        whose index has more digits than the lowest limit ``int()`` accepts, 640,
+        is not kept, so it is read under the limit in force; a tree built before
+        the limit changed keeps its labels."""
         label = _LABELS.get(raw)
         if label is not None:
             return label
@@ -69,15 +73,16 @@ class NodeLabel(NamedTuple):
         if not (eq and gap.isascii() and gap.isdigit()):
             base, gap = raw, ""
         category, *rest = base.split("-")
+        index = rest[-1] if rest and rest[-1].isascii() and rest[-1].isdigit() else ""
         if not category:
             # Labels like "-NONE-" only occur on leaves, where they are kept
             # raw; if one shows up on an internal node, keep it unsplit.
             label = cls(raw)
         else:
             coindex = None
-            if rest and rest[-1].isascii() and rest[-1].isdigit():
+            if index:
                 try:
-                    coindex = int(rest[-1])
+                    coindex = int(index)
                 except ValueError:  # more digits than int() converts: a tag
                     pass
                 else:
@@ -85,9 +90,10 @@ class NodeLabel(NamedTuple):
             if gap:
                 rest.append("=" + gap)
             label = cls(category, tuple(rest), coindex)
-        if len(_LABELS) >= _LABELS_MAX:
-            _LABELS.clear()
-        _LABELS[raw] = label
+        if len(index) <= 640:  # sys.int_info.str_digits_check_threshold
+            if len(_LABELS) >= _LABELS_MAX:
+                _LABELS.clear()
+            _LABELS[raw] = label
         return label
 
     def __str__(self) -> str:
@@ -108,18 +114,15 @@ class Tree:
     __slots__ = ()
 
     def leaves(self) -> list["Leaf"]:
-        """Leaves in surface order; an iterator stack keeps any depth safe."""
+        """Leaves in surface order (a leaf's is itself), from a node stack."""
         out: list[Leaf] = []
-        stack = [iter((self,))]
+        stack = [self]
         while stack:
-            for node in stack[-1]:
-                if isinstance(node, Leaf):
-                    out.append(node)
-                else:
-                    stack.append(iter(node.children))  # type: ignore[attr-defined]
-                    break
+            node = stack.pop()
+            if type(node) is Leaf:
+                out.append(node)
             else:
-                stack.pop()
+                stack.extend(reversed(node.children))  # type: ignore[attr-defined]
         return out
 
     def iter_nodes(self) -> Iterator["Tree"]:
@@ -149,9 +152,6 @@ class Leaf(Tree):
 
     def __repr__(self) -> str:
         return f"<Leaf {self.pos} {self.token!r}>"
-
-    def leaves(self) -> list["Leaf"]:
-        return [self]
 
 
 class Internal(Tree):

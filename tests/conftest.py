@@ -70,6 +70,22 @@ def perfbench_gen():
 
 
 @pytest.fixture(scope="session")
+def seed_101_corpus(tmp_path_factory, perfbench_gen):
+    """The benchmark's corpus of a workload at seed 101, generated once per
+    session and read only: ``seed_101_corpus("flat-wsj")`` is its directory."""
+    corpora = {}
+
+    def corpus(workload: str) -> Path:
+        if workload not in corpora:
+            root = tmp_path_factory.mktemp(workload)
+            perfbench_gen.generate(workload, 101, root)
+            corpora[workload] = root / "corpus"
+        return corpora[workload]
+
+    return corpus
+
+
+@pytest.fixture(scope="session")
 def deep_clauses_trees(tmp_path_factory, perfbench_gen) -> list[Tree]:
     """Every sentence of the benchmark's deep-clauses corpus (seed 1),
     generated by ``perfbench/gen.py``."""

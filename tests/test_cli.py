@@ -758,13 +758,11 @@ class TestTranscripts:
 
 
 @pytest.fixture(scope="module", params=["fixture", "flat-wsj-101"])
-def counted_corpus(request, tmp_path_factory, perfbench_gen):
+def counted_corpus(request, seed_101_corpus):
     """The fixture corpus, and the benchmark's flat-wsj corpus at seed 101."""
     if request.param == "fixture":
         return Path(__file__).parent / "fixtures" / "corpus"
-    root = tmp_path_factory.mktemp("flat-wsj")
-    perfbench_gen.generate("flat-wsj", 101, root)
-    return root / "corpus"
+    return seed_101_corpus("flat-wsj")
 
 
 class TestCountModesMatchCorpusModes:

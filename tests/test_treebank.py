@@ -25,7 +25,7 @@ from npstat.treebank import (
     serialize_tree,
 )
 
-from oracles import oracle_parse
+from oracles import oracle_leaf_ranges, oracle_parse
 from treegen import random_trees, same_trees
 
 WRAPPED = "( (S (NP-SBJ (DT The) (NN maid)) (VP (VBD disclosed) (NP (DT the) (NN location))) (. .)) )"
@@ -77,6 +77,26 @@ class TestLabels:
             assert (label.function_tags, label.coindex) == (("LOC", "7" * digits), None)
         assert (label.category, str(label), serialize_tree(tree)) == ("NP", raw, text)
 
+    def test_index_past_every_limit_reads_under_the_limit_in_force(self,
+                                                                   set_int_max_str_digits):
+        # A label derived with no limit is not handed out again once the limit
+        # is back: the reparse reads the index as a tag and writes it as read.
+        raw = "NP-TMP-" + "8" * 5_000
+        text = f"(S ({raw} (PRP it)) (VP (VBD ran)))"
+        set_int_max_str_digits(0)
+        (unlimited,) = parse_trees(text)
+        assert unlimited.children[0].label.coindex == 10**5_000 // 9 * 8
+        set_int_max_str_digits(4_300)
+        (tree,) = parse_trees(text)
+        label = tree.children[0].label
+        assert (label.function_tags, label.coindex) == (("TMP", "8" * 5_000), None)
+        assert serialize_tree(tree) == text
+
+    @pytest.mark.parametrize("digits,kept", [(640, True), (641, False)])
+    def test_only_an_index_any_limit_reads_alike_is_kept(self, digits, kept):
+        raw = "NP-DIR-" + "6" * digits
+        assert (NodeLabel.from_string(raw) is NodeLabel.from_string(raw)) is kept
+
     def test_category_property_strips_tags(self):
         tree = parse_trees("(NP-SBJ-1 (PRP it))")[0]
         assert tree.category == "NP"
@@ -96,11 +116,9 @@ class TestLabels:
         assert len(treebank._LABELS) == 100
         assert [tree.label.coindex for tree in trees] == list(range(bound + 100))
 
-    def test_each_raw_label_is_derived_once_per_process(self, tmp_path, perfbench_gen,
-                                                        monkeypatch):
-        perfbench_gen.generate("many-small", 101, tmp_path)
+    def test_each_raw_label_is_derived_once_per_process(self, seed_101_corpus, monkeypatch):
         texts = [path.read_bytes().decode("utf-8", "replace")
-                 for path in sorted((tmp_path / "corpus").rglob("*.mrg"))]
+                 for path in sorted(seed_101_corpus("many-small").rglob("*.mrg"))]
         assert len(texts) == 300
         treebank._LABELS.clear()
         derive, derived = NodeLabel.from_string, Counter()
@@ -149,6 +167,19 @@ class TestParsing:
         )[0]
         assert [l.token for l in tree.leaves()] == ["the", "dog", "ran", "*", "."]
         assert tree.text() == "the dog ran ."
+
+    def test_leaves_of_every_node_are_its_leaf_range(self):
+        # A bare leaf is its own one leaf; an internal node's leaves are the
+        # slice of the sentence's leaves that the oracle's range gives it.
+        bare = Leaf("NN", "dog")
+        assert bare.leaves() == [bare]
+        for tree in random_trees(23, 50):
+            nodes = list(tree.iter_nodes())
+            sentence = [node for node in nodes if type(node) is Leaf]
+            ranges = oracle_leaf_ranges(tree)
+            for node in nodes:
+                expected = [node] if type(node) is Leaf else sentence[slice(*ranges[id(node)])]
+                assert node.leaves() == expected
 
     def test_empty_input_yields_no_trees(self):
         assert parse_trees("") == []
